@@ -2,10 +2,12 @@
 """Run every bundled figure preset and drop the CSVs under results/.
 
 Full-scale runs use the presets' own trial counts (1e6 for the Monte Carlo
-families); pass --smoke for a fast sanity pass.
+families); pass --smoke for a fast sanity pass.  Each summary line ends with
+the CSV's SHA-256, so two checkouts can be compared byte for byte.
 """
 
 import argparse
+import hashlib
 from pathlib import Path
 
 from irislab import cli, harness
@@ -31,10 +33,12 @@ def main() -> None:
         if args.smoke:
             spec = cli._smoke(spec)
         result = harness.run_experiment(spec, n_workers=args.workers)
-        harness.emit_csv(result, out / f"{name}.csv")
+        csv = out / f"{name}.csv"
+        harness.emit_csv(result, csv)
         harness.emit_json(result, out / f"{name}.json")
+        digest = hashlib.sha256(csv.read_bytes()).hexdigest()
         print(f"{name}: {len(result.rows)} rows in {result.metadata['wall_time_s']}s, "
-              f"{len(result.failures)} per-point failures")
+              f"{len(result.failures)} per-point failures, sha256 {digest}")
 
 
 if __name__ == "__main__":

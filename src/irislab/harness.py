@@ -15,11 +15,9 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from . import analysis as an
 from . import montecarlo as mc
-from .geometry import NetworkConfig, stream
+from .geometry import NetworkConfig
 
 __all__ = [
     "EXPERIMENTS",
@@ -229,17 +227,26 @@ def _apply_axes(base: NetworkConfig, names, values):
 def run_experiment(spec: ExperimentSpec, n_workers: int = 1) -> ExperimentResult:
     """Evaluate every requested series at every sweep point.
 
-    Per-point failures (for example the asymptotic series outside its
-    convergence region) are collected, not fatal.
+    Points that differ only in ``pb_dbm`` are evaluated together, so a Monte
+    Carlo engine draws once for the whole power axis.  Per-point failures
+    (for example the asymptotic series outside its convergence region) are
+    collected, not fatal.
     """
     t0 = time.monotonic()
     names = [name for name, _ in spec.sweep]
-    grids = [values for _, values in spec.sweep]
-    rows, failures = [], []
+    points = [tuple(float(v) for v in point)
+              for point in itertools.product(*(values for _, values in spec.sweep))]
     runner = _RUNNERS[spec.experiment]
-    for point in itertools.product(*grids):
-        point = tuple(float(v) for v in point)
-        for series, payload in runner(spec, names, point, n_workers):
+    relay_cache = {}                 # (series, RelayConfig) -> payload, for this run only
+    outputs = [None] * len(points)
+    for group in _power_groups(names, points):
+        pts = [points[i] for i in group]
+        cfgs = [_apply_axes(spec.base, names, p) for p in pts]
+        for i, out in zip(group, runner(spec, names, pts, cfgs, n_workers, relay_cache)):
+            outputs[i] = out
+    rows, failures = [], []
+    for point, out in zip(points, outputs):
+        for series, payload in out:
             if isinstance(payload, Exception):
                 failures.append((point, series, f"{type(payload).__name__}: {payload}"))
             else:
@@ -256,6 +263,15 @@ def run_experiment(spec: ExperimentSpec, n_workers: int = 1) -> ExperimentResult
     return ExperimentResult(axis_names=names, rows=rows, metadata=meta, failures=failures)
 
 
+def _power_groups(names, points):
+    """Indices of the points that differ only in pb_dbm, one list per group."""
+    k = names.index("pb_dbm") if "pb_dbm" in names else len(names)
+    groups = {}
+    for i, point in enumerate(points):
+        groups.setdefault(point[:k] + point[k + 1:], []).append(i)
+    return groups.values()
+
+
 def _version_string() -> str:
     from . import __version__
     return f"irislab {__version__}"
@@ -265,120 +281,110 @@ def _want(spec, series):
     return series in spec.outputs
 
 
-def _run_op_vs_snr(spec, names, point, n_workers):
-    cfg = _apply_axes(spec.base, names, point)
+# A runner gets one power group (its points and their configs, which differ
+# only in p_b) and returns, per point, the list of (series, payload) pairs; a
+# payload is (value, std_error, trials) or the exception of a failed point.
+
+def _by_point(series, n):
+    return [[(name, payloads[k]) for name, payloads in series] for k in range(n)]
+
+
+def _each(cfgs, fn):
+    """Per-point payloads; an exception becomes that point's failure."""
     out = []
-    if _want(spec, "analytical"):
+    for cfg in cfgs:
         try:
-            ctx = an.ClosedFormContext.from_config(cfg)
-            out.append(("analytical", (an.op_closed_form(ctx, cfg.R, cfg.r0, cfg.alpha), 0.0, 0)))
+            out.append(fn(cfg))
         except Exception as e:                      # noqa: BLE001 - per-point report
-            out.append(("analytical", e))
-    if _want(spec, "asymptotic"):
-        try:
-            ctx = an.ClosedFormContext.from_config(cfg)
-            out.append(("asymptotic", (an.op_asymptotic(ctx, cfg.R, cfg.r0, cfg.alpha), 0.0, 0)))
-        except Exception as e:                      # noqa: BLE001
-            out.append(("asymptotic", e))
-    if _want(spec, "montecarlo_model"):
-        est = mc.simulate_op(spec.plan, cfg, n_workers=n_workers)
-        out.append(("montecarlo_model", (est.mean, est.std_error, est.trials_used)))
-    if _want(spec, "montecarlo_link"):
-        try:
-            plan = replace(spec.plan, fidelity="link_level")
-            est = mc.simulate_op(plan, cfg, n_workers=n_workers)
-            out.append(("montecarlo_link", (est.mean, est.std_error, est.trials_used)))
-        except Exception as e:                      # noqa: BLE001
-            out.append(("montecarlo_link", e))
+            out.append(e)
     return out
 
 
-def _run_op_fading(spec, names, point, n_workers):
-    cfg = _apply_axes(spec.base, names, point)
-    out = []
+def _payload(est):
+    return est.mean, est.std_error, est.trials_used
+
+
+def _power_axis(engine, plan, cfgs, n_workers, **kw):
+    """Payloads of a model-level engine, one call for the whole power group."""
+    ests = engine(replace(plan, fidelity="model_level"), cfgs[0], [c.p_b for c in cfgs],
+                  n_workers=n_workers, **kw)
+    return [_payload(e) for e in ests]
+
+
+def _run_op_vs_snr(spec, names, points, cfgs, n_workers, cache):
+    series = []
     if _want(spec, "analytical"):
-        try:
-            out.append(("analytical", (an.op_gamma_approx(cfg), 0.0, 0)))
-        except Exception as e:                      # noqa: BLE001
-            out.append(("analytical", e))
+        series.append(("analytical", _each(cfgs, lambda c: (an.op_closed_form(
+            an.ClosedFormContext.from_config(c), c.R, c.r0, c.alpha), 0.0, 0))))
+    if _want(spec, "asymptotic"):
+        series.append(("asymptotic", _each(cfgs, lambda c: (an.op_asymptotic(
+            an.ClosedFormContext.from_config(c), c.R, c.r0, c.alpha), 0.0, 0))))
+    if _want(spec, "montecarlo_model"):
+        series.append(("montecarlo_model",
+                       _power_axis(mc.simulate_op_axis, spec.plan, cfgs, n_workers)))
+    if _want(spec, "montecarlo_link"):
+        plan = replace(spec.plan, fidelity="link_level")
+        series.append(("montecarlo_link", _each(cfgs, lambda c: _payload(
+            mc.simulate_op(plan, c, n_workers=n_workers)))))
+    return _by_point(series, len(cfgs))
+
+
+def _run_op_fading(spec, names, points, cfgs, n_workers, cache):
+    series = []
+    if _want(spec, "analytical"):
+        series.append(("analytical", _each(cfgs, lambda c: (an.op_gamma_approx(c), 0.0, 0))))
     if _want(spec, "montecarlo_model"):
         # squared combining gain, the variable the Gamma model describes
-        est = _simulate_op_norm_sq(spec.plan, cfg, n_workers)
-        out.append(("montecarlo_model", (est.mean, est.std_error, est.trials_used)))
-    return out
+        series.append(("montecarlo_model", _power_axis(mc.simulate_op_axis, spec.plan, cfgs,
+                                                       n_workers, gain="squared")))
+    return _by_point(series, len(cfgs))
 
 
-def _simulate_op_norm_sq(plan, cfg, n_workers):
-    """Outage of the squared-gain SNR, on the rate engine's draws."""
-    parts = [_norm_sq_block(plan, cfg, blk) for blk in mc._block_ranges(plan.trials)]  # noqa: SLF001
-    total = sum(p[0] for p in parts)
-    mean = total / plan.trials
-    se = math.sqrt(max(mean * (1.0 - mean), 0.0) / plan.trials)
-    return mc.Estimate(mean=mean, std_error=se, trials_used=plan.trials)
-
-
-def _norm_sq_block(plan, cfg, blk):
-    bi, lo, hi = blk
-    gen = stream(plan.master_seed, mc._TAG_RATE_MODEL, bi)  # noqa: SLF001
-    nb = hi - lo
-    r, h, g = mc._model_draws(gen, cfg, nb, cfg.Q)  # noqa: SLF001
-    s = (g * h[:, np.newaxis, :]).sum(axis=2)
-    gain = (s ** 2).sum(axis=1)
-    pl = cfg.ref_atten_lin * (cfg.d1 * r) ** (-cfg.alpha)
-    snr = gain * pl * cfg.p_b / (cfg.Q * cfg.sigma2)
-    return float((np.log2(1.0 + snr) < cfg.R_m).sum()), 0.0, 0
-
-
-def _run_ergodic(spec, names, point, n_workers):
-    cfg = _apply_axes(spec.base, names, point)
-    out = []
+def _run_ergodic(spec, names, points, cfgs, n_workers, cache):
+    series = []
     if _want(spec, "analytical"):
-        try:
-            ap = an.gamma_approx(cfg)
-            out.append(("analytical", (an.ergodic_rate_meijer(ap, cfg), 0.0, 0)))
-        except Exception as e:                      # noqa: BLE001
-            out.append(("analytical", e))
+        series.append(("analytical", _each(cfgs, lambda c: (
+            an.ergodic_rate_meijer(an.gamma_approx(c), c), 0.0, 0))))
     if _want(spec, "quadrature"):
-        ap = an.gamma_approx(cfg)
-        out.append(("quadrature", (an.ergodic_rate_quadrature(ap, cfg), 0.0, 0)))
+        series.append(("quadrature", [(an.ergodic_rate_quadrature(an.gamma_approx(c), c), 0.0, 0)
+                                      for c in cfgs]))
     plan = replace(spec.plan, metric="ergodic_rate")
     if _want(spec, "montecarlo_model"):
-        est = mc.simulate_ergodic_rate(plan, cfg, n_workers=n_workers)
-        out.append(("montecarlo_model", (est.mean, est.std_error, est.trials_used)))
+        series.append(("montecarlo_model",
+                       _power_axis(mc.simulate_ergodic_rate_axis, plan, cfgs, n_workers)))
     if _want(spec, "montecarlo_link"):
-        try:
-            est = mc.simulate_ergodic_rate(replace(plan, fidelity="link_level"), cfg,
-                                           n_workers=n_workers)
-            out.append(("montecarlo_link", (est.mean, est.std_error, est.trials_used)))
-        except Exception as e:                      # noqa: BLE001
-            out.append(("montecarlo_link", e))
-    return out
+        plan = replace(plan, fidelity="link_level")
+        series.append(("montecarlo_link", _each(cfgs, lambda c: _payload(
+            mc.simulate_ergodic_rate(plan, c, n_workers=n_workers)))))
+    return _by_point(series, len(cfgs))
 
 
-def _run_relay_compare(spec, names, point, n_workers):
-    cfg = _apply_axes(spec.base, names, point)
+def _run_relay_compare(spec, names, points, cfgs, n_workers, cache):
     rc = spec.relay
     if "ptot_dbm" in names:
-        p_tot = 1e-3 * 10.0 ** (point[names.index("ptot_dbm")] / 10.0)
+        p_tot = 1e-3 * 10.0 ** (points[0][names.index("ptot_dbm")] / 10.0)
         rc = replace(rc, p_tot=p_tot)
     plan = replace(spec.plan, metric="ergodic_rate")
-    out = []
+    series = []
     if _want(spec, "irs_model"):
-        cfg_irs = replace(cfg, p_b=rc.p_tot, d1=rc.d1)
-        est = mc.simulate_ergodic_rate(plan, cfg_irs, n_workers=n_workers)
-        out.append(("irs_model", (cfg.M * est.mean, cfg.M * est.std_error, est.trials_used)))
-    if _want(spec, "af_optimal"):
-        _, est = mc.optimal_power_split(mc.af_relay_rate, plan, rc, n_workers=n_workers)
-        out.append(("af_optimal", (est.mean, est.std_error, est.trials_used)))
-    if _want(spec, "df_optimal"):
-        _, est = mc.optimal_power_split(mc.df_relay_rate, plan, rc, n_workers=n_workers)
-        out.append(("df_optimal", (est.mean, est.std_error, est.trials_used)))
-    if _want(spec, "df_min_of_means"):
-        fn = lambda p, r, s, n_workers=1: mc.df_relay_rate(p, r, s, n_workers=n_workers,
-                                                           combine="min_of_means")
-        _, est = mc.optimal_power_split(fn, plan, rc, n_workers=n_workers)
-        out.append(("df_min_of_means", (est.mean, est.std_error, est.trials_used)))
-    return out
+        # p_b is replaced by the relay budget, so the group shares one value
+        cfg = cfgs[0]
+        est = mc.simulate_ergodic_rate(plan, replace(cfg, p_b=rc.p_tot, d1=rc.d1),
+                                       n_workers=n_workers)
+        series.append(("irs_model", [(cfg.M * est.mean, cfg.M * est.std_error,
+                                      est.trials_used)] * len(cfgs)))
+    for name, rate_fn, rate_kw in (("af_optimal", mc.af_relay_rate, {}),
+                                   ("df_optimal", mc.df_relay_rate, {}),
+                                   ("df_min_of_means", mc.df_relay_rate,
+                                    {"combine": "min_of_means"})):
+        if _want(spec, name):
+            # the relay baselines do not depend on the surface: once per RelayConfig
+            if (name, rc) not in cache:
+                _, est = mc.optimal_power_split(rate_fn, plan, rc, n_workers=n_workers,
+                                                **rate_kw)
+                cache[name, rc] = _payload(est)
+            series.append((name, [cache[name, rc]] * len(cfgs)))
+    return _by_point(series, len(cfgs))
 
 
 def _analytic_se(cfg: NetworkConfig) -> float:
@@ -388,16 +394,16 @@ def _analytic_se(cfg: NetworkConfig) -> float:
     return cfg.M * an.ergodic_rate_meijer(ap, cfg)
 
 
-def _run_throughput(spec, names, point, n_workers):
-    cfg = _apply_axes(spec.base, names, point)
-    try:
-        return [("analytical", (_analytic_se(cfg), 0.0, 0))]
-    except Exception as e:                          # noqa: BLE001
-        return [("analytical", e)]
+def _run_throughput(spec, names, points, cfgs, n_workers, cache):
+    return _by_point([("analytical", _each(cfgs, lambda c: (_analytic_se(c), 0.0, 0)))],
+                     len(cfgs))
 
 
-def _run_ee(spec, names, point, n_workers):
-    cfg = _apply_axes(spec.base, names, point)
+def _run_ee(spec, names, points, cfgs, n_workers, cache):
+    return [_ee_point(spec, cfg) for cfg in cfgs]
+
+
+def _ee_point(spec, cfg):
     out = []
     try:
         se = _analytic_se(cfg)

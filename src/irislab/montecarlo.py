@@ -3,7 +3,9 @@
 Trials are partitioned into fixed blocks of 4096; every block owns a
 counter-based RNG stream keyed by (master seed, engine tag, block index) and
 reduces with exact compensated summation.  Results are therefore identical
-for any worker count: workers only decide who computes which block.
+for any worker count: workers only decide who computes which block.  The
+draws do not depend on the transmit power or the relay power split, so the
+engines evaluate a whole power axis or split grid on one draw per block.
 
 Two model-level gain conventions coexist on purpose:
 
@@ -13,6 +15,10 @@ Two model-level gain conventions coexist on purpose:
   closed form);
 * rate    - squares the per-branch sums into the combining gain, matching
   the Gamma-approximation rate analysis (a lower bound by construction).
+
+The squared gain can also be thresholded for outage (``gain='squared'``),
+on the rate engine's draws: that is the event the Gamma-model outage
+describes.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ __all__ = [
     "RelayConfig",
     "simulate_op",
     "simulate_ergodic_rate",
+    "simulate_op_axis",
+    "simulate_ergodic_rate_axis",
     "af_relay_rate",
     "df_relay_rate",
     "optimal_power_split",
@@ -77,6 +85,11 @@ def _block_ranges(trials: int):
             for bi in range((trials + BLOCK - 1) // BLOCK)]
 
 
+def _fsum(vals) -> float:
+    """Correctly rounded sum of an array; ``tolist`` avoids per-element numpy scalars."""
+    return math.fsum(vals.tolist())
+
+
 def _reduce_blocks(parts, trials: int, binary: bool) -> Estimate:
     """Combine per-block (sum, sumsq, degenerate) aggregates."""
     total = math.fsum(p[0] for p in parts)
@@ -100,7 +113,7 @@ def _run_blocks(fn, trials: int, n_workers: int):
 
 
 # ---------------------------------------------------------------------------
-# Model-level engines (vectorized per block)
+# Model-level engines (vectorized per block, one draw for a whole power axis)
 # ---------------------------------------------------------------------------
 
 def _model_draws(gen, cfg: NetworkConfig, nb: int, rows: int):
@@ -111,29 +124,56 @@ def _model_draws(gen, cfg: NetworkConfig, nb: int, rows: int):
     return r, h, g
 
 
-def _op_model_block(plan, cfg, blk):
+def _model_block(plan, cfg, powers, squared, outage, blk):
+    """One block's draws, evaluated at every transmit power in ``powers``.
+
+    The draws do not depend on the power, so ``base = gain * pl`` is formed
+    once; ``base * p_b / (Q sigma2)`` keeps the single-power evaluation order.
+    """
     bi, lo, hi = blk
-    gen = stream(plan.master_seed, _TAG_OP_MODEL, bi)
-    nb = hi - lo
-    r, h, g = _model_draws(gen, cfg, nb, 1)
-    s = (g[:, 0, :] * h).sum(axis=1)
-    pl = cfg.ref_atten_lin * (cfg.d1 * r) ** (-cfg.alpha)
-    snr = s * pl * cfg.p_b / (cfg.Q * cfg.sigma2)
-    out = np.log2(1.0 + snr) < cfg.R_m
-    return float(out.sum()), 0.0, 0
+    gen = stream(plan.master_seed, _TAG_RATE_MODEL if squared else _TAG_OP_MODEL, bi)
+    r, h, g = _model_draws(gen, cfg, hi - lo, cfg.Q if squared else 1)
+    s = (g * h[:, np.newaxis, :]).sum(axis=2)          # nb x rows branch sums
+    gain = (s ** 2).sum(axis=1) if squared else s[:, 0]
+    base = gain * (cfg.ref_atten_lin * (cfg.d1 * r) ** (-cfg.alpha))
+    parts = []
+    for p_b in powers:
+        vals = np.log2(1.0 + base * p_b / (cfg.Q * cfg.sigma2))
+        if outage:
+            parts.append((float((vals < cfg.R_m).sum()), 0.0, 0))
+        else:
+            parts.append((_fsum(vals), _fsum(vals * vals), 0))
+    return parts
 
 
-def _rate_model_block(plan, cfg, blk):
-    bi, lo, hi = blk
-    gen = stream(plan.master_seed, _TAG_RATE_MODEL, bi)
-    nb = hi - lo
-    r, h, g = _model_draws(gen, cfg, nb, cfg.Q)
-    s = (g * h[:, np.newaxis, :]).sum(axis=2)          # nb x Q branch sums
-    gain = (s ** 2).sum(axis=1)
-    pl = cfg.ref_atten_lin * (cfg.d1 * r) ** (-cfg.alpha)
-    snr = gain * pl * cfg.p_b / (cfg.Q * cfg.sigma2)
-    vals = np.log2(1.0 + snr)
-    return math.fsum(vals), math.fsum(vals * vals), 0
+def _model_axis(plan, cfg, powers, squared, outage, n_workers):
+    if plan.fidelity != "model_level":
+        raise ValueError("a power axis is evaluated at model level only")
+    powers = [float(p) for p in powers]
+    fn = partial(_model_block, plan, cfg, powers, squared, outage)
+    blocks = _run_blocks(fn, plan.trials, n_workers)
+    return [_reduce_blocks([b[i] for b in blocks], plan.trials, binary=outage)
+            for i in range(len(powers))]
+
+
+def simulate_op_axis(plan: TrialPlan, cfg: NetworkConfig, powers, n_workers: int = 1,
+                     gain: str = "amplitude") -> list:
+    """Model-level outage at each transmit power, one ``Estimate`` per power.
+
+    ``cfg.p_b`` is ignored; every power is evaluated on the same draws.
+    ``gain='amplitude'`` thresholds the co-phased sum (the tail-model event);
+    ``'squared'`` thresholds the squared combining gain on the rate engine's
+    draws (the event the Gamma model describes).
+    """
+    if gain not in ("amplitude", "squared"):
+        raise ValueError(f"unknown gain convention {gain!r}")
+    return _model_axis(plan, cfg, powers, gain == "squared", True, n_workers)
+
+
+def simulate_ergodic_rate_axis(plan: TrialPlan, cfg: NetworkConfig, powers,
+                               n_workers: int = 1) -> list:
+    """Model-level ergodic rate at each transmit power, on one set of draws."""
+    return _model_axis(plan, cfg, powers, True, False, n_workers)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +205,7 @@ def _link_block(plan, cfg, user, outage, blk):
         vals[i] = math.log2(1.0 + snr)
     if outage:
         return float((vals < cfg.R_m).sum()), 0.0, deg
-    return math.fsum(vals), math.fsum(vals * vals), deg
+    return _fsum(vals), _fsum(vals * vals), deg
 
 
 def simulate_op(plan: TrialPlan, cfg: NetworkConfig, n_workers: int = 1,
@@ -175,9 +215,8 @@ def simulate_op(plan: TrialPlan, cfg: NetworkConfig, n_workers: int = 1,
         if not cfg.solvable:
             raise ValueError(f"link level needs N >= M*K, got N={cfg.N} M*K={cfg.M * cfg.K}")
         fn = partial(_link_block, plan, cfg, user, True)
-    else:
-        fn = partial(_op_model_block, plan, cfg)
-    return _reduce_blocks(_run_blocks(fn, plan.trials, n_workers), plan.trials, binary=True)
+        return _reduce_blocks(_run_blocks(fn, plan.trials, n_workers), plan.trials, binary=True)
+    return simulate_op_axis(plan, cfg, [cfg.p_b], n_workers)[0]
 
 
 def simulate_ergodic_rate(plan: TrialPlan, cfg: NetworkConfig, n_workers: int = 1,
@@ -187,9 +226,8 @@ def simulate_ergodic_rate(plan: TrialPlan, cfg: NetworkConfig, n_workers: int = 
         if not cfg.solvable:
             raise ValueError(f"link level needs N >= M*K, got N={cfg.N} M*K={cfg.M * cfg.K}")
         fn = partial(_link_block, plan, cfg, user, False)
-    else:
-        fn = partial(_rate_model_block, plan, cfg)
-    return _reduce_blocks(_run_blocks(fn, plan.trials, n_workers), plan.trials, binary=False)
+        return _reduce_blocks(_run_blocks(fn, plan.trials, n_workers), plan.trials, binary=False)
+    return simulate_ergodic_rate_axis(plan, cfg, [cfg.p_b], n_workers)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -231,32 +269,67 @@ def _relay_draws(rc: RelayConfig, seed: int, blk):
     return g1, g2
 
 
-def _af_block(plan, rc, split, blk):
+def _relay_block(plan, rc, scheme, splits, moments, blk):
+    """One block's draws, evaluated at every power split in ``splits``.
+
+    Per split, one (sum, sumsq, 0) aggregate per reported rate: the end-to-end
+    rate for ``'af'`` and ``'df'``, both hop rates for ``'df_hops'``.  Sums
+    of squares are skipped (left 0.0) unless ``moments`` is set.
+    """
     g1, g2 = _relay_draws(rc, plan.master_seed, blk)
-    pb, pd = split * rc.p_tot, (1.0 - split) * rc.p_tot
-    # amplification normalizes the first-hop receive power to pd
-    eps_a = pd / (pb * g1)
-    sinr = eps_a * g1 * g2 * pb / (rc.sigma2 * (1.0 + eps_a * g2))
-    vals = 0.5 * np.log2(1.0 + sinr)
-    return math.fsum(vals), math.fsum(vals * vals), 0
+    out = []
+    for split in splits:
+        pb, pd = split * rc.p_tot, (1.0 - split) * rc.p_tot
+        if scheme == "af":
+            # amplification normalizes the first-hop receive power to pd
+            eps_a = pd / (pb * g1)
+            sinr = eps_a * g1 * g2 * pb / (rc.sigma2 * (1.0 + eps_a * g2))
+            rates = (0.5 * np.log2(1.0 + sinr),)
+        else:
+            r1 = 0.5 * np.log2(1.0 + pb * g1 / rc.sigma2)
+            r2 = 0.5 * np.log2(1.0 + pd * g2 / rc.sigma2)
+            rates = (np.minimum(r1, r2),) if scheme == "df" else (r1, r2)
+        out.append([(_fsum(v), _fsum(v * v) if moments else 0.0, 0) for v in rates])
+    return out
 
 
-def _df_block(plan, rc, split, blk):
-    g1, g2 = _relay_draws(rc, plan.master_seed, blk)
-    pb, pd = split * rc.p_tot, (1.0 - split) * rc.p_tot
-    r1 = 0.5 * np.log2(1.0 + pb * g1 / rc.sigma2)
-    r2 = 0.5 * np.log2(1.0 + pd * g2 / rc.sigma2)
-    vals = np.minimum(r1, r2)
-    return math.fsum(vals), math.fsum(vals * vals), 0
+def _relay_parts(scheme, plan, rc, splits, moments, n_workers):
+    """Per split, per reported rate, the list of block aggregates."""
+    if not all(0.0 < s < 1.0 for s in splits):
+        raise ValueError("power_split must lie in (0, 1)")
+    fn = partial(_relay_block, plan, rc, scheme, splits, moments)
+    blocks = _run_blocks(fn, plan.trials, n_workers)
+    return [[[b[i][k] for b in blocks] for k in range(len(blocks[0][i]))]
+            for i in range(len(splits))]
+
+
+def _weakest(means) -> int:
+    """Index of the lowest mean; an earlier rate wins a tie."""
+    best = 0
+    for k in range(1, len(means)):
+        if not means[best] <= means[k]:
+            best = k
+    return best
+
+
+def _relay_rate(scheme, plan, rc, split, n_workers) -> Estimate:
+    ests = [_reduce_blocks(parts, plan.trials, binary=False)
+            for parts in _relay_parts(scheme, plan, rc, [float(split)], True, n_workers)[0]]
+    return ests[_weakest([e.mean for e in ests])]
+
+
+def _df_scheme(combine: str) -> str:
+    if combine == "per_draw":
+        return "df"
+    if combine == "min_of_means":
+        return "df_hops"
+    raise ValueError(f"unknown combine mode {combine!r}")
 
 
 def af_relay_rate(plan: TrialPlan, cfg_relay: RelayConfig, power_split: float,
                   n_workers: int = 1) -> Estimate:
     """Amplify-and-forward rate: the relay also forwards its receive noise."""
-    if not 0.0 < power_split < 1.0:
-        raise ValueError("power_split must lie in (0, 1)")
-    fn = partial(_af_block, plan, cfg_relay, power_split)
-    return _reduce_blocks(_run_blocks(fn, plan.trials, n_workers), plan.trials, binary=False)
+    return _relay_rate("af", plan, cfg_relay, power_split, n_workers)
 
 
 def df_relay_rate(plan: TrialPlan, cfg_relay: RelayConfig, power_split: float,
@@ -265,45 +338,38 @@ def df_relay_rate(plan: TrialPlan, cfg_relay: RelayConfig, power_split: float,
 
     ``combine='per_draw'`` takes the minimum inside the expectation (the
     information-theoretic reading); ``'min_of_means'`` reports the minimum
-    of the two per-hop ergodic rates instead.
+    of the two per-hop ergodic rates instead, both taken from one draw.
     """
-    if not 0.0 < power_split < 1.0:
-        raise ValueError("power_split must lie in (0, 1)")
-    if combine == "per_draw":
-        fn = partial(_df_block, plan, cfg_relay, power_split)
-        return _reduce_blocks(_run_blocks(fn, plan.trials, n_workers), plan.trials, binary=False)
-    if combine != "min_of_means":
-        raise ValueError(f"unknown combine mode {combine!r}")
-
-    def hop_block(hop, blk):
-        g1, g2 = _relay_draws(cfg_relay, plan.master_seed, blk)
-        p = power_split * cfg_relay.p_tot if hop == 1 else (1.0 - power_split) * cfg_relay.p_tot
-        g = g1 if hop == 1 else g2
-        vals = 0.5 * np.log2(1.0 + p * g / cfg_relay.sigma2)
-        return math.fsum(vals), math.fsum(vals * vals), 0
-
-    est1 = _reduce_blocks(_run_blocks(partial(hop_block, 1), plan.trials, n_workers),
-                          plan.trials, binary=False)
-    est2 = _reduce_blocks(_run_blocks(partial(hop_block, 2), plan.trials, n_workers),
-                          plan.trials, binary=False)
-    return est1 if est1.mean <= est2.mean else est2
+    return _relay_rate(_df_scheme(combine), plan, cfg_relay, power_split, n_workers)
 
 
 def optimal_power_split(relay_rate_fn, plan: TrialPlan, cfg_relay: RelayConfig,
-                        grid=None, n_workers: int = 1):
+                        grid=None, n_workers: int = 1, **rate_kw):
     """Grid search over the BS/relay power split with common random numbers.
 
-    The same master seed is reused at every split, so the argmax is over a
-    smooth curve rather than independent noise.
+    ``relay_rate_fn`` is ``af_relay_rate`` or ``df_relay_rate``; ``rate_kw``
+    such as ``combine`` are passed on to it.  Every split is evaluated on
+    the same draws, in one pass over the blocks, so the argmax is over a
+    smooth curve rather than independent noise.  The first split with the
+    strictly greatest mean wins and is run once more through
+    ``relay_rate_fn`` for its full ``Estimate``.
     """
+    if relay_rate_fn is af_relay_rate:
+        scheme = "af"
+    elif relay_rate_fn is df_relay_rate:
+        scheme = _df_scheme(rate_kw.get("combine", "per_draw"))
+    else:
+        raise ValueError("relay_rate_fn must be af_relay_rate or df_relay_rate")
     if grid is None:
         grid = np.round(np.arange(0.01, 1.0, 0.01), 2)
-    best_split, best = None, None
-    for split in grid:
-        est = relay_rate_fn(plan, cfg_relay, float(split), n_workers=n_workers)
-        if best is None or est.mean > best.mean:
-            best_split, best = float(split), est
-    return best_split, best
+    splits = [float(s) for s in grid]
+    best = None
+    for i, per_rate in enumerate(_relay_parts(scheme, plan, cfg_relay, splits, False, n_workers)):
+        means = [math.fsum(p[0] for p in parts) / plan.trials for parts in per_rate]
+        mean = means[_weakest(means)]
+        if best is None or mean > best[1]:
+            best = (splits[i], mean)
+    return best[0], relay_rate_fn(plan, cfg_relay, best[0], n_workers=n_workers, **rate_kw)
 
 
 def empirical_diversity_slope(op_curve) -> float:

@@ -1,10 +1,12 @@
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from irislab import cli, harness
+from irislab import montecarlo as mc
 from irislab.geometry import NetworkConfig
 from irislab.montecarlo import TrialPlan
 
@@ -136,6 +138,38 @@ def test_all_presets_parse_and_smoke_quickly(tmp_path):
         elapsed = time.monotonic() - t0
         assert elapsed < 60.0, f"{name} smoke run took {elapsed:.1f}s"
         assert result.rows, name
+
+
+@pytest.mark.parametrize("name", cli._preset_names())
+def test_preset_csv_bytes_do_not_depend_on_workers(name, tmp_path):
+    # two full blocks plus one trial, so two workers really split the work
+    csv = {}
+    for n_workers in (1, 2):
+        spec = cli._smoke(cli._load(name))
+        spec.plan = replace(spec.plan, trials=2 * mc.BLOCK + 1)
+        csv[n_workers] = tmp_path / f"{n_workers}.csv"
+        harness.emit_csv(harness.run_experiment(spec, n_workers=n_workers), csv[n_workers])
+    assert csv[1].read_bytes() == csv[2].read_bytes()
+
+
+def test_relay_series_computed_once_per_relay_config(monkeypatch):
+    calls = []
+    real = mc.optimal_power_split
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "optimal_power_split", counting)
+    spec = cli._load("relay_compare")
+    spec.plan = replace(spec.plan, trials=1000)
+    spec.sweep = [("ptot_dbm", [20, 30]), ("n_elements", [1, 2, 5])]
+    result = harness.run_experiment(spec)
+    assert len(calls) == 2 * 3          # per budget: af, df, df min-of-means
+    assert len(set(calls)) == 2
+    for series in ("af_optimal", "df_optimal", "df_min_of_means"):
+        vals = {axes: v for axes, v, _ in result.series(series)}
+        assert vals[(20.0, 1.0)] == vals[(20.0, 5.0)] != vals[(30.0, 5.0)]
 
 
 def test_cli_run_and_errors(tmp_path, capsys):

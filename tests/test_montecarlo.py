@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,6 +106,77 @@ def test_rate_model_vs_gamma_quadrature_with_band():
     assert abs(est.mean - want) <= 3.0 * est.std_error + 0.10 * want
 
 
+def test_fsum_of_list_equals_fsum_of_array():
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        vals = rng.standard_normal(4096) * 10.0 ** rng.integers(-300, 300, 4096)
+        vals[::7] = -vals[::5][: len(vals[::7])]        # exact cancellations
+        assert mc._fsum(vals) == math.fsum(vals)
+    assert mc._fsum(np.array([1e308, 1.0, -1e308, 1e-308])) == math.fsum([1.0, 1e-308])
+
+
+# a trial count that is not a multiple of BLOCK: two full blocks and one trial
+_ODD_TRIALS = 2 * mc.BLOCK + 1
+_POWERS = [1e-4, 1e-3, 0.01, 0.1, 1.0]
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_power_axis_equals_per_power_calls(n_workers):
+    plan = mc.TrialPlan(trials=_ODD_TRIALS, master_seed=21)
+    cfg = _cfg(M=1, K=2, N=3)
+    ops = mc.simulate_op_axis(plan, cfg, _POWERS, n_workers=n_workers)
+    rates = mc.simulate_ergodic_rate_axis(plan, cfg, _POWERS, n_workers=n_workers)
+    assert len(ops) == len(rates) == len(_POWERS)
+    for p_b, op, rate in zip(_POWERS, ops, rates):
+        assert op == mc.simulate_op(plan, replace(cfg, p_b=p_b))
+        assert rate == mc.simulate_ergodic_rate(plan, replace(cfg, p_b=p_b))
+    squared = mc.simulate_op_axis(plan, cfg, _POWERS, n_workers=n_workers, gain="squared")
+    for p_b, est in zip(_POWERS, squared):
+        assert est == mc.simulate_op_axis(plan, cfg, [p_b], gain="squared")[0]
+
+
+def test_squared_gain_outage_matches_loop_reference():
+    # reference: threshold the squared combining gain of the rate engine's draws
+    plan = mc.TrialPlan(trials=_ODD_TRIALS, master_seed=8)
+    cfg = _cfg(M=1, K=3, N=4)
+    got = mc.simulate_op_axis(plan, cfg, _POWERS, gain="squared")
+    for p_b, est in zip(_POWERS, got):
+        count = 0.0
+        for bi, lo, hi in mc._block_ranges(plan.trials):
+            gen = geo.stream(plan.master_seed, mc._TAG_RATE_MODEL, bi)
+            r, h, g = mc._model_draws(gen, cfg, hi - lo, cfg.Q)
+            s = (g * h[:, np.newaxis, :]).sum(axis=2)
+            gain = (s ** 2).sum(axis=1)
+            pl = cfg.ref_atten_lin * (cfg.d1 * r) ** (-cfg.alpha)
+            snr = gain * pl * p_b / (cfg.Q * cfg.sigma2)
+            count += float((np.log2(1.0 + snr) < cfg.R_m).sum())
+        mean = count / plan.trials
+        assert est.mean == mean
+        assert est.std_error == math.sqrt(max(mean * (1.0 - mean), 0.0) / plan.trials)
+    with pytest.raises(ValueError):
+        mc.simulate_op_axis(plan, cfg, _POWERS, gain="cubed")
+    with pytest.raises(ValueError):
+        mc.simulate_op_axis(replace(plan, fidelity="link_level"), cfg, _POWERS)
+
+
+def test_power_axis_draws_once_per_block(monkeypatch):
+    keys = []
+    real_stream = mc.stream
+
+    def counting_stream(seed, *key):
+        keys.append(key)
+        return real_stream(seed, *key)
+
+    monkeypatch.setattr(mc, "stream", counting_stream)
+    plan = mc.TrialPlan(trials=_ODD_TRIALS, master_seed=3)
+    mc.simulate_op_axis(plan, _cfg(), _POWERS)
+    mc.optimal_power_split(mc.df_relay_rate, plan, _rc(), combine="min_of_means")
+    n_blocks = len(mc._block_ranges(plan.trials))
+    # the split search: one pass for every split, one more for the winner
+    assert len(keys) == n_blocks + 2 * n_blocks
+    assert len(set(keys)) == 2 * n_blocks
+
+
 # ---------------------------------------------------------------------------
 # Relays
 # ---------------------------------------------------------------------------
@@ -191,6 +263,62 @@ def test_optimal_split_properties():
     far = _rc(t1=1.0, t2=1.0, d1=90.0)
     split_far, _ = mc.optimal_power_split(mc.df_relay_rate, plan, far)
     assert split_far > 0.5
+
+
+def _loop_split_search(relay_rate_fn, plan, rc, grid, **rate_kw):
+    """Reference: one full engine call per split, first strictly greater mean wins."""
+    best_split, best = None, None
+    for split in grid:
+        est = relay_rate_fn(plan, rc, float(split), **rate_kw)
+        if best is None or est.mean > best.mean:
+            best_split, best = float(split), est
+    return best_split, best
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("rate_fn,rate_kw", [
+    (mc.af_relay_rate, {}),
+    (mc.df_relay_rate, {}),
+    (mc.df_relay_rate, {"combine": "min_of_means"}),
+])
+def test_split_grid_equals_per_split_calls(rate_fn, rate_kw, n_workers):
+    plan = mc.TrialPlan(trials=_ODD_TRIALS, master_seed=17, metric="ergodic_rate")
+    rc = _rc(p_tot=0.1)
+    grid = np.round(np.arange(0.05, 1.0, 0.05), 2)
+    got = mc.optimal_power_split(rate_fn, plan, rc, grid=grid, n_workers=n_workers, **rate_kw)
+    assert got == _loop_split_search(rate_fn, plan, rc, grid, **rate_kw)
+    one = rate_fn(plan, rc, 0.3, **rate_kw)
+    assert rate_fn(plan, rc, 0.3, n_workers=n_workers, **rate_kw) == one
+
+
+def test_relay_rates_match_per_draw_reference():
+    plan = mc.TrialPlan(trials=_ODD_TRIALS, master_seed=5, metric="ergodic_rate")
+    rc = _rc()
+    pb, pd = 0.4 * rc.p_tot, (1.0 - 0.4) * rc.p_tot
+    parts = {"af": [], "df": [], "hop1": [], "hop2": []}
+    for blk in mc._block_ranges(plan.trials):
+        g1, g2 = mc._relay_draws(rc, plan.master_seed, blk)
+        eps_a = pd / (pb * g1)
+        sinr = eps_a * g1 * g2 * pb / (rc.sigma2 * (1.0 + eps_a * g2))
+        hop1 = 0.5 * np.log2(1.0 + pb * g1 / rc.sigma2)
+        hop2 = 0.5 * np.log2(1.0 + pd * g2 / rc.sigma2)
+        for key, vals in (("af", 0.5 * np.log2(1.0 + sinr)), ("df", np.minimum(hop1, hop2)),
+                          ("hop1", hop1), ("hop2", hop2)):
+            parts[key].append((math.fsum(vals), math.fsum(vals * vals), 0))
+    want = {k: mc._reduce_blocks(v, plan.trials, binary=False) for k, v in parts.items()}
+    assert mc.af_relay_rate(plan, rc, 0.4) == want["af"]
+    assert mc.df_relay_rate(plan, rc, 0.4) == want["df"]
+    est1, est2 = want["hop1"], want["hop2"]
+    assert mc.df_relay_rate(plan, rc, 0.4, combine="min_of_means") == (
+        est1 if est1.mean <= est2.mean else est2)
+
+
+def test_split_search_needs_a_relay_engine():
+    plan = mc.TrialPlan(trials=10, master_seed=2)
+    with pytest.raises(ValueError):
+        mc.optimal_power_split(lambda *a, **k: None, plan, _rc())
+    with pytest.raises(ValueError):
+        mc.optimal_power_split(mc.af_relay_rate, plan, _rc(), grid=[0.5, 1.0])
 
 
 def test_empirical_diversity_slope():
