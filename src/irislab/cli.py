@@ -76,7 +76,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             spec.plan = replace(spec.plan, master_seed=args.seed)
         if args.series:
-            spec.outputs = [s.strip() for s in args.series.split(",") if s.strip()]
+            spec = replace(spec, outputs=[s.strip() for s in args.series.split(",") if s.strip()])
         if args.smoke:
             spec = _smoke(spec)
         result = harness.run_experiment(spec, n_workers=args.workers)

@@ -36,15 +36,6 @@ __all__ = [
     "load_result",
 ]
 
-EXPERIMENTS = (
-    "op_vs_snr",
-    "op_fading_sweep",
-    "ergodic_vs_snr",
-    "relay_compare",
-    "throughput_surface",
-    "ee_sweep",
-)
-
 _DEFAULT_OUTPUTS = {
     "op_vs_snr": ["analytical", "asymptotic", "montecarlo_model"],
     "op_fading_sweep": ["analytical", "montecarlo_model"],
@@ -109,10 +100,14 @@ class ExperimentSpec:
     power_model: "an.PowerModel | None" = None
 
     def __post_init__(self) -> None:
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in _SERIES:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if not self.outputs:
             self.outputs = list(_DEFAULT_OUTPUTS[self.experiment])
+        unknown = [s for s in self.outputs if s not in _SERIES[self.experiment]]
+        if unknown:
+            raise ValueError(f"unknown series {unknown} for {self.experiment}; "
+                             f"known: {', '.join(_SERIES[self.experiment])}")
         for name, values in self.sweep:
             if name not in _AXIS_FIELDS and not (
                     name == "ptot_dbm" and self.experiment == "relay_compare"):
@@ -137,7 +132,6 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
         trials=int(plan_d.get("trials", 100000)),
         master_seed=int(plan_d["master_seed"]),
         fidelity=plan_d.get("fidelity", "model_level"),
-        metric=plan_d.get("metric", "outage"),
     )
     sweep = [(name, list(values)) for name, values in d["sweep"].items()]
     relay = None
@@ -236,23 +230,21 @@ def run_experiment(spec: ExperimentSpec, n_workers: int = 1) -> ExperimentResult
     names = [name for name, _ in spec.sweep]
     points = [tuple(float(v) for v in point)
               for point in itertools.product(*(values for _, values in spec.sweep))]
-    runner = _RUNNERS[spec.experiment]
-    relay_cache = {}                 # (series, RelayConfig) -> payload, for this run only
-    outputs = [None] * len(points)
+    run = _Run(spec, names, n_workers)
+    table = _SERIES[spec.experiment]
+    rows, failures = [], []
     for group in _power_groups(names, points):
         pts = [points[i] for i in group]
         cfgs = [_apply_axes(spec.base, names, p) for p in pts]
-        for i, out in zip(group, runner(spec, names, pts, cfgs, n_workers, relay_cache)):
-            outputs[i] = out
-    rows, failures = [], []
-    for point, out in zip(points, outputs):
-        for series, payload in out:
-            if isinstance(payload, Exception):
-                failures.append((point, series, f"{type(payload).__name__}: {payload}"))
-            else:
-                value, se, trials = payload
-                rows.append((point, series, float(value), float(se), int(trials)))
+        for series in dict.fromkeys(spec.outputs):
+            for point, payload in zip(pts, table[series](run, pts, cfgs)):
+                if isinstance(payload, Exception):
+                    failures.append((point, series, f"{type(payload).__name__}: {payload}"))
+                else:
+                    value, se, trials = payload
+                    rows.append((point, series, float(value), float(se), int(trials)))
     rows.sort(key=lambda r: (r[0], r[1]))
+    failures.sort(key=lambda f: (f[0], f[1]))
     meta = {
         "experiment": spec.experiment,
         "seed": spec.plan.master_seed,
@@ -277,16 +269,23 @@ def _version_string() -> str:
     return f"irislab {__version__}"
 
 
-def _want(spec, series):
-    return series in spec.outputs
+# ---------------------------------------------------------------------------
+# Series table: experiment -> {series name -> evaluator}
+# ---------------------------------------------------------------------------
+# An evaluator takes one power group (points that differ only in pb_dbm, and
+# their configs) and returns one payload per point: (value, std_error, trials)
+# or the point's exception.  Engines are looked up by name at call time, never
+# bound at import: a rebound module attribute (a tracer, a test double) is the
+# one called, and optimal_power_split's identity test sees montecarlo's binding.
 
+@dataclass
+class _Run:
+    """What the evaluators of one run_experiment call share."""
 
-# A runner gets one power group (its points and their configs, which differ
-# only in p_b) and returns, per point, the list of (series, payload) pairs; a
-# payload is (value, std_error, trials) or the exception of a failed point.
-
-def _by_point(series, n):
-    return [[(name, payloads[k]) for name, payloads in series] for k in range(n)]
+    spec: ExperimentSpec
+    names: list
+    n_workers: int
+    memo: dict = field(default_factory=dict)     # values computed once per run
 
 
 def _each(cfgs, fn):
@@ -304,129 +303,115 @@ def _payload(est):
     return est.mean, est.std_error, est.trials_used
 
 
-def _power_axis(engine, plan, cfgs, n_workers, **kw):
-    """Payloads of a model-level engine, one call for the whole power group."""
-    ests = engine(replace(plan, fidelity="model_level"), cfgs[0], [c.p_b for c in cfgs],
-                  n_workers=n_workers, **kw)
-    return [_payload(e) for e in ests]
+def _closed(value):
+    """A closed form ``value(run, cfg)`` at each point, without standard error."""
+    return lambda run, points, cfgs: _each(cfgs, lambda c: (value(run, c), 0.0, 0))
 
 
-def _run_op_vs_snr(spec, names, points, cfgs, n_workers, cache):
-    series = []
-    if _want(spec, "analytical"):
-        series.append(("analytical", _each(cfgs, lambda c: (an.op_closed_form(
-            an.ClosedFormContext.from_config(c), c.R, c.r0, c.alpha), 0.0, 0))))
-    if _want(spec, "asymptotic"):
-        series.append(("asymptotic", _each(cfgs, lambda c: (an.op_asymptotic(
-            an.ClosedFormContext.from_config(c), c.R, c.r0, c.alpha), 0.0, 0))))
-    if _want(spec, "montecarlo_model"):
-        series.append(("montecarlo_model",
-                       _power_axis(mc.simulate_op_axis, spec.plan, cfgs, n_workers)))
-    if _want(spec, "montecarlo_link"):
-        plan = replace(spec.plan, fidelity="link_level")
-        series.append(("montecarlo_link", _each(cfgs, lambda c: _payload(
-            mc.simulate_op(plan, c, n_workers=n_workers)))))
-    return _by_point(series, len(cfgs))
+def _axis(engine, **kw):
+    """A model-level ``mc.<engine>`` called once for the whole power group."""
+    def evaluate(run, points, cfgs):
+        ests = getattr(mc, engine)(replace(run.spec.plan, fidelity="model_level"), cfgs[0],
+                                   [c.p_b for c in cfgs], n_workers=run.n_workers, **kw)
+        return [_payload(e) for e in ests]
+    return evaluate
 
 
-def _run_op_fading(spec, names, points, cfgs, n_workers, cache):
-    series = []
-    if _want(spec, "analytical"):
-        series.append(("analytical", _each(cfgs, lambda c: (an.op_gamma_approx(c), 0.0, 0))))
-    if _want(spec, "montecarlo_model"):
+def _link(engine):
+    """A link-level ``mc.<engine>`` called once per point."""
+    def evaluate(run, points, cfgs):
+        plan = replace(run.spec.plan, fidelity="link_level")
+        simulate = getattr(mc, engine)
+        return _each(cfgs, lambda c: _payload(simulate(plan, c, n_workers=run.n_workers)))
+    return evaluate
+
+
+def _relay_config(run, point) -> mc.RelayConfig:
+    """The spec's relay scenario, with the point's budget if ``ptot_dbm`` is swept."""
+    if "ptot_dbm" not in run.names:
+        return run.spec.relay
+    p_tot = 1e-3 * 10.0 ** (point[run.names.index("ptot_dbm")] / 10.0)
+    return replace(run.spec.relay, p_tot=p_tot)
+
+
+def _relay(rate_fn, **rate_kw):
+    """The relay rate at its best split; it ignores the surface, so once per RelayConfig."""
+    def evaluate(run, points, cfgs):
+        rc = _relay_config(run, points[0])
+        key = (rate_fn, tuple(rate_kw.items()), rc)
+        if key not in run.memo:
+            _, est = mc.optimal_power_split(getattr(mc, rate_fn), run.spec.plan, rc,
+                                            n_workers=run.n_workers, **rate_kw)
+            run.memo[key] = _payload(est)
+        return [run.memo[key]] * len(cfgs)
+    return evaluate
+
+
+def _irs_model(run, points, cfgs):
+    """Surface sum rate at the relay's budget and d1; p_b is replaced, so one per group."""
+    rc = _relay_config(run, points[0])
+    cfg = cfgs[0]
+    est = mc.simulate_ergodic_rate(run.spec.plan, replace(cfg, p_b=rc.p_tot, d1=rc.d1),
+                                   n_workers=run.n_workers)
+    return [(cfg.M * est.mean, cfg.M * est.std_error, est.trials_used)] * len(cfgs)
+
+
+def _sum_se(run, cfg) -> float:
+    """M times the Gamma-model rate (0 where no passive weights exist), once per
+    config and run: the series built on it share its value and its failure."""
+    key = ("se",) + dataclasses.astuple(cfg)
+    if key not in run.memo:
+        try:
+            run.memo[key] = (cfg.M * an.ergodic_rate_meijer(an.gamma_approx(cfg), cfg)
+                             if cfg.solvable else 0.0)
+        except Exception as e:                      # noqa: BLE001 - per-point report
+            run.memo[key] = e
+    if isinstance(run.memo[key], Exception):
+        raise run.memo[key]
+    return run.memo[key]
+
+
+def _power(run, cfg) -> float:
+    return an.power_consumption(run.spec.power_model, cfg)
+
+
+_SERIES = {
+    "op_vs_snr": {
+        "analytical": _closed(lambda run, c: an.op_closed_form(
+            an.ClosedFormContext.from_config(c), c.R, c.r0, c.alpha)),
+        "asymptotic": _closed(lambda run, c: an.op_asymptotic(
+            an.ClosedFormContext.from_config(c), c.R, c.r0, c.alpha)),
+        "montecarlo_model": _axis("simulate_op_axis"),
+        "montecarlo_link": _link("simulate_op"),
+    },
+    "op_fading_sweep": {
+        "analytical": _closed(lambda run, c: an.op_gamma_approx(c)),
         # squared combining gain, the variable the Gamma model describes
-        series.append(("montecarlo_model", _power_axis(mc.simulate_op_axis, spec.plan, cfgs,
-                                                       n_workers, gain="squared")))
-    return _by_point(series, len(cfgs))
-
-
-def _run_ergodic(spec, names, points, cfgs, n_workers, cache):
-    series = []
-    if _want(spec, "analytical"):
-        series.append(("analytical", _each(cfgs, lambda c: (
-            an.ergodic_rate_meijer(an.gamma_approx(c), c), 0.0, 0))))
-    if _want(spec, "quadrature"):
-        series.append(("quadrature", [(an.ergodic_rate_quadrature(an.gamma_approx(c), c), 0.0, 0)
-                                      for c in cfgs]))
-    plan = replace(spec.plan, metric="ergodic_rate")
-    if _want(spec, "montecarlo_model"):
-        series.append(("montecarlo_model",
-                       _power_axis(mc.simulate_ergodic_rate_axis, plan, cfgs, n_workers)))
-    if _want(spec, "montecarlo_link"):
-        plan = replace(plan, fidelity="link_level")
-        series.append(("montecarlo_link", _each(cfgs, lambda c: _payload(
-            mc.simulate_ergodic_rate(plan, c, n_workers=n_workers)))))
-    return _by_point(series, len(cfgs))
-
-
-def _run_relay_compare(spec, names, points, cfgs, n_workers, cache):
-    rc = spec.relay
-    if "ptot_dbm" in names:
-        p_tot = 1e-3 * 10.0 ** (points[0][names.index("ptot_dbm")] / 10.0)
-        rc = replace(rc, p_tot=p_tot)
-    plan = replace(spec.plan, metric="ergodic_rate")
-    series = []
-    if _want(spec, "irs_model"):
-        # p_b is replaced by the relay budget, so the group shares one value
-        cfg = cfgs[0]
-        est = mc.simulate_ergodic_rate(plan, replace(cfg, p_b=rc.p_tot, d1=rc.d1),
-                                       n_workers=n_workers)
-        series.append(("irs_model", [(cfg.M * est.mean, cfg.M * est.std_error,
-                                      est.trials_used)] * len(cfgs)))
-    for name, rate_fn, rate_kw in (("af_optimal", mc.af_relay_rate, {}),
-                                   ("df_optimal", mc.df_relay_rate, {}),
-                                   ("df_min_of_means", mc.df_relay_rate,
-                                    {"combine": "min_of_means"})):
-        if _want(spec, name):
-            # the relay baselines do not depend on the surface: once per RelayConfig
-            if (name, rc) not in cache:
-                _, est = mc.optimal_power_split(rate_fn, plan, rc, n_workers=n_workers,
-                                                **rate_kw)
-                cache[name, rc] = _payload(est)
-            series.append((name, [cache[name, rc]] * len(cfgs)))
-    return _by_point(series, len(cfgs))
-
-
-def _analytic_se(cfg: NetworkConfig) -> float:
-    if not cfg.solvable:
-        return 0.0
-    ap = an.gamma_approx(cfg)
-    return cfg.M * an.ergodic_rate_meijer(ap, cfg)
-
-
-def _run_throughput(spec, names, points, cfgs, n_workers, cache):
-    return _by_point([("analytical", _each(cfgs, lambda c: (_analytic_se(c), 0.0, 0)))],
-                     len(cfgs))
-
-
-def _run_ee(spec, names, points, cfgs, n_workers, cache):
-    return [_ee_point(spec, cfg) for cfg in cfgs]
-
-
-def _ee_point(spec, cfg):
-    out = []
-    try:
-        se = _analytic_se(cfg)
-        pe = an.power_consumption(spec.power_model, cfg)
-        if _want(spec, "se_analytical"):
-            out.append(("se_analytical", (se, 0.0, 0)))
-        if _want(spec, "power_w"):
-            out.append(("power_w", (pe, 0.0, 0)))
-        if _want(spec, "ee"):
-            out.append(("ee", (an.energy_efficiency(se, pe), 0.0, 0)))
-    except Exception as e:                          # noqa: BLE001
-        out.append(("ee", e))
-    return out
-
-
-_RUNNERS = {
-    "op_vs_snr": _run_op_vs_snr,
-    "op_fading_sweep": _run_op_fading,
-    "ergodic_vs_snr": _run_ergodic,
-    "relay_compare": _run_relay_compare,
-    "throughput_surface": _run_throughput,
-    "ee_sweep": _run_ee,
+        "montecarlo_model": _axis("simulate_op_axis", gain="squared"),
+    },
+    "ergodic_vs_snr": {
+        "analytical": _closed(lambda run, c: an.ergodic_rate_meijer(an.gamma_approx(c), c)),
+        "quadrature": _closed(lambda run, c: an.ergodic_rate_quadrature(an.gamma_approx(c), c)),
+        "montecarlo_model": _axis("simulate_ergodic_rate_axis"),
+        "montecarlo_link": _link("simulate_ergodic_rate"),
+    },
+    "relay_compare": {
+        "irs_model": _irs_model,
+        "af_optimal": _relay("af_relay_rate"),
+        "df_optimal": _relay("df_relay_rate"),
+        "df_min_of_means": _relay("df_relay_rate", combine="min_of_means"),
+    },
+    "throughput_surface": {
+        "analytical": _closed(_sum_se),
+    },
+    "ee_sweep": {
+        "se_analytical": _closed(_sum_se),
+        "power_w": _closed(_power),
+        "ee": _closed(lambda run, c: an.energy_efficiency(_sum_se(run, c), _power(run, c))),
+    },
 }
+
+EXPERIMENTS = tuple(_SERIES)
 
 
 # ---------------------------------------------------------------------------

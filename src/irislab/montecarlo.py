@@ -61,15 +61,12 @@ class TrialPlan:
     trials: int
     master_seed: int
     fidelity: str = "model_level"     # model_level | link_level
-    metric: str = "outage"            # outage | ergodic_rate
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.fidelity not in ("model_level", "link_level"):
             raise ValueError(f"unknown fidelity {self.fidelity!r}")
-        if self.metric not in ("outage", "ergodic_rate"):
-            raise ValueError(f"unknown metric {self.metric!r}")
 
 
 @dataclass(frozen=True)

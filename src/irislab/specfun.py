@@ -22,10 +22,6 @@ __all__ = [
     "ConditioningError",
     "ParameterPatternError",
     "EvalResult",
-    "log_gamma",
-    "reg_lower_gamma",
-    "reg_upper_gamma",
-    "pochhammer",
     "hyp2f2",
     "hyp2f1",
     "bessel_i",
@@ -70,50 +66,6 @@ class EvalResult:
             raise ConvergenceError(f"non-finite kernel value: {self.value!r}")
         if self.abs_error_bound < 0.0:
             raise ValueError("abs_error_bound must be nonnegative")
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if x <= 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
-def reg_lower_gamma(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) = gamma(a, x) / Gamma(a)."""
-    if a <= 0.0:
-        raise ValueError(f"reg_lower_gamma requires a > 0, got a={a}")
-    if x < 0.0:
-        raise ValueError(f"reg_lower_gamma requires x >= 0, got x={x}")
-    return float(sp.gammainc(a, x))
-
-
-def reg_upper_gamma(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    if a <= 0.0:
-        raise ValueError(f"reg_upper_gamma requires a > 0, got a={a}")
-    if x < 0.0:
-        raise ValueError(f"reg_upper_gamma requires x >= 0, got x={x}")
-    return float(sp.gammaincc(a, x))
-
-
-def pochhammer(x: float, n: int) -> float:
-    """Rising factorial (x)_n = x (x+1) ... (x+n-1).
-
-    Large n with x > 0 goes through the log domain; otherwise the direct
-    product is exact enough and handles negative x.
-    """
-    if n < 0 or int(n) != n:
-        raise ValueError(f"pochhammer requires integer n >= 0, got {n}")
-    n = int(n)
-    if n == 0:
-        return 1.0
-    factors = x + np.arange(n, dtype=float)
-    if np.any(factors == 0.0):
-        raise ValueError(f"pochhammer({x}, {n}) hits a zero factor (pole crossing)")
-    if x > 0.0 and n > 30:
-        return math.exp(math.lgamma(x + n) - math.lgamma(x))
-    return float(np.prod(factors))
 
 
 def _hyp_series(num, den, z, rtol, max_terms):

@@ -157,7 +157,7 @@ def test_criterion_05_high_snr_slopes():
         # 0 dB reference attenuation so the stated p_b/sigma2 window is the
         # asymptotic regime for every user position; the slope is a property
         # of the half-duplex architecture, not of the attenuation scaling
-        plan = mc.TrialPlan(trials=2 * 10 ** 5, master_seed=515, metric="ergodic_rate")
+        plan = mc.TrialPlan(trials=2 * 10 ** 5, master_seed=515)
         rates = []
         for snr in (1e10, 1e12):
             rc = mc.RelayConfig(t1=3.0, t2=1.0, d1=25.0, ref_atten_db=0.0,
@@ -180,7 +180,7 @@ def test_criterion_05_high_snr_slopes():
 def test_criterion_06_relay_crossover():
     """Reflected link beats optimized AF/DF at N=15, loses at N in {1, 2}."""
     t0 = time.monotonic()
-    plan = mc.TrialPlan(trials=10 ** 5, master_seed=606, metric="ergodic_rate")
+    plan = mc.TrialPlan(trials=10 ** 5, master_seed=606)
     rc = mc.RelayConfig(t1=3.0, t2=1.0, d1=25.0, p_tot=1.0)   # 30 dBm budget
     _, af = mc.optimal_power_split(mc.af_relay_rate, plan, rc)
     _, df = mc.optimal_power_split(mc.df_relay_rate, plan, rc)

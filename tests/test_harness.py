@@ -1,3 +1,4 @@
+import itertools
 import json
 import time
 from dataclasses import replace
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from irislab import analysis as an
 from irislab import cli, harness
 from irislab import montecarlo as mc
 from irislab.geometry import NetworkConfig
@@ -58,6 +60,14 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         harness.spec_from_dict({"experiment": "relay_compare", "sweep": {"pb_dbm": [1]},
                                 "base": base, "plan": {"master_seed": 1}})
+    with pytest.raises(ValueError, match="analytcal"):
+        harness.spec_from_dict({"experiment": "op_vs_snr", "sweep": {"pb_dbm": [1]},
+                                "base": base, "plan": {"master_seed": 1},
+                                "outputs": ["analytcal"]})
+    with pytest.raises(ValueError):      # a real series, but of another experiment
+        harness.spec_from_dict({"experiment": "op_vs_snr", "sweep": {"pb_dbm": [1]},
+                                "base": base, "plan": {"master_seed": 1},
+                                "outputs": ["irs_model"]})
 
 
 def _mini_spec(trials=2000, seed=11):
@@ -206,6 +216,7 @@ def test_cli_series_subset(tmp_path):
                      "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "op_vs_snr.csv").read_text().splitlines()
     assert len(lines) == 2 and ",analytical," in lines[1]
+    assert cli.main(["run", str(p), "--series", "bogus", "--out", str(tmp_path)]) == 2
 
 
 def test_cli_seed_and_trials_override(tmp_path):
@@ -225,3 +236,59 @@ def test_cli_seed_and_trials_override(tmp_path):
     assert cli.main(["run", str(p), "--trials", "2000", "--seed", "11",
                      "--out", str(tmp_path)]) == 0
     assert (tmp_path / "op_vs_snr.csv").read_text() == first
+
+
+def _ee_spec(outputs):
+    return harness.spec_from_dict({
+        "experiment": "ee_sweep",
+        "sweep": {"n_elements": [100, 250]},
+        "base": {"M": 1, "K": 1, "N": 10, "t1": 5.0, "t2": 1.0,
+                 "p_b": "1W", "sigma2": "auto"},
+        "plan": {"trials": 100, "master_seed": 3},
+        "outputs": outputs,
+        "power_model": {"P_Bs": "9dBW", "P_U": "10dBm", "P_L": "10dBm", "eps_b": 1.2},
+    })
+
+
+def test_ee_sweep_failures_are_per_series(monkeypatch):
+    # the Meijer-G rate overflows at N=250, t1=5: only the series built on it fail
+    result = harness.run_experiment(_ee_spec(["power_w"]))
+    assert [axes for axes, _, _ in result.series("power_w")] == [(100.0,), (250.0,)]
+    assert result.failures == []
+
+    calls = []
+    real = an.ergodic_rate_meijer
+    monkeypatch.setattr(an, "ergodic_rate_meijer",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    result = harness.run_experiment(_ee_spec(["se_analytical", "power_w", "ee"]))
+    assert len(calls) == 2                  # the SE once per point, not once per series
+    assert {(axes, s) for axes, s, *_ in result.rows} == {
+        ((100.0,), "se_analytical"), ((100.0,), "power_w"), ((100.0,), "ee"),
+        ((250.0,), "power_w")}
+    assert [(axes, s) for axes, s, _ in result.failures] == [
+        ((250.0,), "ee"), ((250.0,), "se_analytical")]
+    assert result.failures[0][2] == result.failures[1][2]
+
+
+_ENTRIES = [(experiment, series) for experiment, table in harness._SERIES.items()
+            for series in table]
+
+
+@pytest.mark.parametrize("experiment,series", _ENTRIES)
+def test_every_series_entry_reports_every_point(experiment, series, tmp_path):
+    # every preset is named after its experiment
+    spec = replace(cli._smoke(cli._load(experiment)), outputs=[series])
+    spec.plan = replace(spec.plan, trials=2 * mc.BLOCK + 1)
+    if series == "montecarlo_link":         # about 4k trials/s: two points, one block
+        spec.sweep = [(n, v[:2] if n == "pb_dbm" else v[:1]) for n, v in spec.sweep]
+        spec.plan = replace(spec.plan, trials=300)
+    points = list(itertools.product(*(map(float, v) for _, v in spec.sweep)))
+    csv = {}
+    for n_workers in (1, 2):
+        result = harness.run_experiment(spec, n_workers=n_workers)
+        reported = [(axes, s) for axes, s, *_ in result.rows]
+        reported += [(axes, s) for axes, s, _ in result.failures]
+        assert sorted(reported) == [(p, series) for p in points]
+        csv[n_workers] = tmp_path / f"{n_workers}.csv"
+        harness.emit_csv(result, csv[n_workers])
+    assert csv[1].read_bytes() == csv[2].read_bytes()

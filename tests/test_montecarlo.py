@@ -21,8 +21,6 @@ def test_plan_validation():
         mc.TrialPlan(trials=0, master_seed=1)
     with pytest.raises(ValueError):
         mc.TrialPlan(trials=10, master_seed=1, fidelity="magic")
-    with pytest.raises(ValueError):
-        mc.TrialPlan(trials=10, master_seed=1, metric="latency")
 
 
 def test_op_trivial_limits():
@@ -44,7 +42,7 @@ def test_op_determinism_and_worker_invariance():
 
 
 def test_rate_determinism_and_worker_invariance():
-    plan = mc.TrialPlan(trials=30000, master_seed=5, metric="ergodic_rate")
+    plan = mc.TrialPlan(trials=30000, master_seed=5)
     cfg = _cfg(N=4)
     a = mc.simulate_ergodic_rate(plan, cfg)
     b = mc.simulate_ergodic_rate(plan, cfg, n_workers=4)
@@ -53,8 +51,7 @@ def test_rate_determinism_and_worker_invariance():
 
 def test_link_level_matches_manual_single_trial():
     cfg = _cfg(M=2, K=3, N=8)
-    plan = mc.TrialPlan(trials=1, master_seed=777, fidelity="link_level",
-                        metric="ergodic_rate")
+    plan = mc.TrialPlan(trials=1, master_seed=777, fidelity="link_level")
     est = mc.simulate_ergodic_rate(plan, cfg)
     gen = geo.stream(777, mc._TAG_LINK, 0)
     real = geo.draw_channel(gen, cfg)
@@ -99,7 +96,7 @@ def test_exchangeability_across_users():
 def test_rate_model_vs_gamma_quadrature_with_band():
     # the Gamma model is a lower bound; the documented band is 3 se + 10%
     cfg = _cfg(N=8, p_b=5000.0)
-    plan = mc.TrialPlan(trials=2 * 10 ** 5, master_seed=31, metric="ergodic_rate")
+    plan = mc.TrialPlan(trials=2 * 10 ** 5, master_seed=31)
     est = mc.simulate_ergodic_rate(plan, cfg)
     want = an.ergodic_rate_quadrature(an.gamma_approx(cfg), cfg)
     assert est.mean >= want - 3.0 * est.std_error          # lower bound
@@ -188,7 +185,7 @@ def _rc(**kw):
 
 
 def test_relay_rate_vanishes_without_power():
-    plan = mc.TrialPlan(trials=20000, master_seed=2, metric="ergodic_rate")
+    plan = mc.TrialPlan(trials=20000, master_seed=2)
     rc = _rc(p_tot=1e-30)
     assert mc.af_relay_rate(plan, rc, 0.5).mean < 1e-9
     assert mc.df_relay_rate(plan, rc, 0.5).mean < 1e-9
@@ -207,7 +204,7 @@ def test_relay_split_validation():
 
 def test_af_noise_amplification_term_hurts():
     # dropping the forwarded-noise term can only increase the rate, per draw
-    plan = mc.TrialPlan(trials=40000, master_seed=6, metric="ergodic_rate")
+    plan = mc.TrialPlan(trials=40000, master_seed=6)
     rc = _rc()
     for blk in mc._block_ranges(2048):
         g1, g2 = mc._relay_draws(rc, plan.master_seed, blk)
@@ -220,7 +217,7 @@ def test_af_noise_amplification_term_hurts():
 
 
 def test_df_dominates_af_on_matched_draws():
-    plan = mc.TrialPlan(trials=50000, master_seed=7, metric="ergodic_rate")
+    plan = mc.TrialPlan(trials=50000, master_seed=7)
     rc = _rc(p_tot=10.0)
     af = mc.af_relay_rate(plan, rc, 0.5)
     df = mc.df_relay_rate(plan, rc, 0.5)
@@ -228,7 +225,7 @@ def test_df_dominates_af_on_matched_draws():
 
 
 def test_df_min_of_means_variant():
-    plan = mc.TrialPlan(trials=50000, master_seed=7, metric="ergodic_rate")
+    plan = mc.TrialPlan(trials=50000, master_seed=7)
     rc = _rc()
     per_draw = mc.df_relay_rate(plan, rc, 0.5)
     mom = mc.df_relay_rate(plan, rc, 0.5, combine="min_of_means")
@@ -239,7 +236,7 @@ def test_df_min_of_means_variant():
 
 def test_df_hops_balance_in_symmetric_setup():
     # relay at the mean user distance with equal fading: hops within 10%
-    plan = mc.TrialPlan(trials=10 ** 5, master_seed=11, metric="ergodic_rate")
+    plan = mc.TrialPlan(trials=10 ** 5, master_seed=11)
     rc = _rc(t1=1.0, t2=1.0, d1=66.673267326732673)
     r1 = mc.df_relay_rate(plan, rc, 0.5, combine="min_of_means")
     # recompute each hop separately for the comparison
@@ -254,7 +251,7 @@ def test_df_hops_balance_in_symmetric_setup():
 
 
 def test_optimal_split_properties():
-    plan = mc.TrialPlan(trials=30000, master_seed=13, metric="ergodic_rate")
+    plan = mc.TrialPlan(trials=30000, master_seed=13)
     rc = _rc(t1=1.0, t2=1.0, d1=66.673267326732673)
     split, best = mc.optimal_power_split(mc.df_relay_rate, plan, rc)
     assert abs(split - 0.5) <= 0.05
@@ -282,7 +279,7 @@ def _loop_split_search(relay_rate_fn, plan, rc, grid, **rate_kw):
     (mc.df_relay_rate, {"combine": "min_of_means"}),
 ])
 def test_split_grid_equals_per_split_calls(rate_fn, rate_kw, n_workers):
-    plan = mc.TrialPlan(trials=_ODD_TRIALS, master_seed=17, metric="ergodic_rate")
+    plan = mc.TrialPlan(trials=_ODD_TRIALS, master_seed=17)
     rc = _rc(p_tot=0.1)
     grid = np.round(np.arange(0.05, 1.0, 0.05), 2)
     got = mc.optimal_power_split(rate_fn, plan, rc, grid=grid, n_workers=n_workers, **rate_kw)
@@ -292,7 +289,7 @@ def test_split_grid_equals_per_split_calls(rate_fn, rate_kw, n_workers):
 
 
 def test_relay_rates_match_per_draw_reference():
-    plan = mc.TrialPlan(trials=_ODD_TRIALS, master_seed=5, metric="ergodic_rate")
+    plan = mc.TrialPlan(trials=_ODD_TRIALS, master_seed=5)
     rc = _rc()
     pb, pd = 0.4 * rc.p_tot, (1.0 - 0.4) * rc.p_tot
     parts = {"af": [], "df": [], "hop1": [], "hop2": []}
