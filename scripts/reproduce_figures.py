@@ -8,6 +8,7 @@ the CSV's SHA-256, so two checkouts can be compared byte for byte.
 
 import argparse
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 from irislab import cli, harness
@@ -20,6 +21,8 @@ def main() -> None:
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--only", default=None,
                         help="comma-separated subset of preset names")
+    parser.add_argument("--series", default=None,
+                        help="comma-separated subset of series, for every preset run")
     args = parser.parse_args()
 
     names = cli._preset_names()
@@ -30,6 +33,8 @@ def main() -> None:
     out.mkdir(parents=True, exist_ok=True)
     for name in names:
         spec = cli._load(name)
+        if args.series:
+            spec = replace(spec, outputs=[s.strip() for s in args.series.split(",") if s.strip()])
         if args.smoke:
             spec = cli._smoke(spec)
         result = harness.run_experiment(spec, n_workers=args.workers)

@@ -79,7 +79,8 @@ def m_tilde(t1: float, t2: float) -> float:
     """
     ts, tl = _split_ts_tl(t1, t2)
     if ts == tl:
-        raise ValueError("m_tilde requires t1 != t2")
+        raise ValueError("m_tilde requires t1 != t2: the tail model has a pole at "
+                         "equality (op_exact has none)")
     ln = (math.log(2.0) + math.lgamma(tl - ts) + ts * math.log(ts * tl)
           + math.lgamma(2.0 * ts) - math.lgamma(ts) - math.lgamma(tl))
     return math.exp(ln)
@@ -87,13 +88,16 @@ def m_tilde(t1: float, t2: float) -> float:
 
 @dataclass(frozen=True)
 class HighSnrChannelStats:
-    """Small-gain model of the N-element co-phased channel."""
+    """Small-gain model of the N-element co-phased channel; ``m_tilde`` needs t1 != t2."""
 
     t_s: float
     t_l: float
-    m_tilde: float
     a: float          # 2 * t_s * N
     n: int            # element count
+
+    @property
+    def m_tilde(self) -> float:
+        return m_tilde(self.t_s, self.t_l)
 
     @property
     def rate(self) -> float:
@@ -108,8 +112,7 @@ class HighSnrChannelStats:
 
 def high_snr_stats(t1: float, t2: float, n: int) -> HighSnrChannelStats:
     ts, tl = _split_ts_tl(t1, t2)
-    return HighSnrChannelStats(t_s=ts, t_l=tl, m_tilde=m_tilde(t1, t2),
-                               a=2.0 * ts * n, n=int(n))
+    return HighSnrChannelStats(t_s=ts, t_l=tl, a=2.0 * ts * n, n=int(n))
 
 
 def high_snr_pdf(x, stats: HighSnrChannelStats):
@@ -245,7 +248,6 @@ class ClosedFormContext:
 
     a: float            # gamma-family order, 2 t_s N
     b: float            # threshold scale in the radial integral
-    phi: float          # density prefactor
     delta_exp: float    # 2 / alpha
     eps_m: float        # SNR threshold 2^R_m - 1
     delta_m: float      # normalized gain threshold
@@ -264,9 +266,7 @@ class ClosedFormContext:
         delta_m = (eps_m * cfg.Q * cfg.sigma2 * beta_max ** 2
                    / (cfg.p_b * cfg.ref_atten_lin))
         b = stats.rate * delta_m * cfg.d1 ** cfg.alpha
-        phi = math.exp(math.log(2.0 * stats.mass) - math.lgamma(stats.a)
-                       - math.log(cfg.R ** 2 - cfg.r0 ** 2))
-        return cls(a=stats.a, b=b, phi=phi, delta_exp=2.0 / cfg.alpha,
+        return cls(a=stats.a, b=b, delta_exp=2.0 / cfg.alpha,
                    eps_m=eps_m, delta_m=delta_m, stats=stats)
 
 
@@ -331,11 +331,11 @@ def op_quadrature(ctx: ClosedFormContext, R: float, r0: float, alpha: float) -> 
 def op_asymptotic(ctx: ClosedFormContext, R: float, r0: float, alpha: float,
                   n_max: int = 30) -> float:
     """High-SNR series expansion of the closed form, valid for b R^alpha < 1."""
+    ln_phi = _ln_phi(ctx, R, r0)
     y = ctx.b * R ** alpha
     if y >= 1.0:
         raise ValueError(f"asymptotic series requires b R^alpha < 1, got {y}")
     a, d = ctx.a, ctx.delta_exp
-    ln_phi = _ln_phi(ctx, R, r0)
     total = 0.0
     for n in range(n_max + 1):
         coef = a * (a + d) / ((a + n) * (a + d + n))

@@ -74,10 +74,14 @@ class NetworkConfig:
 
 @dataclass
 class ChannelRealization:
-    """One random draw: H is N x M, G[m] is K x N, d2[m] the user-m distance."""
+    """One random draw: H is N x M, G[m] is K x N, d2[m] the user-m distance.
+
+    A stack of draws carries leading trial axes: H (..., N, M),
+    G (..., M, K, N), d2 (..., M).
+    """
 
     H: np.ndarray
-    G: list
+    G: np.ndarray
     d2: np.ndarray
 
 
@@ -105,10 +109,16 @@ def sample_user_distance(rng: np.random.Generator, R: float, r0: float,
 
 
 def path_loss(d1: float, d2, alpha: float, ref_atten_db: float):
-    """Product-distance large-scale gain: C0 * (d1*d2)^-alpha, C0 from dB."""
-    if d1 <= 0.0 or np.any(np.asarray(d2) <= 0.0):
+    """Product-distance large-scale gain: C0 * (d1*d2)^-alpha, C0 from dB.
+
+    The power is taken per element, so an array of distances gives the
+    values of scalar calls bit for bit; numpy's vectorized power does not.
+    """
+    d2 = np.asarray(d2, dtype=float)
+    if d1 <= 0.0 or np.any(d2 <= 0.0):
         raise ValueError("distances must be positive")
-    return 10.0 ** (ref_atten_db / 10.0) * (d1 * np.asarray(d2, dtype=float)) ** (-alpha)
+    power = [x ** -alpha for x in (d1 * d2).ravel().tolist()]
+    return 10.0 ** (ref_atten_db / 10.0) * np.reshape(power, d2.shape)
 
 
 def sample_nakagami_power(rng: np.random.Generator, t: float,
@@ -119,19 +129,26 @@ def sample_nakagami_power(rng: np.random.Generator, t: float,
     return rng.gamma(t, 1.0 / t, size)
 
 
-def _complex_fading(rng: np.random.Generator, t: float, shape) -> np.ndarray:
-    power = rng.gamma(t, 1.0 / t, shape)
-    phase = rng.uniform(0.0, 2.0 * np.pi, shape)
-    return np.sqrt(power) * np.exp(1j * phase)
+def draw_channel(rng, cfg: NetworkConfig) -> ChannelRealization:
+    """Draw one full realization: H (N x M), G (M x K x N), d2 (M,).
 
-
-def draw_channel(rng: np.random.Generator, cfg: NetworkConfig) -> ChannelRealization:
-    """Draw one full realization: H (N x M), G[m] (K x N), d2 (M,).
-
-    Draw order is fixed (distances, then H, then each G[m]) so a given stream
-    always yields the same realization.
+    Given a list of generators, draws one realization from each, stacked on
+    a leading trial axis.  Each stream's draw order is fixed (distances,
+    then the powers and phases of H, then of each G[m]) so a given stream
+    always yields the same realization; the draws become complex gains once
+    for the whole stack.
     """
-    d2 = sample_user_distance(rng, cfg.R, cfg.r0, cfg.M)
-    H = _complex_fading(rng, cfg.t1, (cfg.N, cfg.M))
-    G = [_complex_fading(rng, cfg.t2, (cfg.K, cfg.N)) for _ in range(cfg.M)]
-    return ChannelRealization(H=H, G=G, d2=d2)
+    gens = rng if isinstance(rng, list) else [rng]
+    nb, M, K, N = len(gens), cfg.M, cfg.K, cfg.N
+    d2 = np.empty((nb, M))
+    h = np.empty((2, nb, N, M))          # power, phase
+    g = np.empty((2, nb, M, K, N))
+    for i, gen in enumerate(gens):
+        d2[i] = sample_user_distance(gen, cfg.R, cfg.r0, M)
+        for t, (power, phase) in [(cfg.t1, h[:, i])] + [(cfg.t2, g[:, i, m]) for m in range(M)]:
+            power[...] = gen.gamma(t, 1.0 / t, power.shape)
+            phase[...] = gen.uniform(0.0, 2.0 * np.pi, phase.shape)
+    H, G = (np.sqrt(x[0]) * np.exp(1j * x[1]) for x in (h, g))
+    if gens is rng:
+        return ChannelRealization(H=H, G=G, d2=d2)
+    return ChannelRealization(H=H[0], G=G[0], d2=d2[0])

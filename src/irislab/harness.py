@@ -288,41 +288,39 @@ class _Run:
     memo: dict = field(default_factory=dict)     # values computed once per run
 
 
-def _each(cfgs, fn):
-    """Per-point payloads; an exception becomes that point's failure."""
-    out = []
-    for cfg in cfgs:
-        try:
-            out.append(fn(cfg))
-        except Exception as e:                      # noqa: BLE001 - per-point report
-            out.append(e)
-    return out
-
-
 def _payload(est):
     return est.mean, est.std_error, est.trials_used
 
 
 def _closed(value):
-    """A closed form ``value(run, cfg)`` at each point, without standard error."""
-    return lambda run, points, cfgs: _each(cfgs, lambda c: (value(run, c), 0.0, 0))
-
-
-def _axis(engine, **kw):
-    """A model-level ``mc.<engine>`` called once for the whole power group."""
+    """A closed form ``value(run, cfg)`` at each point, without standard error;
+    an exception becomes that point's failure."""
     def evaluate(run, points, cfgs):
-        ests = getattr(mc, engine)(replace(run.spec.plan, fidelity="model_level"), cfgs[0],
-                                   [c.p_b for c in cfgs], n_workers=run.n_workers, **kw)
-        return [_payload(e) for e in ests]
+        out = []
+        for cfg in cfgs:
+            try:
+                out.append((value(run, cfg), 0.0, 0))
+            except Exception as e:                  # noqa: BLE001 - per-point report
+                out.append(e)
+        return out
     return evaluate
 
 
-def _link(engine):
-    """A link-level ``mc.<engine>`` called once per point."""
+def _axis(engine, fidelity="model_level", **kw):
+    """A ``mc.<engine>`` called once for the whole power group.
+
+    The draws do not depend on the power, so the whole axis shares them; an
+    engine failure (a link-level geometry without passive weights) fails
+    every point of the group.
+    """
     def evaluate(run, points, cfgs):
-        plan = replace(run.spec.plan, fidelity="link_level")
-        simulate = getattr(mc, engine)
-        return _each(cfgs, lambda c: _payload(simulate(plan, c, n_workers=run.n_workers)))
+        plan = replace(run.spec.plan, fidelity=fidelity)
+        try:
+            ests = getattr(mc, engine)(plan, cfgs[0], [c.p_b for c in cfgs],
+                                       n_workers=run.n_workers, **kw)
+        except Exception as e:                      # noqa: BLE001 - per-point report
+            return [e] * len(cfgs)
+        return [_payload(e) for e in ests]
     return evaluate
 
 
@@ -382,7 +380,7 @@ _SERIES = {
         "asymptotic": _closed(lambda run, c: an.op_asymptotic(
             an.ClosedFormContext.from_config(c), c.R, c.r0, c.alpha)),
         "montecarlo_model": _axis("simulate_op_axis"),
-        "montecarlo_link": _link("simulate_op"),
+        "montecarlo_link": _axis("simulate_op_axis", fidelity="link_level"),
     },
     "op_fading_sweep": {
         "analytical": _closed(lambda run, c: an.op_gamma_approx(c)),
@@ -393,7 +391,7 @@ _SERIES = {
         "analytical": _closed(lambda run, c: an.ergodic_rate_meijer(an.gamma_approx(c), c)),
         "quadrature": _closed(lambda run, c: an.ergodic_rate_quadrature(an.gamma_approx(c), c)),
         "montecarlo_model": _axis("simulate_ergodic_rate_axis"),
-        "montecarlo_link": _link("simulate_ergodic_rate"),
+        "montecarlo_link": _axis("simulate_ergodic_rate_axis", fidelity="link_level"),
     },
     "relay_compare": {
         "irs_model": _irs_model,

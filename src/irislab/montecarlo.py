@@ -30,7 +30,7 @@ from functools import partial
 
 import numpy as np
 
-from .beamforming import RankDeficiencyError, link_snr, solve_beamforming
+from .beamforming import RankDeficiencyError, link_gain, solve_beamforming
 from .geometry import NetworkConfig, draw_channel, sample_user_distance, stream
 
 __all__ = [
@@ -110,7 +110,7 @@ def _run_blocks(fn, trials: int, n_workers: int):
 
 
 # ---------------------------------------------------------------------------
-# Model-level engines (vectorized per block, one draw for a whole power axis)
+# Engines (vectorized per block, one draw for a whole power axis)
 # ---------------------------------------------------------------------------
 
 def _model_draws(gen, cfg: NetworkConfig, nb: int, rows: int):
@@ -119,6 +119,18 @@ def _model_draws(gen, cfg: NetworkConfig, nb: int, rows: int):
     h = np.sqrt(gen.gamma(cfg.t1, 1.0 / cfg.t1, (nb, cfg.N)))
     g = np.sqrt(gen.gamma(cfg.t2, 1.0 / cfg.t2, (nb, rows, cfg.N)))
     return r, h, g
+
+
+def _power_parts(cfg, base, powers, denom, outage, log2, deg=0):
+    """Per power, the block aggregate of log2(1 + base * p_b / denom)."""
+    parts = []
+    for p_b in powers:
+        vals = log2(1.0 + base * p_b / denom)
+        if outage:
+            parts.append((float((vals < cfg.R_m).sum()), 0.0, deg))
+        else:
+            parts.append((_fsum(vals), _fsum(vals * vals), deg))
+    return parts
 
 
 def _model_block(plan, cfg, powers, squared, outage, blk):
@@ -133,98 +145,101 @@ def _model_block(plan, cfg, powers, squared, outage, blk):
     s = (g * h[:, np.newaxis, :]).sum(axis=2)          # nb x rows branch sums
     gain = (s ** 2).sum(axis=1) if squared else s[:, 0]
     base = gain * (cfg.ref_atten_lin * (cfg.d1 * r) ** (-cfg.alpha))
-    parts = []
-    for p_b in powers:
-        vals = np.log2(1.0 + base * p_b / (cfg.Q * cfg.sigma2))
-        if outage:
-            parts.append((float((vals < cfg.R_m).sum()), 0.0, 0))
-        else:
-            parts.append((_fsum(vals), _fsum(vals * vals), 0))
-    return parts
+    return _power_parts(cfg, base, powers, cfg.Q * cfg.sigma2, outage, np.log2)
 
 
-def _model_axis(plan, cfg, powers, squared, outage, n_workers):
-    if plan.fidelity != "model_level":
-        raise ValueError("a power axis is evaluated at model level only")
+# ---------------------------------------------------------------------------
+# Link-level engine (per-trial streams, one linear-algebra pass per chunk)
+# ---------------------------------------------------------------------------
+
+_CHUNK = 512          # trials stacked per linear-algebra pass; bounds peak memory
+
+
+def _link_chunk(plan, cfg, user, lo, hi):
+    """``link_gain`` of trials lo..hi-1 and the number of rank-deficient draws.
+
+    Every trial draws from its own stream; a rank-deficient trial draws
+    again from that stream, so its value does not depend on the chunking.
+    """
+    gens = [stream(plan.master_seed, _TAG_LINK, t) for t in range(lo, hi)]
+    real = draw_channel(gens, cfg)
+    failed = [0] * len(gens)
+    while True:
+        try:
+            sol = solve_beamforming(real, cfg, users=(user,))
+        except RankDeficiencyError as e:
+            if not e.trials:
+                raise
+            for (i,) in e.trials:
+                failed[i] += 1
+                if failed[i] > 64:
+                    raise
+                again = draw_channel(gens[i], cfg)
+                real.H[i], real.G[i], real.d2[i] = again.H, again.G, again.d2
+            continue
+        return link_gain(real, sol, cfg, user), sum(failed)
+
+
+def _log2_each(x):
+    """``math.log2`` per element: numpy's vectorized log2 rounds differently."""
+    return np.array([math.log2(v) for v in x.tolist()])
+
+
+def _link_block(plan, cfg, user, powers, outage, blk):
+    bi, lo, hi = blk
+    chunks = [_link_chunk(plan, cfg, user, c, min(c + _CHUNK, hi))
+              for c in range(lo, hi, _CHUNK)]
+    base = np.concatenate([c[0] for c in chunks])
+    deg = sum(c[1] for c in chunks)
+    return _power_parts(cfg, base, powers, cfg.sigma2, outage, _log2_each, deg)
+
+
+def _axis(plan, cfg, powers, squared, outage, n_workers, user):
     powers = [float(p) for p in powers]
-    fn = partial(_model_block, plan, cfg, powers, squared, outage)
+    if plan.fidelity == "link_level":
+        if not cfg.solvable:
+            raise ValueError(f"link level needs N >= M*K, got N={cfg.N} M*K={cfg.M * cfg.K}")
+        fn = partial(_link_block, plan, cfg, user, powers, outage)
+    else:
+        fn = partial(_model_block, plan, cfg, powers, squared, outage)
     blocks = _run_blocks(fn, plan.trials, n_workers)
     return [_reduce_blocks([b[i] for b in blocks], plan.trials, binary=outage)
             for i in range(len(powers))]
 
 
 def simulate_op_axis(plan: TrialPlan, cfg: NetworkConfig, powers, n_workers: int = 1,
-                     gain: str = "amplitude") -> list:
-    """Model-level outage at each transmit power, one ``Estimate`` per power.
+                     gain: str = "amplitude", user: int = 0) -> list:
+    """Outage at each transmit power, one ``Estimate`` per power.
 
-    ``cfg.p_b`` is ignored; every power is evaluated on the same draws.
-    ``gain='amplitude'`` thresholds the co-phased sum (the tail-model event);
-    ``'squared'`` thresholds the squared combining gain on the rate engine's
-    draws (the event the Gamma model describes).
+    ``cfg.p_b`` is ignored; every power is evaluated on the same draws.  At
+    model level, ``gain='amplitude'`` thresholds the co-phased sum (the
+    tail-model event) and ``'squared'`` the squared combining gain on the
+    rate engine's draws (the event the Gamma model describes).  At link
+    level the detected SNR of ``user`` is thresholded.
     """
     if gain not in ("amplitude", "squared"):
         raise ValueError(f"unknown gain convention {gain!r}")
-    return _model_axis(plan, cfg, powers, gain == "squared", True, n_workers)
+    if gain == "squared" and plan.fidelity == "link_level":
+        raise ValueError("the squared gain convention is a model-level event")
+    return _axis(plan, cfg, powers, gain == "squared", True, n_workers, user)
 
 
 def simulate_ergodic_rate_axis(plan: TrialPlan, cfg: NetworkConfig, powers,
-                               n_workers: int = 1) -> list:
-    """Model-level ergodic rate at each transmit power, on one set of draws."""
-    return _model_axis(plan, cfg, powers, True, False, n_workers)
-
-
-# ---------------------------------------------------------------------------
-# Link-level engine (full pipeline per trial)
-# ---------------------------------------------------------------------------
-
-def _link_trial(gen, cfg: NetworkConfig, user: int):
-    deg = 0
-    while True:
-        real = draw_channel(gen, cfg)
-        try:
-            sol = solve_beamforming(real, cfg)
-            break
-        except RankDeficiencyError:
-            deg += 1
-            if deg > 64:
-                raise
-    return link_snr(real, sol, cfg, user), deg
-
-
-def _link_block(plan, cfg, user, outage, blk):
-    bi, lo, hi = blk
-    vals = np.empty(hi - lo)
-    deg = 0
-    for i, t in enumerate(range(lo, hi)):
-        gen = stream(plan.master_seed, _TAG_LINK, t)
-        snr, d = _link_trial(gen, cfg, user)
-        deg += d
-        vals[i] = math.log2(1.0 + snr)
-    if outage:
-        return float((vals < cfg.R_m).sum()), 0.0, deg
-    return _fsum(vals), _fsum(vals * vals), deg
+                               n_workers: int = 1, user: int = 0) -> list:
+    """Ergodic rate at each transmit power, on one set of draws."""
+    return _axis(plan, cfg, powers, True, False, n_workers, user)
 
 
 def simulate_op(plan: TrialPlan, cfg: NetworkConfig, n_workers: int = 1,
                 user: int = 0) -> Estimate:
     """Outage probability estimate at the plan's fidelity."""
-    if plan.fidelity == "link_level":
-        if not cfg.solvable:
-            raise ValueError(f"link level needs N >= M*K, got N={cfg.N} M*K={cfg.M * cfg.K}")
-        fn = partial(_link_block, plan, cfg, user, True)
-        return _reduce_blocks(_run_blocks(fn, plan.trials, n_workers), plan.trials, binary=True)
-    return simulate_op_axis(plan, cfg, [cfg.p_b], n_workers)[0]
+    return simulate_op_axis(plan, cfg, [cfg.p_b], n_workers, user=user)[0]
 
 
 def simulate_ergodic_rate(plan: TrialPlan, cfg: NetworkConfig, n_workers: int = 1,
                           user: int = 0) -> Estimate:
     """Ergodic rate estimate: mean of log2(1 + SNR) with its standard error."""
-    if plan.fidelity == "link_level":
-        if not cfg.solvable:
-            raise ValueError(f"link level needs N >= M*K, got N={cfg.N} M*K={cfg.M * cfg.K}")
-        fn = partial(_link_block, plan, cfg, user, False)
-        return _reduce_blocks(_run_blocks(fn, plan.trials, n_workers), plan.trials, binary=False)
-    return simulate_ergodic_rate_axis(plan, cfg, [cfg.p_b], n_workers)[0]
+    return simulate_ergodic_rate_axis(plan, cfg, [cfg.p_b], n_workers, user=user)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -335,6 +335,20 @@ def test_op_exact_ratio_to_closed_form_rises_to_one():
         assert ratios[2] > 0.98 and ratios[3] > 0.998
 
 
+def test_op_exact_at_equal_fading_agrees_with_monte_carlo():
+    # t1 == t2: the tail model has a pole there, the exact route has none
+    from irislab import montecarlo as mc
+    plan = mc.TrialPlan(trials=200000, master_seed=4)
+    for pb_dbm in (-5.0, 0.0):
+        cfg = _cfg(N=2, t1=2.0, t2=2.0, p_b=1e-3 * 10 ** (pb_dbm / 10.0))
+        ctx = an.ClosedFormContext.from_config(cfg)
+        est = mc.simulate_op(plan, cfg)
+        assert abs(an.op_exact(ctx, cfg.R, cfg.r0, cfg.alpha) - est.mean) <= 3.0 * est.std_error
+        for tail_model in (an.op_closed_form, an.op_asymptotic, an.op_quadrature):
+            with pytest.raises(ValueError, match="t1 != t2"):
+                tail_model(ctx, cfg.R, cfg.r0, cfg.alpha)
+
+
 # ---------------------------------------------------------------------------
 # Gamma approximation and ergodic rate
 # ---------------------------------------------------------------------------

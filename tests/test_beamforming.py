@@ -25,16 +25,16 @@ def test_stack_shape_and_entries():
 
 def test_stack_scalar_case():
     real = geo.ChannelRealization(
-        H=np.array([[2.0 + 0j]]), G=[np.array([[3.0 + 0j]])], d2=np.array([5.0]))
+        H=np.array([[2.0 + 0j]]), G=np.array([[[3.0 + 0j]]]), d2=np.array([5.0]))
     assert bf.stack_interference_matrix(real) == pytest.approx(np.array([[6.0 + 0j]]))
 
 
 def test_target_vector_values():
     real = geo.ChannelRealization(
-        H=np.array([[3.0 + 0j]]), G=[np.array([[2.0 + 0j]])], d2=np.array([5.0]))
+        H=np.array([[3.0 + 0j]]), G=np.array([[[2.0 + 0j]]]), d2=np.array([5.0]))
     assert bf.target_vector(real) == pytest.approx(np.array([6.0]))
     ones = geo.ChannelRealization(
-        H=np.ones((10, 1), complex), G=[np.ones((1, 10), complex)], d2=np.array([5.0]))
+        H=np.ones((10, 1), complex), G=np.ones((1, 1, 10), complex), d2=np.array([5.0]))
     assert bf.target_vector(ones) == pytest.approx(np.array([10.0]))
 
 
@@ -153,7 +153,7 @@ def test_detection_vector_norm_identity():
 
 def test_link_snr_hand_case_and_linearity():
     real = geo.ChannelRealization(
-        H=np.array([[1.0 + 0j]]), G=[np.array([[1.0 + 0j]])], d2=np.array([1.0]))
+        H=np.array([[1.0 + 0j]]), G=np.array([[[1.0 + 0j]]]), d2=np.array([1.0]))
     cfg = geo.NetworkConfig(M=1, K=1, N=1, ref_atten_db=0.0, p_b=2.0, sigma2=0.5)
     sol = bf.solve_beamforming(real, cfg)
     assert bf.link_snr(real, sol, cfg, 0) == pytest.approx(4.0, rel=1e-12)

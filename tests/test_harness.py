@@ -81,6 +81,28 @@ def _mini_spec(trials=2000, seed=11):
     })
 
 
+def test_link_series_one_engine_call_per_power_group(monkeypatch):
+    calls = []
+    real = mc.simulate_op_axis
+
+    def counting(plan, cfg, powers, **kw):
+        calls.append((plan.fidelity, cfg.N, len(powers)))
+        return real(plan, cfg, powers, **kw)
+
+    monkeypatch.setattr(mc, "simulate_op_axis", counting)
+    spec = replace(cli._load("op_vs_snr"), outputs=["montecarlo_link"])
+    spec.base = replace(spec.base, M=2, K=3, N=6)
+    spec.plan = replace(spec.plan, trials=50)
+    spec.sweep = [("n_elements", [5, 6]), ("pb_dbm", [0, 10, 20])]
+    result = harness.run_experiment(spec)
+    assert calls == [("link_level", 5, 3), ("link_level", 6, 3)]
+    # N = 5 < MK = 6 has no passive weights: every point of its group fails
+    assert [axes for axes, *_ in result.rows] == [(6.0, p) for p in (0.0, 10.0, 20.0)]
+    assert [axes for axes, _, _ in result.failures] == [(5.0, p) for p in (0.0, 10.0, 20.0)]
+    assert all(msg.startswith("ValueError: link level needs N >= M*K")
+               for _, _, msg in result.failures)
+
+
 def test_run_experiment_rows_and_failures():
     result = harness.run_experiment(_mini_spec())
     series = {s for _, s, *_ in result.rows}

@@ -57,8 +57,112 @@ def test_link_level_matches_manual_single_trial():
     real = geo.draw_channel(gen, cfg)
     sol = bf.solve_beamforming(real, cfg)
     want = math.log2(1.0 + bf.link_snr(real, sol, cfg, 0))
-    assert est.mean == pytest.approx(want, rel=1e-15)
+    assert est.mean == want
     assert est.trials_used == 1
+
+
+def _reference_trial(gen, cfg, user, redraws=0):
+    """``gain * path loss`` of one trial, computed the per-trial way.
+
+    Lists of matrices, one lstsq and one SVD, numpy scalars: the link-level
+    pipeline before it was batched, replaying the trial's stream past
+    ``redraws`` rejected draws.
+    """
+    M, K, N = cfg.M, cfg.K, cfg.N
+
+    def fading(t, shape):
+        power = gen.gamma(t, 1.0 / t, shape)
+        return np.sqrt(power) * np.exp(1j * gen.uniform(0.0, 2.0 * np.pi, shape))
+
+    for _ in range(redraws + 1):
+        d2 = np.sqrt(cfg.r0 ** 2 + gen.random(M) * (cfg.R ** 2 - cfg.r0 ** 2))
+        H = fading(cfg.t1, (N, M))
+        G = [fading(cfg.t2, (K, N)) for _ in range(M)]
+    Hbar = np.vstack([G[m] * H[:, m][np.newaxis, :] for m in range(M)])
+    S = np.concatenate([np.abs(G[m]) @ np.abs(H[:, m]) for m in range(M)])
+    phi_v, _, rank, _ = np.linalg.lstsq(Hbar, S.astype(complex), rcond=1e-10)
+    assert rank == M * K
+    phi = phi_v / max(1.0, float(np.max(np.abs(phi_v))))
+    H_eff = G[user] @ (phi[:, np.newaxis] * H)
+    h = H_eff[:, user]
+    if M == 1:
+        T = np.eye(K, dtype=complex)
+    else:
+        T = np.linalg.svd(np.delete(H_eff, user, axis=1), full_matrices=True)[0][:, M - 1:]
+    x = T.conj().T @ h
+    v = T @ (x / np.linalg.norm(x))
+    pl = 10.0 ** (cfg.ref_atten_db / 10.0) * (cfg.d1 * np.asarray(d2[user])) ** (-cfg.alpha)
+    return np.abs(v.conj() @ h) ** 2 * pl
+
+
+def _reference_values(bases, cfg, p_b):
+    return [math.log2(1.0 + float(b * p_b / cfg.sigma2)) for b in bases]
+
+
+_LINK_CASES = [(M, K, N, user) for M, K, N in [(1, 1, 1), (2, 3, 6), (2, 2, 4), (3, 3, 9)]
+               for user in range(M)]
+
+
+@pytest.mark.parametrize("M,K,N,user", _LINK_CASES)
+def test_link_values_equal_per_trial_reference(M, K, N, user):
+    cfg = _cfg(M=M, K=K, N=N, p_b=1e-3)
+    plan = mc.TrialPlan(trials=300, master_seed=40 + M * 10 + user, fidelity="link_level")
+    bases, deg = mc._link_chunk(plan, cfg, user, 0, plan.trials)
+    assert deg == 0
+    want = [_reference_trial(geo.stream(plan.master_seed, mc._TAG_LINK, t), cfg, user)
+            for t in range(plan.trials)]
+    assert bases.tolist() == [float(w) for w in want]
+    got = mc.simulate_ergodic_rate(plan, cfg, user=user)
+    assert got.mean == math.fsum(_reference_values(want, cfg, cfg.p_b)) / plan.trials
+
+
+def test_link_power_axis_across_chunks_blocks_and_workers():
+    cfg = _cfg(M=2, K=3, N=6)
+    plan = mc.TrialPlan(trials=_ODD_TRIALS, master_seed=17, fidelity="link_level")
+    powers = [1e-4, 1e-2]
+    ops = {w: mc.simulate_op_axis(plan, cfg, powers, n_workers=w) for w in (1, 2)}
+    rates = {w: mc.simulate_ergodic_rate_axis(plan, cfg, powers, n_workers=w) for w in (1, 2)}
+    assert ops[1] == ops[2] and rates[1] == rates[2]
+    bases = [_reference_trial(geo.stream(plan.master_seed, mc._TAG_LINK, t), cfg, 0)
+             for t in range(plan.trials)]
+    for p_b, op, rate in zip(powers, ops[1], rates[1]):
+        vals = _reference_values(bases, cfg, p_b)
+        assert rate.mean == math.fsum(vals) / plan.trials
+        assert op.mean == sum(v < cfg.R_m for v in vals) / plan.trials
+        assert op == mc.simulate_op(plan, replace(cfg, p_b=p_b))
+
+
+def test_rank_deficient_draw_is_redrawn_from_its_own_stream(monkeypatch):
+    cfg = _cfg(M=2, K=3, N=6, p_b=1e-3)
+    plan = mc.TrialPlan(trials=5, master_seed=23, fidelity="link_level")
+    solve = bf.solve_passive_weights
+    calls = []
+
+    def first_two_reject_trial_3(Hbar, S):
+        calls.append(len(Hbar))
+        if len(calls) <= 2:
+            raise bf.RankDeficiencyError("rejected", [(3,)])
+        return solve(Hbar, S)
+
+    monkeypatch.setattr(bf, "solve_passive_weights", first_two_reject_trial_3)
+    est = mc.simulate_ergodic_rate(plan, cfg)
+    assert calls == [5, 5, 5]
+    assert est.degenerate_draws == 2
+    bases = [_reference_trial(geo.stream(plan.master_seed, mc._TAG_LINK, t), cfg, 0,
+                              redraws=2 if t == 3 else 0) for t in range(plan.trials)]
+    assert est.mean == math.fsum(_reference_values(bases, cfg, cfg.p_b)) / plan.trials
+
+
+def test_rank_deficiency_beyond_64_redraws_raises(monkeypatch):
+    # all but the largest singular value fall below rcond * s_max: rank 1 < MK = 2
+    monkeypatch.setattr(bf, "_RANK_RCOND", 0.999)
+    draws = []
+    real_draw = mc.draw_channel
+    monkeypatch.setattr(mc, "draw_channel", lambda g, c: draws.append(g) or real_draw(g, c))
+    plan = mc.TrialPlan(trials=3, master_seed=5, fidelity="link_level")
+    with pytest.raises(bf.RankDeficiencyError):
+        mc.simulate_op(plan, _cfg(M=1, K=2, N=3))
+    assert len(draws) == 1 + 64 * 3       # the stack, then 64 redraws of each trial
 
 
 def test_link_level_requires_solvable_geometry():
@@ -152,8 +256,8 @@ def test_squared_gain_outage_matches_loop_reference():
         assert est.std_error == math.sqrt(max(mean * (1.0 - mean), 0.0) / plan.trials)
     with pytest.raises(ValueError):
         mc.simulate_op_axis(plan, cfg, _POWERS, gain="cubed")
-    with pytest.raises(ValueError):
-        mc.simulate_op_axis(replace(plan, fidelity="link_level"), cfg, _POWERS)
+    with pytest.raises(ValueError):        # a model-level event only
+        mc.simulate_op_axis(replace(plan, fidelity="link_level"), cfg, _POWERS, gain="squared")
 
 
 def test_power_axis_draws_once_per_block(monkeypatch):
