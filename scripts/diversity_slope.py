@@ -24,11 +24,9 @@ def slopes_for(n: int, t1: float, t2: float, window=(1e-10, 1e-5)):
     for pb_dbm in np.arange(-10.0, 80.0, 1.0):
         cfg = NetworkConfig(M=1, K=1, N=n, t1=t1, t2=t2,
                             p_b=1e-3 * 10 ** (pb_dbm / 10.0))
-        ctx = an.ClosedFormContext.from_config(cfg)
         snr_db = 10.0 * math.log10(cfg.p_b / cfg.sigma2)
-        for curve, op in ((exact, an.op_exact(ctx, cfg.R, cfg.r0, cfg.alpha)),
-                          (closed, an.op_closed_form(ctx, cfg.R, cfg.r0, cfg.alpha,
-                                                     clamp=False))):
+        for curve, op in ((exact, an.op_exact(cfg)),
+                          (closed, an.op_closed_form(cfg, clamp=False))):
             if window[0] <= op <= window[1]:
                 curve.append((snr_db, op))
     return empirical_diversity_slope(exact), empirical_diversity_slope(closed)

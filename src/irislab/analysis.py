@@ -29,12 +29,11 @@ from scipy import integrate
 from scipy import special as sp
 
 from .geometry import NetworkConfig
-from .specfun import hyp2f1, hyp2f2, meijer_g_3123
+from .specfun import hyp2f2, meijer_g_3123
 
 __all__ = [
     "OutOfRangeWarning",
     "HighSnrChannelStats",
-    "ClosedFormContext",
     "GammaApprox",
     "PowerModel",
     "m_tilde",
@@ -57,7 +56,6 @@ __all__ = [
     "ergodic_rate_quadrature",
     "ergodic_rate_meijer",
     "high_snr_slope",
-    "spectral_efficiency",
     "power_consumption",
     "energy_efficiency",
 ]
@@ -148,28 +146,24 @@ def _ln_mbar(ts: float, tl: float) -> float:
             - math.lgamma(ts) - math.lgamma(tl) - math.lgamma(ts + tl + 0.5))
 
 
-def laplace_exact(s: float, t1: float, t2: float) -> float:
-    """Laplace transform of one product gain, closed form."""
-    if s <= 0.0:
-        raise ValueError("laplace_exact requires s > 0")
-    ts, tl = _split_ts_tl(t1, t2)
-    beta = 2.0 * math.sqrt(ts * tl)
-    z = (s - beta) / (s + beta)
-    f = hyp2f1(2.0 * ts, ts - tl + 0.5, ts + tl + 0.5, z)
-    return math.exp(_ln_mbar(ts, tl) - 2.0 * ts * math.log(s + beta)) * f.value
-
-
 def _ln_laplace(s, ts: float, tl: float):
-    """ln of ``laplace_exact`` at complex ``s`` (array), principal branches.
+    """ln of the per-product Laplace transform, principal branches.
 
-    Continued to the left half plane by scipy's complex 2F1; its cut and the
-    cut of (s + beta)^(-2 ts) both lie on (-inf, -beta], where the transform
-    has its only singularities.
+    ``s`` may be complex (array): scipy's 2F1 continues the transform to the
+    left half plane; its cut and the cut of (s + beta)^(-2 ts) both lie on
+    (-inf, -beta], where the transform has its only singularities.
     """
     beta = 2.0 * math.sqrt(ts * tl)
     z = (s - beta) / (s + beta)
     return (_ln_mbar(ts, tl) - 2.0 * ts * np.log(s + beta)
             + np.log(sp.hyp2f1(2.0 * ts, ts - tl + 0.5, ts + tl + 0.5, z)))
+
+
+def laplace_exact(s: float, t1: float, t2: float) -> float:
+    """Laplace transform of one product gain, closed form."""
+    if s <= 0.0:
+        raise ValueError("laplace_exact requires s > 0")
+    return math.exp(_ln_laplace(s, *_split_ts_tl(t1, t2)))
 
 
 def laplace_high_snr(s: float, t1: float, t2: float) -> float:
@@ -187,7 +181,7 @@ def product_nakagami_pdf(x, t1: float, t2: float):
     The kernel is the modified Bessel function of the SECOND kind; that is
     the unique choice under which the density integrates to one (the first
     kind diverges), and it is cross-checked in the tests against the
-    reflection identity built from our own I_nu series.
+    reflection identity built from I_nu.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
@@ -242,44 +236,27 @@ def product_sum_cdf(x, t1: float, t2: float, n: int):
 # Outage probability
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClosedFormContext:
-    """Constants of the closed-form outage expression."""
+def _tail_model(cfg: NetworkConfig):
+    """Tail-model stats of ``cfg`` and the threshold scale b of the radial integral.
 
-    a: float            # gamma-family order, 2 t_s N
-    b: float            # threshold scale in the radial integral
-    delta_exp: float    # 2 / alpha
-    eps_m: float        # SNR threshold 2^R_m - 1
-    delta_m: float      # normalized gain threshold
-    stats: HighSnrChannelStats
-
-    @classmethod
-    def from_config(cls, cfg: NetworkConfig, beta_max: float = 1.0) -> "ClosedFormContext":
-        """Derive the constants from a scenario.
-
-        The reference attenuation is folded into delta_m so the closed form
-        and the simulator describe the same SNR; with 0 dB attenuation this
-        reduces to the bare textbook constant.
-        """
-        stats = high_snr_stats(cfg.t1, cfg.t2, cfg.N)
-        eps_m = 2.0 ** cfg.R_m - 1.0
-        delta_m = (eps_m * cfg.Q * cfg.sigma2 * beta_max ** 2
-                   / (cfg.p_b * cfg.ref_atten_lin))
-        b = stats.rate * delta_m * cfg.d1 ** cfg.alpha
-        return cls(a=stats.a, b=b, delta_exp=2.0 / cfg.alpha,
-                   eps_m=eps_m, delta_m=delta_m, stats=stats)
+    The reference attenuation is folded into b so the closed form and the
+    simulator describe the same SNR; with 0 dB attenuation this reduces to
+    the bare textbook constant.
+    """
+    stats = high_snr_stats(cfg.t1, cfg.t2, cfg.N)
+    eps_m = 2.0 ** cfg.R_m - 1.0
+    delta_m = eps_m * cfg.Q * cfg.sigma2 / (cfg.p_b * cfg.ref_atten_lin)
+    return stats, stats.rate * delta_m * cfg.d1 ** cfg.alpha
 
 
-def _ln_phi(ctx: ClosedFormContext, R: float, r0: float) -> float:
+def _ln_phi(s: HighSnrChannelStats, cfg: NetworkConfig) -> float:
     """ln of the density prefactor, safe for orders where Gamma(a) overflows."""
-    s = ctx.stats
     return (math.log(2.0) + s.n * math.log(s.m_tilde)
             - s.t_s * s.n * math.log(4.0 * s.t_s * s.t_l)
-            - math.lgamma(ctx.a) - math.log(R ** 2 - r0 ** 2))
+            - math.lgamma(s.a) - math.log(cfg.R ** 2 - cfg.r0 ** 2))
 
 
-def op_closed_form(ctx: ClosedFormContext, R: float, r0: float, alpha: float,
-                   clamp: bool = True) -> float:
+def op_closed_form(cfg: NetworkConfig, clamp: bool = True) -> float:
     """Closed-form outage probability over the annulus [r0, R].
 
     Assembled in the log domain because b^a and R^(alpha a + 2) individually
@@ -287,18 +264,19 @@ def op_closed_form(ctx: ClosedFormContext, R: float, r0: float, alpha: float,
     [0, 1] (possible: the channel CDF is a tail model) are clamped with a
     warning unless ``clamp`` is false.
     """
-    if ctx.b <= 0.0:
+    stats, b = _tail_model(cfg)
+    if b <= 0.0:
         return 0.0
-    aa2 = alpha * ctx.a + 2.0
-    ln_tau1 = _ln_phi(ctx, R, r0) + ctx.a * math.log(ctx.b) - math.log(ctx.a * aa2)
+    a, d, alpha = stats.a, 2.0 / cfg.alpha, cfg.alpha
+    aa2 = alpha * a + 2.0
+    ln_tau1 = _ln_phi(stats, cfg) + a * math.log(b) - math.log(a * aa2)
 
     def branch(radius: float):
-        f = hyp2f2(ctx.a, ctx.a + ctx.delta_exp, ctx.a + 1.0,
-                   ctx.a + ctx.delta_exp + 1.0, -ctx.b * radius ** alpha)
+        f = hyp2f2(a, a + d, a + 1.0, a + d + 1.0, -b * radius ** alpha)
         return ln_tau1 + aa2 * math.log(radius) + math.log(f.value)
 
-    ln_hi = branch(R)
-    ln_lo = branch(r0)
+    ln_hi = branch(cfg.R)
+    ln_lo = branch(cfg.r0)
     p = math.exp(ln_hi) * (-math.expm1(ln_lo - ln_hi))
     if clamp and not 0.0 <= p <= 1.0:
         warnings.warn(f"closed-form outage {p:.6g} clamped to [0, 1]", OutOfRangeWarning)
@@ -306,21 +284,23 @@ def op_closed_form(ctx: ClosedFormContext, R: float, r0: float, alpha: float,
     return p
 
 
-def op_quadrature(ctx: ClosedFormContext, R: float, r0: float, alpha: float) -> float:
+def op_quadrature(cfg: NetworkConfig) -> float:
     """Reference value: direct radial quadrature of the outage integrand.
 
     Kept numerically independent of the hypergeometric path on purpose; this
     is the oracle the closed form is tested against.
     """
-    if ctx.b <= 0.0:
+    stats, b = _tail_model(cfg)
+    if b <= 0.0:
         return 0.0
-    scale = 2.0 * ctx.stats.mass / (R ** 2 - r0 ** 2)
+    R, r0, alpha = cfg.R, cfg.r0, cfg.alpha
+    scale = 2.0 * stats.mass / (R ** 2 - r0 ** 2)
 
     def f(r):
-        return sp.gammainc(ctx.a, ctx.b * r ** alpha) * r
+        return sp.gammainc(stats.a, b * r ** alpha) * r
 
     pts = []
-    r_star = (ctx.a / ctx.b) ** (1.0 / alpha)
+    r_star = (stats.a / b) ** (1.0 / alpha)
     if r0 < r_star < R:
         pts.append(r_star)
     val, _ = integrate.quad(f, r0, R, points=pts or None, limit=400,
@@ -328,26 +308,27 @@ def op_quadrature(ctx: ClosedFormContext, R: float, r0: float, alpha: float) -> 
     return scale * val
 
 
-def op_asymptotic(ctx: ClosedFormContext, R: float, r0: float, alpha: float,
-                  n_max: int = 30) -> float:
+def op_asymptotic(cfg: NetworkConfig, n_max: int = 30) -> float:
     """High-SNR series expansion of the closed form, valid for b R^alpha < 1."""
-    ln_phi = _ln_phi(ctx, R, r0)
-    y = ctx.b * R ** alpha
+    stats, b = _tail_model(cfg)
+    R, r0, alpha = cfg.R, cfg.r0, cfg.alpha
+    ln_phi = _ln_phi(stats, cfg)
+    y = b * R ** alpha
     if y >= 1.0:
         raise ValueError(f"asymptotic series requires b R^alpha < 1, got {y}")
-    a, d = ctx.a, ctx.delta_exp
+    a, d = stats.a, 2.0 / alpha
     total = 0.0
     for n in range(n_max + 1):
         coef = a * (a + d) / ((a + n) * (a + d + n))
         expo = alpha * a + alpha * n + 2.0
         ln_mag = (ln_phi - math.log(a * (alpha * a + 2.0)) + math.log(coef)
-                  - math.lgamma(n + 1.0) + (a + n) * math.log(ctx.b)
+                  - math.lgamma(n + 1.0) + (a + n) * math.log(b)
                   + expo * math.log(R) + math.log1p(-math.exp(expo * (math.log(r0) - math.log(R)))))
         total += (-1.0) ** n * math.exp(ln_mag)
     return total
 
 
-def op_exact(ctx: ClosedFormContext, R: float, r0: float, alpha: float) -> float:
+def op_exact(cfg: NetworkConfig) -> float:
     """Exact outage of the model over the annulus [r0, R].
 
     The event is the one the model-level simulator samples: the co-phased
@@ -356,19 +337,19 @@ def op_exact(ctx: ClosedFormContext, R: float, r0: float, alpha: float) -> float
     quadrature.  ``op_closed_form`` is the high-SNR approximation of this
     value: their ratio rises to one as the transmit power grows.
     """
-    if ctx.b <= 0.0:
+    stats, b = _tail_model(cfg)
+    if b <= 0.0:
         return 0.0
-    st = ctx.stats
-    scale = ctx.b / st.rate
+    scale = b / stats.rate
 
     def f(r):
-        return product_sum_cdf(scale * r ** alpha, st.t_s, st.t_l, st.n) * r
+        return product_sum_cdf(scale * r ** cfg.alpha, stats.t_s, stats.t_l, stats.n) * r
 
-    val, _ = integrate.quad(f, r0, R, limit=400, epsabs=0.0, epsrel=1e-10)
-    return 2.0 * val / (R ** 2 - r0 ** 2)
+    val, _ = integrate.quad(f, cfg.r0, cfg.R, limit=400, epsabs=0.0, epsrel=1e-10)
+    return 2.0 * val / (cfg.R ** 2 - cfg.r0 ** 2)
 
 
-def op_gamma_approx(cfg: NetworkConfig, beta_max: float = 1.0) -> float:
+def op_gamma_approx(cfg: NetworkConfig) -> float:
     """Outage of the Gamma-approximated post-combining gain, by quadrature.
 
     Used for the fading-sweep figure family, where equal fading parameters
@@ -376,8 +357,7 @@ def op_gamma_approx(cfg: NetworkConfig, beta_max: float = 1.0) -> float:
     """
     approx = gamma_approx(cfg)
     eps_m = 2.0 ** cfg.R_m - 1.0
-    delta = (eps_m * cfg.Q * cfg.sigma2 * beta_max ** 2
-             / (cfg.p_b * cfg.ref_atten_lin)) / approx.scale
+    delta = eps_m * cfg.Q * cfg.sigma2 / (cfg.p_b * cfg.ref_atten_lin) / approx.scale
 
     def f(r):
         return sp.gammainc(approx.shape, delta * (cfg.d1 * r) ** cfg.alpha) * r
@@ -434,8 +414,7 @@ def rate_snr_scale(approx: GammaApprox, cfg: NetworkConfig) -> float:
             / (approx.t_h * cfg.p_b * cfg.ref_atten_lin))
 
 
-def ergodic_rate_quadrature(approx: GammaApprox, cfg: NetworkConfig,
-                            abs_tol: float = 1e-6) -> float:
+def ergodic_rate_quadrature(approx: GammaApprox, cfg: NetworkConfig) -> float:
     """Reference ergodic rate: nested adaptive quadrature.
 
     Outer integral of the SNR survival function against 1/(1+x), inner
@@ -467,14 +446,13 @@ def ergodic_rate_quadrature(approx: GammaApprox, cfg: NetworkConfig,
     pts = sorted(u for u in (math.log(a / (c * R ** alpha)), math.log(a / (c * r0 ** alpha)))
                  if u_lo < u < u_hi)
     val, _ = integrate.quad(integrand, u_lo, u_hi, points=pts or None,
-                            limit=400, epsabs=abs_tol * math.log(2.0) / 10.0,
+                            limit=400, epsabs=1e-6 * math.log(2.0) / 10.0,
                             epsrel=1e-9)
     # below x_lo the survival function is 1 to O(x_lo); add that sliver back
     return (val + math.log1p(x_lo)) / math.log(2.0)
 
 
-def ergodic_rate_meijer(approx: GammaApprox, cfg: NetworkConfig,
-                        method: str = "auto") -> float:
+def ergodic_rate_meijer(approx: GammaApprox, cfg: NetworkConfig) -> float:
     """Closed-form ergodic rate: four Meijer-G terms.
 
     Must agree with ``ergodic_rate_quadrature`` to 1e-5 relative; the test
@@ -489,10 +467,10 @@ def ergodic_rate_meijer(approx: GammaApprox, cfg: NetworkConfig,
     phi = 2.0 / (R ** 2 - r0 ** 2)
 
     def g_plain(w):
-        return meijer_g_3123(0.0, 0.0, a, 0.0, 1.0, w, method=method).value
+        return meijer_g_3123(0.0, 0.0, a, 0.0, 1.0, w).value
 
     def g_weighted(w):
-        return meijer_g_3123(d2, 0.0, a + d2, d2, 1.0, w, method=method).value
+        return meijer_g_3123(d2, 0.0, a + d2, d2, 1.0, w).value
 
     w_hi, w_lo = c * R ** cfg.alpha, c * r0 ** cfg.alpha
     bracket = (R ** 2 * g_plain(w_hi) - r0 ** 2 * g_plain(w_lo)
@@ -526,24 +504,13 @@ class PowerModel:
             raise ValueError("power model entries must be nonnegative")
 
 
-def spectral_efficiency(per_user_rates) -> float:
-    """Network SE: sum of per-user ergodic rates (BPCU)."""
-    return float(np.sum(np.asarray(per_user_rates, dtype=float)))
-
-
 def power_consumption(pm: PowerModel, cfg: NetworkConfig) -> float:
     """Total consumed power P_e = P_Bs + M P_U + M p_b eps_b + N P_L."""
     return pm.P_Bs + cfg.M * pm.P_U + cfg.M * cfg.p_b * pm.eps_b + cfg.N * pm.P_L
 
 
-def energy_efficiency(se: float, pe: float, bandwidth_hz: float | None = None) -> float:
-    """EE = SE / P_e (unitless convention).
-
-    Pass ``bandwidth_hz`` to get the dimensional bits-per-joule variant
-    SE * D / P_e instead.
-    """
+def energy_efficiency(se: float, pe: float) -> float:
+    """EE = SE / P_e (unitless convention)."""
     if pe <= 0.0:
         raise ZeroDivisionError("total power must be positive")
-    if bandwidth_hz is not None:
-        return se * bandwidth_hz / pe
     return se / pe

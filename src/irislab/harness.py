@@ -117,21 +117,32 @@ class ExperimentSpec:
                 raise ValueError(f"axis {name!r} needs finite values")
             if sorted(vals) != vals:
                 raise ValueError(f"axis {name!r} values must be sorted")
+            if _AXIS_FIELDS.get(name) in ("M", "K", "N") and any(
+                    not float(v).is_integer() for v in vals):
+                raise ValueError(f"axis {name!r} needs integer values")
         if self.experiment == "relay_compare" and self.relay is None:
             raise ValueError("relay_compare needs a relay section")
         if self.experiment == "ee_sweep" and self.power_model is None:
             raise ValueError("ee_sweep needs a power_model section")
 
 
+def _reject_unknown(section: str, d: dict, known) -> None:
+    unknown = [k for k in d if k not in known]
+    if unknown:
+        raise ValueError(f"unknown {section} key(s) {unknown}; known: {', '.join(known)}")
+
+
 def spec_from_dict(d: dict) -> ExperimentSpec:
+    _reject_unknown("top-level", d, ("experiment", "sweep", "base", "plan", "outputs",
+                                     "relay", "power_model"))
     base = config_from_dict(d["base"])
     plan_d = dict(d.get("plan", {}))
+    _reject_unknown("plan", plan_d, ("trials", "master_seed"))
     if "master_seed" not in plan_d:
         raise ValueError("plan.master_seed is required: runs must be reproducible")
     plan = mc.TrialPlan(
         trials=int(plan_d.get("trials", 100000)),
         master_seed=int(plan_d["master_seed"]),
-        fidelity=plan_d.get("fidelity", "model_level"),
     )
     sweep = [(name, list(values)) for name, values in d["sweep"].items()]
     relay = None
@@ -152,6 +163,7 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
     pm = None
     if "power_model" in d:
         pd = dict(d["power_model"])
+        _reject_unknown("power_model", pd, ("P_Bs", "eps_b", "P_U", "P_L"))
         pm = an.PowerModel(
             P_Bs=parse_power(pd["P_Bs"]),
             eps_b=float(pd["eps_b"]),
@@ -174,7 +186,7 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
         "experiment": spec.experiment,
         "sweep": {name: list(values) for name, values in spec.sweep},
         "base": config_to_dict(spec.base),
-        "plan": dataclasses.asdict(spec.plan),
+        "plan": {"trials": spec.plan.trials, "master_seed": spec.plan.master_seed},
         "outputs": list(spec.outputs),
     }
     if spec.relay is not None:
@@ -346,10 +358,12 @@ def _relay(rate_fn, **rate_kw):
 
 
 def _irs_model(run, points, cfgs):
-    """Surface sum rate at the relay's budget and d1; p_b is replaced, so one per group."""
+    """Model-level surface sum rate at the relay's budget and d1; p_b is replaced,
+    so one per group."""
     rc = _relay_config(run, points[0])
     cfg = cfgs[0]
-    est = mc.simulate_ergodic_rate(run.spec.plan, replace(cfg, p_b=rc.p_tot, d1=rc.d1),
+    plan = replace(run.spec.plan, fidelity="model_level")
+    est = mc.simulate_ergodic_rate(plan, replace(cfg, p_b=rc.p_tot, d1=rc.d1),
                                    n_workers=run.n_workers)
     return [(cfg.M * est.mean, cfg.M * est.std_error, est.trials_used)] * len(cfgs)
 
@@ -375,10 +389,8 @@ def _power(run, cfg) -> float:
 
 _SERIES = {
     "op_vs_snr": {
-        "analytical": _closed(lambda run, c: an.op_closed_form(
-            an.ClosedFormContext.from_config(c), c.R, c.r0, c.alpha)),
-        "asymptotic": _closed(lambda run, c: an.op_asymptotic(
-            an.ClosedFormContext.from_config(c), c.R, c.r0, c.alpha)),
+        "analytical": _closed(lambda run, c: an.op_closed_form(c)),
+        "asymptotic": _closed(lambda run, c: an.op_asymptotic(c)),
         "montecarlo_model": _axis("simulate_op_axis"),
         "montecarlo_link": _axis("simulate_op_axis", fidelity="link_level"),
     },

@@ -2,8 +2,8 @@
 
 Everything here is a pure function with an explicit accuracy contract.  The
 test suite checks each routine against an independent oracle (arbitrary
-precision series, quadrature of an integral representation, or a recurrence),
-so the implementations stay deliberately simple: plain power series with
+precision series or quadrature of an integral representation), so the
+implementations stay deliberately simple: plain power series with
 rigorous tail bounds, plus two escape hatches for the regimes where a series
 is hopeless in double precision.
 """
@@ -23,8 +23,6 @@ __all__ = [
     "ParameterPatternError",
     "EvalResult",
     "hyp2f2",
-    "hyp2f1",
-    "bessel_i",
     "meijer_g_3123",
 ]
 
@@ -69,7 +67,8 @@ class EvalResult:
 
 
 def _hyp_series(num, den, z, rtol, max_terms):
-    """Generalized hypergeometric power series with compensated summation.
+    """Balanced hypergeometric power series (as many numerator parameters as
+    denominator ones) with compensated summation.
 
     Returns (sum, tail_bound, terms, max_partial).  The tail bound comes from
     a geometric majorant of the term ratio once the ratio is provably < 3/4
@@ -100,10 +99,9 @@ def _hyp_series(num, den, z, rtol, max_terms):
                 nxt *= abs(p + k + 1.0)
             for q in den:
                 nxt /= abs(q + k + 1.0)
-            # Ratio limit: |z|/k for balanced series, |z| for the Gauss case;
-            # the (1 + 6/k) slack covers the approach from above.
-            limit = abs(z) if len(num) == len(den) + 1 else 0.0
-            rhat = max(nxt, limit) * (1.0 + 6.0 / (k + 1.0))
+            # the ratio of a balanced series falls like |z|/k; the (1 + 6/k)
+            # slack covers the approach from above
+            rhat = nxt * (1.0 + 6.0 / (k + 1.0))
             if rhat < 1.0 - 1e-6:
                 tail = abs(term) * rhat / (1.0 - rhat)
                 if tail <= rtol * max(abs(total), 1e-300):
@@ -143,8 +141,7 @@ def _hyp2f2_gamma_repr(p: float, q: float, z: float) -> EvalResult:
     return EvalResult(value, abs(value) * 1e-12, 0, method="gamma_repr")
 
 
-def hyp2f2(a1: float, a2: float, b1: float, b2: float, z: float,
-           rtol: float = 1e-12, max_terms: int = 10 ** 6) -> EvalResult:
+def hyp2f2(a1: float, a2: float, b1: float, b2: float, z: float) -> EvalResult:
     """Generalized hypergeometric 2F2(a1, a2; b1, b2; z).
 
     Power series with a rigorous tail bound.  For strongly negative z the
@@ -161,7 +158,7 @@ def hyp2f2(a1: float, a2: float, b1: float, b2: float, z: float,
     pattern = _gamma_product_pattern(a1, a2, b1, b2)
     if z < -_SERIES_NEG_LIMIT and pattern is not None:
         return _hyp2f2_gamma_repr(*pattern, z)
-    total, tail, terms, max_partial = _hyp_series((a1, a2), (b1, b2), z, rtol, max_terms)
+    total, tail, terms, max_partial = _hyp_series((a1, a2), (b1, b2), z, 1e-12, 10 ** 6)
     if abs(total) * _CANCEL_GUARD < max_partial:
         if z < 0.0 and pattern is not None:
             return _hyp2f2_gamma_repr(*pattern, z)
@@ -170,49 +167,6 @@ def hyp2f2(a1: float, a2: float, b1: float, b2: float, z: float,
             f"against result {total:.3e}"
         )
     return EvalResult(total, tail, terms)
-
-
-def hyp2f1(a: float, b: float, c: float, z: float,
-           rtol: float = 1e-12, max_terms: int = 10 ** 6) -> EvalResult:
-    """Gauss hypergeometric 2F1(a, b; c; z) for |z| < 1 by direct series."""
-    if c <= 0.0 and float(c).is_integer():
-        raise ValueError(f"denominator parameter {c} is a nonpositive integer")
-    if abs(z) >= 1.0:
-        raise ValueError(f"hyp2f1 series requires |z| < 1, got z={z}")
-    if z == 0.0:
-        return EvalResult(1.0, 0.0, 0)
-    total, tail, terms, max_partial = _hyp_series((a, b), (c,), z, rtol, max_terms)
-    if abs(total) * _CANCEL_GUARD < max_partial:
-        raise ConvergenceError("2F1 series cancellation")
-    return EvalResult(total, tail, terms)
-
-
-def bessel_i(nu: float, x: float, rtol: float = 1e-11, max_terms: int = 20000) -> float:
-    """Modified Bessel function of the first kind I_nu(x), ascending series.
-
-    Valid for x in [0, ~50]; negative integer orders use I_{-n} = I_n and
-    negative non-integer orders go through the reciprocal gamma, which is
-    finite there.
-    """
-    if x < 0.0:
-        raise ValueError(f"bessel_i requires x >= 0, got {x}")
-    if float(nu).is_integer():
-        nu = abs(float(nu))
-    if x == 0.0:
-        if nu == 0.0:
-            return 1.0
-        if nu > 0.0:
-            return 0.0
-        raise ValueError(f"I_nu(0) diverges for negative non-integer nu={nu}")
-    half = 0.5 * x
-    term = math.exp(nu * math.log(half)) * float(sp.rgamma(nu + 1.0))
-    total = term
-    for k in range(max_terms):
-        term *= half * half / ((k + 1.0) * (k + nu + 1.0))
-        total += term
-        if k + 1 >= half and abs(term) <= rtol * abs(total):
-            return total
-    raise ConvergenceError(f"bessel_i series exceeded {max_terms} terms (x={x})")
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +185,7 @@ def _meijer_check_pattern(b_top, b2, b3, a1, a2):
         )
 
 
-def _meijer_contour(bs, a1, a2, z, rtol=1e-12):
+def _meijer_contour(bs, a1, a2, z):
     """Mellin-Barnes integral along a vertical line, evaluated by quadrature.
 
     The integrand decays like exp(-3*pi*|t|/2), so a finite window loses
@@ -248,7 +202,7 @@ def _meijer_contour(bs, a1, a2, z, rtol=1e-12):
 
     scale = abs(f(0.0)) + 1e-300
     val, err = integrate.quad(f, 0.0, 48.0, limit=4000,
-                              epsabs=scale * 1e-14, epsrel=rtol)
+                              epsabs=scale * 1e-14, epsrel=1e-12)
     return val / math.pi, abs(err) / math.pi
 
 

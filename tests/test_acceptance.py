@@ -49,11 +49,10 @@ def test_criterion_01_closed_form_equals_quadrature():
         cfg = _cfg(N=int(rng.integers(1, 9)), t1=t1, t2=t2,
                    alpha=rng.uniform(2.5, 4.0),
                    p_b=10.0 ** rng.uniform(-6.0, 4.0))
-        ctx = an.ClosedFormContext.from_config(cfg)
-        q = an.op_quadrature(ctx, cfg.R, cfg.r0, cfg.alpha)
+        q = an.op_quadrature(cfg)
         if not 1e-6 <= q <= 0.99:
             continue
-        cf = an.op_closed_form(ctx, cfg.R, cfg.r0, cfg.alpha, clamp=False)
+        cf = an.op_closed_form(cfg, clamp=False)
         worst = max(worst, abs(cf - q) / q)
         checked += 1
     elapsed = time.monotonic() - t0
@@ -70,12 +69,11 @@ def test_criterion_02_diversity_orders():
         curve, tail_curve = [], []
         for pb_dbm in np.arange(-10.0, 60.0, 1.0):
             cfg = _cfg(N=n, p_b=1e-3 * 10 ** (pb_dbm / 10.0))
-            ctx = an.ClosedFormContext.from_config(cfg)
             snr_db = 10.0 * math.log10(cfg.p_b / cfg.sigma2)
-            op = an.op_exact(ctx, cfg.R, cfg.r0, cfg.alpha)
+            op = an.op_exact(cfg)
             if 1e-8 <= op <= 1e-4:
                 curve.append((snr_db, op))
-            cf = an.op_closed_form(ctx, cfg.R, cfg.r0, cfg.alpha, clamp=False)
+            cf = an.op_closed_form(cfg, clamp=False)
             if 1e-8 <= cf <= 1e-4:
                 tail_curve.append((snr_db, cf))
         slope = mc.empirical_diversity_slope(curve)
@@ -102,9 +100,8 @@ def test_criterion_03_montecarlo_matches_closed_form():
         est = mc.simulate_op(mc.TrialPlan(trials=10 ** 6, master_seed=8812), cfg)
         if not 1e-3 <= est.mean <= 0.3:
             continue
-        ctx = an.ClosedFormContext.from_config(cfg)
-        exact = an.op_exact(ctx, cfg.R, cfg.r0, cfg.alpha)
-        cf = an.op_closed_form(ctx, cfg.R, cfg.r0, cfg.alpha)
+        exact = an.op_exact(cfg)
+        cf = an.op_closed_form(cfg)
         gap = abs(est.mean - exact)
         rows.append((pb_dbm, est.mean, exact, cf, gap, 3.0 * est.std_error,
                      (est.mean - exact) / est.std_error, gap <= 3.0 * est.std_error))

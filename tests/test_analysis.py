@@ -7,7 +7,6 @@ from scipy import integrate, special
 
 from irislab import analysis as an
 from irislab import geometry as geo
-from irislab.specfun import bessel_i
 
 PRODUCT_MEAN_21 = 0.83304055090469367132   # E|g| E|h| at (t1, t2) = (2, 1)
 
@@ -101,13 +100,14 @@ def test_laplace_ratio_tends_to_one():
 def test_product_pdf_moments_and_kernel():
     mean, _ = integrate.quad(lambda x: x * an.product_nakagami_pdf(x, 2.0, 1.0), 0, np.inf)
     assert mean == pytest.approx(PRODUCT_MEAN_21, rel=1e-9)
-    # the second-kind kernel equals the reflection combination of our I_nu
+    # the second-kind kernel equals the reflection combination of I_nu
     # (checked at small arguments; the difference is ill-conditioned for y >> 1)
     for (t1, t2, x) in [(2.3, 1.0, 0.2), (3.7, 1.2, 0.4)]:
         ts, tl = min(t1, t2), max(t1, t2)
         nu = tl - ts
         y = 2.0 * math.sqrt(ts * tl) * x
-        k_from_i = math.pi * (bessel_i(-nu, y) - bessel_i(nu, y)) / (2.0 * math.sin(math.pi * nu))
+        k_from_i = (math.pi * float(special.iv(-nu, y) - special.iv(nu, y))
+                    / (2.0 * math.sin(math.pi * nu)))
         assert float(special.kv(nu, y)) == pytest.approx(k_from_i, rel=1e-8)
     with pytest.raises(ValueError):
         an.product_nakagami_pdf(0.0, 2.0, 1.0)
@@ -130,11 +130,9 @@ def test_product_pdf_matches_sampled_histogram():
 # ---------------------------------------------------------------------------
 
 def test_op_closed_form_limits():
-    cfg = _cfg(p_b=1e9)
-    ctx = an.ClosedFormContext.from_config(cfg)
-    assert an.op_closed_form(ctx, cfg.R, cfg.r0, cfg.alpha) < 1e-20
+    assert an.op_closed_form(_cfg(p_b=1e9)) < 1e-20
     # degenerate annulus
-    near = an.op_closed_form(an.ClosedFormContext.from_config(_cfg()), 1.0 + 1e-9, 1.0, 3.0)
+    near = an.op_closed_form(_cfg(R=1.0 + 1e-9))
     assert abs(near) < 1e-9
 
 
@@ -147,9 +145,8 @@ def test_op_closed_form_equals_quadrature():
             t2 = rng.uniform(0.5, 4.0)
         cfg = _cfg(N=int(rng.integers(1, 9)), t1=t1, t2=t2,
                    alpha=rng.uniform(2.5, 4.0), p_b=10.0 ** rng.uniform(-3, 3))
-        ctx = an.ClosedFormContext.from_config(cfg)
-        cf = an.op_closed_form(ctx, cfg.R, cfg.r0, cfg.alpha, clamp=False)
-        q = an.op_quadrature(ctx, cfg.R, cfg.r0, cfg.alpha)
+        cf = an.op_closed_form(cfg, clamp=False)
+        q = an.op_quadrature(cfg)
         if q > 1e-300:
             assert cf == pytest.approx(q, rel=1e-8)
 
@@ -157,10 +154,9 @@ def test_op_closed_form_equals_quadrature():
 def test_op_closed_form_clamps_and_warns():
     # near-equal fading parameters blow up the tail constant past 1
     cfg = _cfg(t1=1.02, t2=1.0, N=3, p_b=1e-7)
-    ctx = an.ClosedFormContext.from_config(cfg)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        p = an.op_closed_form(ctx, cfg.R, cfg.r0, cfg.alpha)
+        p = an.op_closed_form(cfg)
     assert p == 1.0
     assert any(issubclass(w.category, an.OutOfRangeWarning) for w in caught)
 
@@ -169,13 +165,12 @@ def test_op_asymptotic_leading_term():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
     cfg = _cfg(p_b=30.0)
-    ctx = an.ClosedFormContext.from_config(cfg)
-    got = an.op_asymptotic(ctx, cfg.R, cfg.r0, cfg.alpha, n_max=0)
-    s = ctx.stats
+    got = an.op_asymptotic(cfg, n_max=0)
+    s, b = an._tail_model(cfg)
     phi = (2 * mp.mpf(s.m_tilde) ** s.n * (4 * mp.mpf(s.t_s) * s.t_l) ** (-s.t_s * s.n)
-           / (mp.gamma(ctx.a) * (mp.mpf(cfg.R) ** 2 - cfg.r0 ** 2)))
-    aa2 = cfg.alpha * ctx.a + 2
-    lead = phi * mp.mpf(ctx.b) ** ctx.a / (ctx.a * aa2) * (
+           / (mp.gamma(s.a) * (mp.mpf(cfg.R) ** 2 - cfg.r0 ** 2)))
+    aa2 = cfg.alpha * s.a + 2
+    lead = phi * mp.mpf(b) ** s.a / (s.a * aa2) * (
         mp.mpf(cfg.R) ** aa2 - mp.mpf(cfg.r0) ** aa2)
     assert got == pytest.approx(float(lead), rel=1e-12)
 
@@ -183,16 +178,13 @@ def test_op_asymptotic_leading_term():
 def test_op_asymptotic_converges_to_closed_form():
     # pick the power so that b R^alpha is about one half
     cfg = _cfg()
-    ctx0 = an.ClosedFormContext.from_config(cfg)
-    cfg = _cfg(p_b=cfg.p_b * (ctx0.b * cfg.R ** 3 / 0.5))
-    ctx = an.ClosedFormContext.from_config(cfg)
-    assert ctx.b * cfg.R ** 3 == pytest.approx(0.5, rel=1e-12)
-    cf = an.op_closed_form(ctx, cfg.R, cfg.r0, cfg.alpha, clamp=False)
-    asy = an.op_asymptotic(ctx, cfg.R, cfg.r0, cfg.alpha, n_max=30)
+    cfg = _cfg(p_b=cfg.p_b * (an._tail_model(cfg)[1] * cfg.R ** 3 / 0.5))
+    assert an._tail_model(cfg)[1] * cfg.R ** 3 == pytest.approx(0.5, rel=1e-12)
+    cf = an.op_closed_form(cfg, clamp=False)
+    asy = an.op_asymptotic(cfg, n_max=30)
     assert asy == pytest.approx(cf, rel=1e-6)
     with pytest.raises(ValueError):
-        an.op_asymptotic(an.ClosedFormContext.from_config(_cfg(p_b=1e-6)),
-                         cfg.R, cfg.r0, cfg.alpha)
+        an.op_asymptotic(_cfg(p_b=1e-6))
 
 
 def test_op_asymptotic_slope_matches_order():
@@ -202,20 +194,17 @@ def test_op_asymptotic_slope_matches_order():
     for snr_db in (80.0, 90.0, 100.0):
         cfg = _cfg(ref_atten_db=0.0)
         cfg = geo.NetworkConfig(**{**cfg.__dict__, "p_b": cfg.sigma2 * 10 ** (snr_db / 10)})
-        ctx = an.ClosedFormContext.from_config(cfg)
-        curve.append((snr_db, an.op_asymptotic(ctx, cfg.R, cfg.r0, cfg.alpha, n_max=40)))
+        curve.append((snr_db, an.op_asymptotic(cfg, n_max=40)))
     slope = empirical_diversity_slope(curve)
     assert slope == pytest.approx(4.0, rel=0.01)
 
 
 def test_op_monotonicity():
     cfgs = [_cfg(p_b=p) for p in (0.5, 1.0, 2.0, 4.0)]
-    vals = [an.op_closed_form(an.ClosedFormContext.from_config(c), c.R, c.r0, c.alpha)
-            for c in cfgs]
+    vals = [an.op_closed_form(c) for c in cfgs]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
     rates = [1.0, 1.5, 2.0]
-    vals_r = [an.op_closed_form(
-        an.ClosedFormContext.from_config(_cfg(R_m=r)), 100.0, 1.0, 3.0) for r in rates]
+    vals_r = [an.op_closed_form(_cfg(R_m=r)) for r in rates]
     assert all(a <= b for a, b in zip(vals_r, vals_r[1:]))
 
 
@@ -265,21 +254,35 @@ def test_product_sum_cdf_single_product_against_density():
             assert an.product_sum_cdf(x, t1, t2, 1) == pytest.approx(ref, rel=1e-10)
 
 
+def _mp_laplace(mp, t1, t2):
+    """The per-product Laplace transform in mpmath's working precision."""
+    ts, tl = min(t1, t2), max(t1, t2)
+    half = mp.mpf(1) / 2
+    beta = 2 * mp.sqrt(mp.mpf(ts) * tl)
+    ln_mbar = (mp.log(mp.pi) / 2 + (ts - tl + 1) * mp.log(4) + ts * mp.log(mp.mpf(ts) * tl)
+               + mp.loggamma(2 * ts) + mp.loggamma(2 * tl) - mp.loggamma(ts)
+               - mp.loggamma(tl) - mp.loggamma(ts + tl + half))
+
+    def lap(s):
+        return mp.exp(ln_mbar - 2 * ts * mp.log(s + beta)) * mp.hyp2f1(
+            2 * ts, ts - tl + half, ts + tl + half, (s - beta) / (s + beta))
+    return lap
+
+
+def test_laplace_exact_against_arbitrary_precision():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    for t1, t2 in ((2.0, 1.0), (3.3, 0.7), (1.5, 1.5)):
+        lap = _mp_laplace(mp, t1, t2)
+        for s in (0.1, 1.0, 10.0, 100.0, 1e4):
+            assert an.laplace_exact(s, t1, t2) == pytest.approx(float(lap(s)), rel=1e-13, abs=0.0)
+
+
 def test_product_sum_cdf_against_arbitrary_precision_inversion():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 25
-    half = mp.mpf(1) / 2
     for t1, t2 in ((2.0, 1.0), (3.3, 0.7)):
-        ts, tl = min(t1, t2), max(t1, t2)
-        beta = 2 * mp.sqrt(mp.mpf(ts) * tl)
-        ln_mbar = (mp.log(mp.pi) / 2 + (ts - tl + 1) * mp.log(4) + ts * mp.log(mp.mpf(ts) * tl)
-                   + mp.loggamma(2 * ts) + mp.loggamma(2 * tl) - mp.loggamma(ts)
-                   - mp.loggamma(tl) - mp.loggamma(ts + tl + half))
-
-        def lap(s):
-            return mp.exp(ln_mbar - 2 * ts * mp.log(s + beta)) * mp.hyp2f1(
-                2 * ts, ts - tl + half, ts + tl + half, (s - beta) / (s + beta))
-
+        lap = _mp_laplace(mp, t1, t2)
         for n in (2, 3):
             def ref(x):
                 return float(mp.invertlaplace(lambda s: lap(s) ** n / s, x, method="talbot"))
@@ -304,9 +307,9 @@ def test_op_exact_single_element_against_swapped_integral():
     # N = 1: OP = int f(x) P(r > (x / c)^(1/alpha)) dx, no inversion involved
     for pb_dbm in (-20.0, -5.0, 10.0, 40.0):
         cfg = _pb_dbm(1, pb_dbm)
-        ctx = an.ClosedFormContext.from_config(cfg)
         R, r0, alpha = cfg.R, cfg.r0, cfg.alpha
-        c = ctx.b / ctx.stats.rate
+        stats, b = an._tail_model(cfg)
+        c = b / stats.rate
 
         def f(x):
             rho2 = max((x / c) ** (2.0 / alpha), r0 ** 2)
@@ -318,7 +321,7 @@ def test_op_exact_single_element_against_swapped_integral():
                                 limit=400, epsabs=0.0, epsrel=1e-12)
         ref /= R ** 2 - r0 ** 2
         assert 1e-9 < ref < 1.0
-        assert an.op_exact(ctx, R, r0, alpha) == pytest.approx(ref, rel=1e-9)
+        assert an.op_exact(cfg) == pytest.approx(ref, rel=1e-9)
 
 
 def test_op_exact_ratio_to_closed_form_rises_to_one():
@@ -327,9 +330,7 @@ def test_op_exact_ratio_to_closed_form_rises_to_one():
         ratios = []
         for pb_dbm in (0.0, 10.0, 20.0, 30.0, 40.0):
             cfg = _pb_dbm(n, pb_dbm)
-            ctx = an.ClosedFormContext.from_config(cfg)
-            ratios.append(an.op_closed_form(ctx, cfg.R, cfg.r0, cfg.alpha, clamp=False)
-                          / an.op_exact(ctx, cfg.R, cfg.r0, cfg.alpha))
+            ratios.append(an.op_closed_form(cfg, clamp=False) / an.op_exact(cfg))
         assert all(a < b for a, b in zip(ratios, ratios[1:]))
         assert ratios[-1] < 1.0
         assert ratios[2] > 0.98 and ratios[3] > 0.998
@@ -341,12 +342,11 @@ def test_op_exact_at_equal_fading_agrees_with_monte_carlo():
     plan = mc.TrialPlan(trials=200000, master_seed=4)
     for pb_dbm in (-5.0, 0.0):
         cfg = _cfg(N=2, t1=2.0, t2=2.0, p_b=1e-3 * 10 ** (pb_dbm / 10.0))
-        ctx = an.ClosedFormContext.from_config(cfg)
         est = mc.simulate_op(plan, cfg)
-        assert abs(an.op_exact(ctx, cfg.R, cfg.r0, cfg.alpha) - est.mean) <= 3.0 * est.std_error
+        assert abs(an.op_exact(cfg) - est.mean) <= 3.0 * est.std_error
         for tail_model in (an.op_closed_form, an.op_asymptotic, an.op_quadrature):
             with pytest.raises(ValueError, match="t1 != t2"):
-                tail_model(ctx, cfg.R, cfg.r0, cfg.alpha)
+                tail_model(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -468,14 +468,12 @@ def test_high_snr_slope_is_one():
 # ---------------------------------------------------------------------------
 
 def test_se_power_ee():
-    assert an.spectral_efficiency([2.5] * 4) == pytest.approx(10.0)
     pm = an.PowerModel(P_Bs=10 ** 0.9, eps_b=1.2, P_U=0.01, P_L=0.01)
     cfg = _cfg(N=10, p_b=1.0)
     pe = an.power_consumption(pm, cfg)
     assert pe == pytest.approx(9.253, abs=1e-3)
     assert an.energy_efficiency(4.0, 2.0) == 2.0
     assert an.energy_efficiency(8.0, 2.0) == 4.0
-    assert an.energy_efficiency(4.0, 2.0, bandwidth_hz=1e8) == pytest.approx(2e8)
     with pytest.raises(ZeroDivisionError):
         an.energy_efficiency(1.0, 0.0)
     with pytest.raises(ValueError):

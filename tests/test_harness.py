@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import time
@@ -68,6 +69,39 @@ def test_spec_validation():
         harness.spec_from_dict({"experiment": "op_vs_snr", "sweep": {"pb_dbm": [1]},
                                 "base": base, "plan": {"master_seed": 1},
                                 "outputs": ["irs_model"]})
+
+
+def _ee_dict():
+    return {
+        "experiment": "ee_sweep",
+        "sweep": {"n_elements": [10, 20]},
+        "base": {"M": 1, "K": 1, "N": 10, "t1": 5.0, "t2": 1.0,
+                 "p_b": "1W", "sigma2": "auto"},
+        "plan": {"trials": 100, "master_seed": 3},
+        "power_model": {"P_Bs": "9dBW", "P_U": "10dBm", "P_L": "10dBm", "eps_b": 1.2},
+    }
+
+
+@pytest.mark.parametrize("section,key,value", [
+    (None, "ouputs", "ee"), ("plan", "trails", 300), ("plan", "fidelity", "link_level"),
+    ("power_model", "P_X", "1W")])
+def test_spec_rejects_unknown_keys(section, key, value, tmp_path):
+    d = _ee_dict()
+    (d[section] if section else d)[key] = value
+    with pytest.raises(ValueError, match=key):
+        harness.spec_from_dict(d)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(d))
+    assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 2
+
+
+def test_integer_axes_reject_fractions():
+    for axis in ("n_elements", "m_antennas", "k_antennas"):
+        d = {**_ee_dict(), "experiment": "throughput_surface", "sweep": {axis: [4.0, 4.7]}}
+        with pytest.raises(ValueError, match=axis):
+            harness.spec_from_dict(d)
+        d["sweep"] = {axis: [4.0, 5]}
+        harness.spec_from_dict(d)
 
 
 def _mini_spec(trials=2000, seed=11):
@@ -204,16 +238,18 @@ def test_relay_series_computed_once_per_relay_config(monkeypatch):
         assert vals[(20.0, 1.0)] == vals[(20.0, 5.0)] != vals[(30.0, 5.0)]
 
 
+def test_irs_model_runs_at_model_level():
+    spec = replace(cli._load("relay_compare"), outputs=["irs_model"])
+    spec.sweep = [("n_elements", [2])]
+    spec.plan = replace(spec.plan, trials=300)
+    model = harness.run_experiment(spec).rows
+    spec.plan = replace(spec.plan, fidelity="link_level")
+    assert harness.run_experiment(spec).rows == model
+
+
 def test_cli_run_and_errors(tmp_path, capsys):
     cfg_path = tmp_path / "exp.json"
-    cfg_path.write_text(json.dumps({
-        "experiment": "ee_sweep",
-        "sweep": {"n_elements": [10, 20]},
-        "base": {"M": 1, "K": 1, "N": 10, "t1": 5.0, "t2": 1.0,
-                 "p_b": "1W", "sigma2": "auto"},
-        "plan": {"trials": 100, "master_seed": 3},
-        "power_model": {"P_Bs": "9dBW", "P_U": "10dBm", "P_L": "10dBm", "eps_b": 1.2},
-    }))
+    cfg_path.write_text(json.dumps(_ee_dict()))
     code = cli.main(["run", str(cfg_path), "--out", str(tmp_path), "--format", "csv"])
     assert code == 0
     out = (tmp_path / "ee_sweep.csv").read_text().splitlines()
@@ -295,6 +331,45 @@ def test_ee_sweep_failures_are_per_series(monkeypatch):
 _ENTRIES = [(experiment, series) for experiment, table in harness._SERIES.items()
             for series in table]
 
+# SHA-256 of each entry's CSV in the test below, so any byte drift in a series fails it
+_CSV_SHA256 = {
+    ("op_vs_snr", "analytical"):
+        "75ee3d8bde7ef36db781105199f17833d9c5ff592322b4e831a0c2e05e427a2c",
+    ("op_vs_snr", "asymptotic"):
+        "aae641eb2287862d24ccb8fd65c280e35e23b900441a84bac61eebfc4d1da478",
+    ("op_vs_snr", "montecarlo_model"):
+        "782d9e894c97dd49955ec397296bbfb5a16eba7c41ad85a38ec79e5dc00f81d3",
+    ("op_vs_snr", "montecarlo_link"):
+        "1d437ef8271cb9990cbac2e8eaeb34eb5c502bc45e7a3afde2ab75ff2ce4f8e6",
+    ("op_fading_sweep", "analytical"):
+        "8fd06052d105e051dbaed69545adc018f445e5a02c4210d24b85b94a4c20b03d",
+    ("op_fading_sweep", "montecarlo_model"):
+        "65318112fcc64fdce97c7d4288473fd01e82a0d4fe540a16adc0e11fb8f964a6",
+    ("ergodic_vs_snr", "analytical"):
+        "f825ccf34765edad3daea74736cceb03fd7f5c8d5ee7fd0c89b551d53a6777dd",
+    ("ergodic_vs_snr", "quadrature"):
+        "9a3ecf95f5da00b062694a7681682ae841c9a0ceca2343110a9fee01fe61e409",
+    ("ergodic_vs_snr", "montecarlo_model"):
+        "c8eb709e3cbcc20db4ea76679908ae91f1ad1c6b69a83185c8f3a9cd0e378760",
+    ("ergodic_vs_snr", "montecarlo_link"):
+        "614604c75bd5bfa9b6243261c0922d95ddd9291ad925f36e9cb25a785ce029b3",
+    ("relay_compare", "irs_model"):
+        "1a2fb298aff4110784fa3fcbad3ee111f79beabc15b64f68dcae8bd642933fcd",
+    ("relay_compare", "af_optimal"):
+        "79639a91322e832bf436124c8332b85190c105d46ecff1b55345b26868aa77d1",
+    ("relay_compare", "df_optimal"):
+        "c67ea90c7bb7663020ce94cc2e618818ddb591b30a0df4a6b10d46805d310a31",
+    ("relay_compare", "df_min_of_means"):
+        "506dc48c87d761b2021367591af41e77c35c246b6de9fd06ac17f49cb129c28a",
+    ("throughput_surface", "analytical"):
+        "7bbfb7246d61995e6c44206edb74b811a33a63d315e1ab7f876f72b3d97cc244",
+    ("ee_sweep", "se_analytical"):
+        "2698478f968e4e8f53dc169ca1a2c8b298c90a7073d19746c48766b8c4c6c90f",
+    ("ee_sweep", "power_w"):
+        "da67f8b2763b4f9de7e1df0a7d9736b7b8613964c85d9ea012a5d83af7b496ad",
+    ("ee_sweep", "ee"): "57bbb57e4942c3f41e3350e39c6111ef041645cb98d8ebf3a0bb0bb45cd6fb8a",
+}
+
 
 @pytest.mark.parametrize("experiment,series", _ENTRIES)
 def test_every_series_entry_reports_every_point(experiment, series, tmp_path):
@@ -314,3 +389,4 @@ def test_every_series_entry_reports_every_point(experiment, series, tmp_path):
         csv[n_workers] = tmp_path / f"{n_workers}.csv"
         harness.emit_csv(result, csv[n_workers])
     assert csv[1].read_bytes() == csv[2].read_bytes()
+    assert hashlib.sha256(csv[1].read_bytes()).hexdigest() == _CSV_SHA256[experiment, series]

@@ -183,8 +183,7 @@ def test_op_model_matches_closed_form_deep_window():
     cfg = _cfg(p_b=1e-3 * 10 ** 0.8)
     plan = mc.TrialPlan(trials=10 ** 6, master_seed=42)
     est = mc.simulate_op(plan, cfg)
-    ctx = an.ClosedFormContext.from_config(cfg)
-    want = an.op_closed_form(ctx, cfg.R, cfg.r0, cfg.alpha)
+    want = an.op_closed_form(cfg)
     assert abs(est.mean - want) <= 3.0 * est.std_error
 
 
