@@ -452,11 +452,15 @@ def ergodic_rate_quadrature(approx: GammaApprox, cfg: NetworkConfig) -> float:
     return (val + math.log1p(x_lo)) / math.log(2.0)
 
 
-def ergodic_rate_meijer(approx: GammaApprox, cfg: NetworkConfig) -> float:
+def ergodic_rate_meijer(approx: GammaApprox, cfg: NetworkConfig,
+                        nodes: dict | None = None) -> float:
     """Closed-form ergodic rate: four Meijer-G terms.
 
     Must agree with ``ergodic_rate_quadrature`` to 1e-5 relative; the test
-    suite enforces that across the supported parameter family.
+    suite enforces that across the supported parameter family.  ``nodes`` is
+    the contour node table of ``meijer_g_3123``: rates that differ only in
+    ``p_b`` have the same Meijer-G parameters, so passing one dict to all of
+    them reuses the loggamma sums; without it the four terms share a fresh one.
     """
     a = approx.shape
     if a >= 170.0:
@@ -465,12 +469,14 @@ def ergodic_rate_meijer(approx: GammaApprox, cfg: NetworkConfig) -> float:
     d2 = 2.0 / cfg.alpha
     R, r0 = cfg.R, cfg.r0
     phi = 2.0 / (R ** 2 - r0 ** 2)
+    if nodes is None:
+        nodes = {}
 
     def g_plain(w):
-        return meijer_g_3123(0.0, 0.0, a, 0.0, 1.0, w).value
+        return meijer_g_3123(0.0, 0.0, a, 0.0, 1.0, w, nodes=nodes).value
 
     def g_weighted(w):
-        return meijer_g_3123(d2, 0.0, a + d2, d2, 1.0, w).value
+        return meijer_g_3123(d2, 0.0, a + d2, d2, 1.0, w, nodes=nodes).value
 
     w_hi, w_lo = c * R ** cfg.alpha, c * r0 ** cfg.alpha
     bracket = (R ** 2 * g_plain(w_hi) - r0 ** 2 * g_plain(w_lo)

@@ -368,19 +368,31 @@ def _irs_model(run, points, cfgs):
     return [(cfg.M * est.mean, cfg.M * est.std_error, est.trials_used)] * len(cfgs)
 
 
+def _rate_group(run, points, cfgs):
+    """The Meijer-G rate at each point; the points differ only in p_b, so one
+    contour node table serves the whole group and dies with it."""
+    nodes = {}
+    rate = _closed(lambda run, c: an.ergodic_rate_meijer(an.gamma_approx(c), c, nodes=nodes))
+    return rate(run, points, cfgs)
+
+
 def _sum_se(run, cfg) -> float:
-    """M times the Gamma-model rate (0 where no passive weights exist), once per
-    config and run: the series built on it share its value and its failure."""
-    key = ("se",) + dataclasses.astuple(cfg)
+    """M times the Gamma-model rate (0 where no passive weights exist).  The
+    rate is computed once per run for each set of the inputs it reads, so the
+    series built on it share its value and its failure, and points that differ
+    only in M and K at equal Q share one rate."""
+    if not cfg.solvable:
+        return 0.0
+    approx = an.gamma_approx(cfg)
+    key = ("se", approx.shape, an.rate_snr_scale(approx, cfg), cfg.R, cfg.r0, cfg.alpha)
     if key not in run.memo:
         try:
-            run.memo[key] = (cfg.M * an.ergodic_rate_meijer(an.gamma_approx(cfg), cfg)
-                             if cfg.solvable else 0.0)
+            run.memo[key] = an.ergodic_rate_meijer(approx, cfg)
         except Exception as e:                      # noqa: BLE001 - per-point report
             run.memo[key] = e
     if isinstance(run.memo[key], Exception):
         raise run.memo[key]
-    return run.memo[key]
+    return cfg.M * run.memo[key]
 
 
 def _power(run, cfg) -> float:
@@ -400,7 +412,7 @@ _SERIES = {
         "montecarlo_model": _axis("simulate_op_axis", gain="squared"),
     },
     "ergodic_vs_snr": {
-        "analytical": _closed(lambda run, c: an.ergodic_rate_meijer(an.gamma_approx(c), c)),
+        "analytical": _rate_group,
         "quadrature": _closed(lambda run, c: an.ergodic_rate_quadrature(an.gamma_approx(c), c)),
         "montecarlo_model": _axis("simulate_ergodic_rate_axis"),
         "montecarlo_link": _axis("simulate_ergodic_rate_axis", fidelity="link_level"),

@@ -185,20 +185,27 @@ def _meijer_check_pattern(b_top, b2, b3, a1, a2):
         )
 
 
-def _meijer_contour(bs, a1, a2, z):
+def _meijer_contour(bs, a1, a2, z, nodes):
     """Mellin-Barnes integral along a vertical line, evaluated by quadrature.
 
     The integrand decays like exp(-3*pi*|t|/2), so a finite window loses
-    nothing, and conjugate symmetry halves the work.
+    nothing, and conjugate symmetry halves the work.  The line and the
+    loggamma sum at a node do not depend on z, so ``nodes[(bs, a1, a2)]``
+    keeps that sum per node for every later z; it is the same number the
+    full expression would add first, so the integrand is unchanged.
     """
     c0 = 0.5 * ((a1 - 1.0) + min(bs))
     lnz = math.log(z)
+    heads = nodes.setdefault((bs, a1, a2), {})
 
     def f(t):
         s = complex(c0, t)
-        w = (sp.loggamma(bs[0] - s) + sp.loggamma(bs[1] - s) + sp.loggamma(bs[2] - s)
-             + sp.loggamma(1.0 - a1 + s) - sp.loggamma(a2 - s) + s * lnz)
-        return np.exp(w).real
+        head = heads.get(t)
+        if head is None:
+            head = heads[t] = (sp.loggamma(bs[0] - s) + sp.loggamma(bs[1] - s)
+                               + sp.loggamma(bs[2] - s) + sp.loggamma(1.0 - a1 + s)
+                               - sp.loggamma(a2 - s))
+        return np.exp(head + s * lnz).real
 
     scale = abs(f(0.0)) + 1e-300
     val, err = integrate.quad(f, 0.0, 48.0, limit=4000,
@@ -243,7 +250,7 @@ def _slater_applicable(bs, z):
 
 
 def meijer_g_3123(b_top: float, b2: float, b3: float, a1: float, a2: float,
-                  z: float, method: str = "auto") -> EvalResult:
+                  z: float, method: str = "auto", nodes: dict | None = None) -> EvalResult:
     """G^{3,1}_{2,3}( z | a1, a2 ; b_top, b2, b3 ) for the rate-integral family.
 
     ``method``:
@@ -252,10 +259,16 @@ def meijer_g_3123(b_top: float, b2: float, b3: float, a1: float, a2: float,
       * ``slater``  / ``contour`` - force one path,
       * ``dual``    - evaluate both and raise ConditioningError if they
                       disagree by more than 1e-5 relative.
+
+    ``nodes`` is a dict the contour path keeps its z-free loggamma sums in;
+    calls that share one skip the loggamma work at every node already seen
+    with the same parameters.  Values are the same with or without it.
     """
     _meijer_check_pattern(b_top, b2, b3, a1, a2)
     if z <= 0.0:
         raise ValueError(f"meijer_g_3123 requires z > 0, got {z}")
+    if nodes is None:
+        nodes = {}
     bs = (b_top, b2, b3)
     can_slater = _slater_applicable(bs, z)
     if method == "slater" or (method in ("auto", "dual") and can_slater):
@@ -266,10 +279,10 @@ def meijer_g_3123(b_top: float, b2: float, b3: float, a1: float, a2: float,
         except ConditioningError:
             if method == "slater":
                 raise
-            value, err = _meijer_contour(bs, a1, a2, z)
+            value, err = _meijer_contour(bs, a1, a2, z, nodes)
             return EvalResult(value, err, 0, method="contour")
         if method == "dual":
-            ref, ref_err = _meijer_contour(bs, a1, a2, z)
+            ref, ref_err = _meijer_contour(bs, a1, a2, z, nodes)
             rel = abs(value - ref) / max(abs(ref), 1e-300)
             if rel > 1e-5:
                 raise ConditioningError(
@@ -277,5 +290,5 @@ def meijer_g_3123(b_top: float, b2: float, b3: float, a1: float, a2: float,
                 )
             bound = max(bound, abs(value - ref))
         return EvalResult(value, bound, terms, method="slater")
-    value, err = _meijer_contour(bs, a1, a2, z)
+    value, err = _meijer_contour(bs, a1, a2, z, nodes)
     return EvalResult(value, err, 0, method="contour")

@@ -288,7 +288,8 @@ def test_product_sum_cdf_against_arbitrary_precision_inversion():
                 return float(mp.invertlaplace(lambda s: lap(s) ** n / s, x, method="talbot"))
             # relative accuracy while the CDF is small, absolute where it nears one
             for x in (1e-4, 0.05, 2.0):
-                assert an.product_sum_cdf(x, t1, t2, n) == pytest.approx(ref(x), rel=1e-12)
+                assert an.product_sum_cdf(x, t1, t2, n) == pytest.approx(ref(x), rel=1e-12,
+                                                                         abs=0.0)
             assert an.product_sum_cdf(20.0, t1, t2, n) == pytest.approx(ref(20.0), abs=5e-12)
 
 
@@ -433,6 +434,18 @@ def test_ergodic_rate_meijer_matches_quadrature():
         rq = an.ergodic_rate_quadrature(ap, cfg)
         rm = an.ergodic_rate_meijer(ap, cfg)
         assert rm == pytest.approx(rq, rel=1e-5)
+
+
+def test_ergodic_rate_meijer_shared_nodes_over_a_power_axis():
+    # integer shape (contour fallback) and non-integer shape (Slater below z = 30)
+    for t1, n in ((2.0, 4), (1.5, 8)):
+        cfgs = [_cfg(N=n, t1=t1, p_b=1e-3 * 10 ** (pb / 10.0))
+                for pb in (-10.0, 0.0, 10.0, 20.0, 30.0)]
+        nodes = {}
+        for cfg in cfgs:
+            ap = an.gamma_approx(cfg)
+            assert an.ergodic_rate_meijer(ap, cfg, nodes=nodes) == an.ergodic_rate_meijer(ap, cfg)
+        assert nodes
 
 
 def test_ergodic_rate_meijer_degenerate_annulus():

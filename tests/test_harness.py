@@ -328,6 +328,65 @@ def test_ee_sweep_failures_are_per_series(monkeypatch):
     assert result.failures[0][2] == result.failures[1][2]
 
 
+def test_sum_se_computed_once_per_rate_input(monkeypatch):
+    # K follows M, so Q = 1 and the rate depends on N only: 16 solvable points, 5 rates
+    calls = []
+    real = an.ergodic_rate_meijer
+    monkeypatch.setattr(an, "ergodic_rate_meijer",
+                        lambda *a, **k: calls.append(a[1].N) or real(*a, **k))
+    result = harness.run_experiment(cli._load("throughput_surface"))
+    assert len(result.rows) == 20 and not result.failures
+    assert sorted(calls) == [4, 8, 16, 32, 64]
+
+
+def test_ergodic_analytical_shares_nodes_per_group_and_fails_per_point(monkeypatch):
+    spec = replace(cli._smoke(cli._load("ergodic_vs_snr")), outputs=["analytical"])
+    bad_pb = 1e-3 * 10.0 ** (spec.sweep[-1][1][1] / 10.0)
+    tables = {}
+    real = an.ergodic_rate_meijer
+
+    def rate(approx, cfg, nodes=None):
+        tables.setdefault((cfg.t1, cfg.N), set()).add(id(nodes))
+        if cfg.t1 == 1.0 and cfg.N == 4 and cfg.p_b == bad_pb:
+            raise RuntimeError("forced")
+        return real(approx, cfg, nodes=nodes)
+
+    monkeypatch.setattr(an, "ergodic_rate_meijer", rate)
+    result = harness.run_experiment(spec)
+    assert [(axes, msg) for axes, _, msg in result.failures] == [
+        ((1.0, 4.0, spec.sweep[-1][1][1]), "RuntimeError: forced")]
+    assert len(result.rows) == 2 * 2 * 3 - 1
+    # one node table per power group, a new one for each group
+    assert all(len(ids) == 1 for ids in tables.values())
+    assert len(set().union(*tables.values())) == len(tables) == 4
+
+
+# SHA-256 of each preset's closed-form series at its shipped grid, recorded
+# before the contour's node table existed: the table must not move a byte
+_SHIPPED_SHA256 = {
+    ("ergodic_vs_snr", ("analytical",)):
+        "7c169fac4b9e8c156ea8f261905329c22d1ef9095b3da4c6ce56e17a1732a39d",
+    ("throughput_surface", ("analytical",)):
+        "006a018bac00215891f64a0edbbbe3ce77e93fb784ab97bdb1e3bdc406457723",
+    ("ee_sweep", ("se_analytical", "power_w", "ee")):
+        "70bf6a479fd518b263b2f412a880566d5bc4582cf4d0d267ca0a6101914616b9",
+    ("op_vs_snr", ("analytical",)):
+        "cd2c54ce43e0c176fa166c78164713e9bf74b797d9e4c901f85d2b48b383dcc6",
+    ("op_vs_snr", ("asymptotic",)):
+        "12d996b35116dd77ccd6d4155f8a68b416d6d0cb83f6469eae1671d83a968547",
+    ("op_fading_sweep", ("analytical",)):
+        "c538a359ba066d12ac629732355fffbfacba827e11c68c77e08da4a3f8d17d9b",
+}
+
+
+@pytest.mark.parametrize("name,outputs", list(_SHIPPED_SHA256))
+def test_closed_forms_at_shipped_scale_keep_their_bytes(name, outputs, tmp_path):
+    result = harness.run_experiment(replace(cli._load(name), outputs=list(outputs)))
+    harness.emit_csv(result, tmp_path / "out.csv")
+    assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() == \
+        _SHIPPED_SHA256[name, outputs]
+
+
 _ENTRIES = [(experiment, series) for experiment, table in harness._SERIES.items()
             for series in table]
 

@@ -172,3 +172,35 @@ def test_meijer_rejects_unsupported_patterns():
         sf.meijer_g_3123(0.3, 0.0, 2.0, 0.3, 2.0, 1.0)   # a2 != 1
     with pytest.raises(ValueError):
         sf.meijer_g_3123(0.0, 0.0, 2.0, 0.0, 1.0, -1.0)  # z <= 0
+
+
+# (b_top, b2, b3, a1, a2): integer and non-integer shapes of both rate patterns;
+# all but the last have coinciding poles (b_top = b2, or an integer b3 - b_top)
+# and take the contour at every z, the last takes Slater up to z = 30
+_RATE_PARAMS = [(0.0, 0.0, 4.0, 0.0, 1.0), (0.0, 0.0, 4.3, 0.0, 1.0),
+                (2.0 / 3.0, 0.0, 4.0 + 2.0 / 3.0, 2.0 / 3.0, 1.0),
+                (2.0 / 3.0, 0.0, 4.3 + 2.0 / 3.0, 2.0 / 3.0, 1.0)]
+_ZS = (45.0, 0.5, 1e-3, 20.0, 300.0, 0.5)       # both sides of the Slater limit z = 30
+
+
+def test_meijer_shared_nodes_give_the_fresh_results():
+    for params in _RATE_PARAMS:
+        nodes = {}
+        for method in ("auto", "contour", "dual"):
+            for z in _ZS:
+                fresh = sf.meijer_g_3123(*params, z, method=method)
+                shared = sf.meijer_g_3123(*params, z, method=method, nodes=nodes)
+                assert shared == fresh
+        # every method reached the contour at some z, so the table holds its nodes
+        bs, a1, a2 = params[:3], params[3], params[4]
+        assert list(nodes) == [(bs, a1, a2)] and nodes[bs, a1, a2]
+
+
+def test_meijer_nodes_shared_by_interleaved_parameter_sets():
+    # pairs of the sets differ only in b3, or only in a1 and b_top
+    nodes = {}
+    for z in _ZS:
+        for params in _RATE_PARAMS:
+            assert (sf.meijer_g_3123(*params, z, nodes=nodes)
+                    == sf.meijer_g_3123(*params, z))
+    assert len(nodes) == len(_RATE_PARAMS)
