@@ -185,31 +185,58 @@ def _meijer_check_pattern(b_top, b2, b3, a1, a2):
         )
 
 
+# At or below this real part numpy's complex exp returns exp(x)*cos(y) from
+# libm's exp and cos; above it numpy rescales (glibc's cexp above
+# 1023*ln 2 = 709.09, numpy's own cexp above 710.48).
+_CEXP_UNSCALED_MAX = 709.0
+
+
+def _exp_real(x, y):
+    """Re exp(x + iy), bit for bit what ``np.exp(complex(x, y)).real`` gives.
+
+    Where numpy would rescale, its own expression runs, with its overflow
+    warning silenced: the real part can stay finite there while the
+    imaginary part overflows, and an infinite one is the caller's to report.
+    """
+    if x <= _CEXP_UNSCALED_MAX:
+        return math.exp(x) * math.cos(y)
+    with np.errstate(over="ignore"):
+        return np.exp(complex(x, y)).real
+
+
 def _meijer_contour(bs, a1, a2, z, nodes):
     """Mellin-Barnes integral along a vertical line, evaluated by quadrature.
 
     The integrand decays like exp(-3*pi*|t|/2), so a finite window loses
     nothing, and conjugate symmetry halves the work.  The line and the
     loggamma sum at a node do not depend on z, so ``nodes[(bs, a1, a2)]``
-    keeps that sum per node for every later z; it is the same number the
-    full expression would add first, so the integrand is unchanged.
+    keeps that sum per node, as its real and imaginary parts, for every
+    later z.  With s = c0 + i t, Re(s ln z) = c0 ln z and Im(s ln z) =
+    t ln z, so the integrand is ``_exp_real`` of the same two sums numpy's
+    complex arithmetic forms, and its value is unchanged.
     """
     c0 = 0.5 * ((a1 - 1.0) + min(bs))
     lnz = math.log(z)
+    c0lnz = c0 * lnz
     heads = nodes.setdefault((bs, a1, a2), {})
 
     def f(t):
-        s = complex(c0, t)
         head = heads.get(t)
         if head is None:
-            head = heads[t] = (sp.loggamma(bs[0] - s) + sp.loggamma(bs[1] - s)
-                               + sp.loggamma(bs[2] - s) + sp.loggamma(1.0 - a1 + s)
-                               - sp.loggamma(a2 - s))
-        return np.exp(head + s * lnz).real
+            s = complex(c0, t)
+            h = (sp.loggamma(bs[0] - s) + sp.loggamma(bs[1] - s)
+                 + sp.loggamma(bs[2] - s) + sp.loggamma(1.0 - a1 + s)
+                 - sp.loggamma(a2 - s))
+            head = heads[t] = (float(h.real), float(h.imag))
+        return _exp_real(head[0] + c0lnz, head[1] + t * lnz)
 
     scale = abs(f(0.0)) + 1e-300
     val, err = integrate.quad(f, 0.0, 48.0, limit=4000,
                               epsabs=scale * 1e-14, epsrel=1e-12)
+    if not math.isfinite(val):
+        raise ConvergenceError(
+            f"contour integral overflows ({val!r}): bs={bs}, a1={a1}, a2={a2}, z={z}"
+        )
     return val / math.pi, abs(err) / math.pi
 
 

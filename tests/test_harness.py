@@ -343,10 +343,12 @@ def test_ergodic_analytical_shares_nodes_per_group_and_fails_per_point(monkeypat
     spec = replace(cli._smoke(cli._load("ergodic_vs_snr")), outputs=["analytical"])
     bad_pb = 1e-3 * 10.0 ** (spec.sweep[-1][1][1] / 10.0)
     tables = {}
+    alive = []      # holds every table, so a freed one's id cannot be reused
     real = an.ergodic_rate_meijer
 
     def rate(approx, cfg, nodes=None):
         tables.setdefault((cfg.t1, cfg.N), set()).add(id(nodes))
+        alive.append(nodes)
         if cfg.t1 == 1.0 and cfg.N == 4 and cfg.p_b == bad_pb:
             raise RuntimeError("forced")
         return real(approx, cfg, nodes=nodes)
@@ -359,6 +361,20 @@ def test_ergodic_analytical_shares_nodes_per_group_and_fails_per_point(monkeypat
     # one node table per power group, a new one for each group
     assert all(len(ids) == 1 for ids in tables.values())
     assert len(set().union(*tables.values())) == len(tables) == 4
+
+
+def test_ergodic_analytical_overflow_fails_only_its_point():
+    # Gamma shape N/t_h = 169: the contour overflows at 20 dBm; the rows at 0 and
+    # 10 dBm are the values recorded before the overflow had its own error
+    spec = replace(cli._load("ergodic_vs_snr"), outputs=["analytical"],
+                   sweep=[("t1", [2.0]), ("n_elements", [338]), ("pb_dbm", [0.0, 10.0, 20.0])])
+    result = harness.run_experiment(spec)
+    assert result.rows == [((2.0, 338.0, 0.0), "analytical", 11.888110902135509, 0.0, 0),
+                           ((2.0, 338.0, 10.0), "analytical", 15.209423816335866, 0.0, 0)]
+    [(axes, series, msg)] = result.failures
+    assert (axes, series) == ((2.0, 338.0, 20.0), "analytical")
+    assert msg.startswith("ConvergenceError: contour integral overflows (-inf): "
+                          "bs=(0.0, 0.0, 169.0), a1=0.0, a2=1.0, z=")
 
 
 # SHA-256 of each preset's closed-form series at its shipped grid, recorded

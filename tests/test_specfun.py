@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -204,3 +205,127 @@ def test_meijer_nodes_shared_by_interleaved_parameter_sets():
             assert (sf.meijer_g_3123(*params, z, nodes=nodes)
                     == sf.meijer_g_3123(*params, z))
     assert len(nodes) == len(_RATE_PARAMS)
+
+
+# ---------------------------------------------------------------------------
+# Contour integrand in real arithmetic
+# ---------------------------------------------------------------------------
+
+def test_exp_real_equals_numpy_complex_exp_bit_for_bit():
+    rng = np.random.default_rng(20261018)
+    n = 200_000
+    x = rng.uniform(-745.0, 709.0, n)
+    y = rng.uniform(-400.0, 400.0, n)
+    y[: n // 10] *= 1e-303                # |y| < 1e-300
+    y[n // 10: n // 5] *= 1e-320          # subnormal y
+    x[-n // 20:] = rng.uniform(709.0, 745.0, n // 20)   # numpy's rescaled range
+    xs, ys = x.tolist(), y.tolist()
+    with np.errstate(over="ignore"):
+        ref = [np.exp(complex(a, b)).real for a, b in zip(xs, ys)]
+    got = [sf._exp_real(a, b) for a, b in zip(xs, ys)]
+    assert [(a, b) for a, b, g, r in zip(xs, ys, got, ref) if g != r] == []
+
+
+def test_exp_real_switches_to_numpy_just_above_709(monkeypatch):
+    real_exp = []
+
+    class _Math:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        def exp(self, x):
+            real_exp.append(x)
+            return math.exp(x)
+
+    monkeypatch.setattr(sf, "math", _Math())
+    above = math.nextafter(709.0, math.inf)
+    for x, y in [(709.0, 0.3), (709.0, -2.0), (above, 0.3), (above, -2.0)]:
+        with np.errstate(over="ignore"):
+            assert sf._exp_real(x, y) == np.exp(complex(x, y)).real
+    assert real_exp == [709.0, 709.0]
+    # numpy's rescaled range: a finite real part beside an infinite imaginary
+    # one, and an infinite real part, both without a warning
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.exp(complex(710.0, math.pi / 2)).imag)
+    assert sf._exp_real(710.0, math.pi / 2) == 1.3679272698459398e+292
+    assert sf._exp_real(800.0, 0.3) == math.inf
+
+
+_Z_NEAR_CAP = (1e-30, 1e-20, 1e-10, 1e-5, 1.0, 31.0, 50.0)
+
+# (shape, d2) -> (value, abs_error_bound) at each z above with method="contour",
+# recorded while the integrand still ran through numpy's complex exp; None where
+# that run raised on a non-finite integral.  (169, 0.8) at z=1e-20 is finite
+# although one node's real part overflowed to inf.
+_CONTOUR_NEAR_CAP = {
+    (150.0, 0.0): [
+        (1.7034693809272418e+262, 8.659347350929844e+262),
+        (1.944787892688015e+262, 7.709367612899342e+257),
+        (1.0677609652258266e+262, 4.358899486024497e+252),
+        (6.292425436934984e+261, 1.0376099883230768e+250),
+        (1.9097888951292276e+261, 3.217582855692382e+247),
+        (6.712166028144498e+260, 8.935713822528979e+246),
+        (5.273153717121162e+260, 6.108298073130472e+246),
+    ],
+    (150.0, 0.8): [
+        (1.1204045851768117e+263, 8.189622453687484e+252),
+        (1.1204045851890423e+263, 8.392561136980834e+251),
+        (1.1204045851421405e+263, 8.059431197367574e+250),
+        (1.1204041090743645e+263, 2.3835774293613767e+250),
+        (1.1156575723122734e+263, 8.587387113798506e+250),
+        (1.0522024868390835e+263, 1.230194518683471e+249),
+        (1.0249467572149296e+263, 1.0704700578063843e+249),
+    ],
+    (165.0, 0.0): [
+        None,
+        (1.6815710136004236e+295, 7.276690611598027e+290),
+        (9.246539265074018e+294, 4.3061337031209867e+285),
+        (5.461989029084475e+294, 1.321927436390972e+283),
+        (1.679437031114522e+294, 2.894150877209133e+280),
+        (6.054993178268637e+293, 8.057738112926058e+279),
+        (4.78892454889621e+293, 5.527321172665525e+279),
+    ],
+    (165.0, 0.8): [
+        (1.0436058076499239e+296, 8.807336359349442e+285),
+        (1.0436058076547233e+296, 9.885020565076085e+284),
+        (1.0436058076154428e+296, 6.023059718285076e+283),
+        (1.0436053967543422e+296, 2.0626992682333258e+283),
+        (1.0395078762700834e+296, 1.225119873218821e+282),
+        (9.843172497135416e+295, 1.0938480322828863e+282),
+        (9.603315831434239e+295, 1.1147325467629113e+282),
+    ],
+    (169.0, 0.0): [
+        None,
+        None,
+        None,
+        (4.203355367171474e+303, 1.0630973631436639e+292),
+        (1.2966023077341658e+303, 2.331684437546092e+289),
+        (4.7041046498625076e+302, 6.251274842488196e+288),
+        (3.726689985634496e+302, 4.197725286901431e+288),
+    ],
+    (169.0, 0.8): [
+        None,
+        (-1.0405271001954226e+307, 2.0532293511627974e+307),
+        (8.174881359809284e+304, 4.573919638642374e+292),
+        (8.174878202530699e+304, 1.8389710889116518e+292),
+        (8.143388627423351e+304, 9.94056885515093e+290),
+        (7.718488053854017e+304, 9.435131065394264e+290),
+        (7.533306408092415e+304, 8.372542011667186e+290),
+    ],
+}
+
+
+@pytest.mark.parametrize("shape,d2", list(_CONTOUR_NEAR_CAP))
+def test_meijer_contour_near_the_shape_cap_keeps_values_and_names_overflow(shape, d2):
+    bs = (d2, 0.0, shape + d2)
+    for z, want in zip(_Z_NEAR_CAP, _CONTOUR_NEAR_CAP[shape, d2]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            if want is None:
+                with pytest.raises(sf.ConvergenceError) as err:
+                    sf.meijer_g_3123(*bs, d2, 1.0, z, method="contour")
+                assert str(err.value).startswith("contour integral overflows (")
+                assert f"bs={bs}, a1={d2}, a2=1.0, z={z}" in str(err.value)
+            else:
+                got = sf.meijer_g_3123(*bs, d2, 1.0, z, method="contour")
+                assert (got.value, got.abs_error_bound) == want
