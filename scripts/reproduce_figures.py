@@ -27,7 +27,10 @@ def main() -> None:
 
     names = cli._preset_names()
     if args.only:
-        wanted = {s.strip() for s in args.only.split(",")}
+        wanted = {s.strip() for s in args.only.split(",") if s.strip()}
+        unknown = sorted(wanted - set(names))
+        if unknown:
+            parser.error(f"unknown preset(s) {', '.join(unknown)}; presets: {', '.join(names)}")
         names = [n for n in names if n in wanted]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

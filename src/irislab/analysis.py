@@ -29,7 +29,7 @@ from scipy import integrate
 from scipy import special as sp
 
 from .geometry import NetworkConfig
-from .specfun import hyp2f2, meijer_g_3123
+from .specfun import ConvergenceError, hyp2f2, meijer_g_3123
 
 __all__ = [
     "OutOfRangeWarning",
@@ -452,15 +452,14 @@ def ergodic_rate_quadrature(approx: GammaApprox, cfg: NetworkConfig) -> float:
     return (val + math.log1p(x_lo)) / math.log(2.0)
 
 
-def ergodic_rate_meijer(approx: GammaApprox, cfg: NetworkConfig,
-                        nodes: dict | None = None) -> float:
+def ergodic_rate_meijer(approx: GammaApprox, cfg: NetworkConfig) -> float:
     """Closed-form ergodic rate: four Meijer-G terms.
 
     Must agree with ``ergodic_rate_quadrature`` to 1e-5 relative; the test
-    suite enforces that across the supported parameter family.  ``nodes`` is
-    the contour node table of ``meijer_g_3123``: rates that differ only in
-    ``p_b`` have the same Meijer-G parameters, so passing one dict to all of
-    them reuses the loggamma sums; without it the four terms share a fresh one.
+    suite enforces that across the supported parameter family.  The four
+    terms' error bounds are carried into the bracket they form, and a bracket
+    that is not finite or whose bound exceeds 1e-5 of it raises
+    ``ConvergenceError`` rather than return a rate that cannot meet that.
     """
     a = approx.shape
     if a >= 170.0:
@@ -469,18 +468,18 @@ def ergodic_rate_meijer(approx: GammaApprox, cfg: NetworkConfig,
     d2 = 2.0 / cfg.alpha
     R, r0 = cfg.R, cfg.r0
     phi = 2.0 / (R ** 2 - r0 ** 2)
-    if nodes is None:
-        nodes = {}
-
-    def g_plain(w):
-        return meijer_g_3123(0.0, 0.0, a, 0.0, 1.0, w, nodes=nodes).value
-
-    def g_weighted(w):
-        return meijer_g_3123(d2, 0.0, a + d2, d2, 1.0, w, nodes=nodes).value
-
     w_hi, w_lo = c * R ** cfg.alpha, c * r0 ** cfg.alpha
-    bracket = (R ** 2 * g_plain(w_hi) - r0 ** 2 * g_plain(w_lo)
-               + c ** (-d2) * (g_weighted(w_lo) - g_weighted(w_hi)))
+    p_hi, p_lo = meijer_g_3123(0.0, a, w_hi), meijer_g_3123(0.0, a, w_lo)
+    q_lo, q_hi = meijer_g_3123(d2, a + d2, w_lo), meijer_g_3123(d2, a + d2, w_hi)
+    bracket = (R ** 2 * p_hi.value - r0 ** 2 * p_lo.value
+               + c ** (-d2) * (q_lo.value - q_hi.value))
+    bound = (R ** 2 * p_hi.abs_error_bound + r0 ** 2 * p_lo.abs_error_bound
+             + c ** (-d2) * (q_lo.abs_error_bound + q_hi.abs_error_bound))
+    if not (math.isfinite(bracket) and bound <= 1e-5 * abs(bracket)):
+        raise ConvergenceError(
+            f"Meijer-G rate bracket {bracket!r} has error bound {bound!r} "
+            f"(shape {a!r}, SNR scale {c!r})"
+        )
     return phi * bracket / (2.0 * math.log(2.0) * math.gamma(a))
 
 

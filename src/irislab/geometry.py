@@ -41,7 +41,6 @@ class NetworkConfig:
     sigma2: float = 3.9810717055349695e-13   # noise power (W), -94 dBm default
     ref_atten_db: float = -30.0              # attenuation at the reference distance
     R_m: float = 1.5          # target rate (BPCU)
-    bandwidth_hz: float = 1e8
 
     def __post_init__(self) -> None:
         if not (self.N >= self.K >= self.M >= 1):
@@ -146,7 +145,7 @@ def draw_channel(rng, cfg: NetworkConfig) -> ChannelRealization:
     for i, gen in enumerate(gens):
         d2[i] = sample_user_distance(gen, cfg.R, cfg.r0, M)
         for t, (power, phase) in [(cfg.t1, h[:, i])] + [(cfg.t2, g[:, i, m]) for m in range(M)]:
-            power[...] = gen.gamma(t, 1.0 / t, power.shape)
+            power[...] = sample_nakagami_power(gen, t, power.shape)
             phase[...] = gen.uniform(0.0, 2.0 * np.pi, phase.shape)
     H, G = (np.sqrt(x[0]) * np.exp(1j * x[1]) for x in (h, g))
     if gens is rng:

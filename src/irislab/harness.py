@@ -8,7 +8,6 @@ the parsing boundary and all internal math is linear.  Noise can be given as
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import math
@@ -20,20 +19,16 @@ from . import montecarlo as mc
 from .geometry import NetworkConfig
 
 __all__ = [
-    "EXPERIMENTS",
     "ExperimentSpec",
     "ExperimentResult",
     "parse_power",
     "noise_power_watts",
-    "config_to_dict",
     "config_from_dict",
     "spec_from_dict",
-    "spec_to_dict",
     "load_spec",
     "run_experiment",
     "emit_csv",
     "emit_json",
-    "load_result",
 ]
 
 _DEFAULT_OUTPUTS = {
@@ -79,14 +74,10 @@ def config_from_dict(d: dict) -> NetworkConfig:
     d = dict(d)
     if "p_b" in d:
         d["p_b"] = parse_power(d["p_b"])
-    bw = float(d.get("bandwidth_hz", 1e8))
+    bw = float(d.pop("bandwidth_hz", 1e8))
     sigma2 = d.get("sigma2", "auto")
     d["sigma2"] = noise_power_watts(bw) if sigma2 == "auto" else parse_power(sigma2)
     return NetworkConfig(**d)
-
-
-def config_to_dict(cfg: NetworkConfig) -> dict:
-    return dataclasses.asdict(cfg)
 
 
 @dataclass
@@ -181,21 +172,6 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
     )
 
 
-def spec_to_dict(spec: ExperimentSpec) -> dict:
-    d = {
-        "experiment": spec.experiment,
-        "sweep": {name: list(values) for name, values in spec.sweep},
-        "base": config_to_dict(spec.base),
-        "plan": {"trials": spec.plan.trials, "master_seed": spec.plan.master_seed},
-        "outputs": list(spec.outputs),
-    }
-    if spec.relay is not None:
-        d["relay"] = dataclasses.asdict(spec.relay)
-    if spec.power_model is not None:
-        d["power_model"] = dataclasses.asdict(spec.power_model)
-    return d
-
-
 def load_spec(path) -> ExperimentSpec:
     with open(path, "r", encoding="utf-8") as fh:
         return spec_from_dict(json.load(fh))
@@ -207,9 +183,6 @@ class ExperimentResult:
     rows: list                       # (axis_values, series, value, std_error, trials)
     metadata: dict
     failures: list = field(default_factory=list)
-
-    def series(self, name: str):
-        return [(axes, v, se) for axes, s, v, se, _ in self.rows if s == name]
 
 
 def _apply_axes(base: NetworkConfig, names, values):
@@ -368,14 +341,6 @@ def _irs_model(run, points, cfgs):
     return [(cfg.M * est.mean, cfg.M * est.std_error, est.trials_used)] * len(cfgs)
 
 
-def _rate_group(run, points, cfgs):
-    """The Meijer-G rate at each point; the points differ only in p_b, so one
-    contour node table serves the whole group and dies with it."""
-    nodes = {}
-    rate = _closed(lambda run, c: an.ergodic_rate_meijer(an.gamma_approx(c), c, nodes=nodes))
-    return rate(run, points, cfgs)
-
-
 def _sum_se(run, cfg) -> float:
     """M times the Gamma-model rate (0 where no passive weights exist).  The
     rate is computed once per run for each set of the inputs it reads, so the
@@ -412,7 +377,7 @@ _SERIES = {
         "montecarlo_model": _axis("simulate_op_axis", gain="squared"),
     },
     "ergodic_vs_snr": {
-        "analytical": _rate_group,
+        "analytical": _closed(lambda run, c: an.ergodic_rate_meijer(an.gamma_approx(c), c)),
         "quadrature": _closed(lambda run, c: an.ergodic_rate_quadrature(an.gamma_approx(c), c)),
         "montecarlo_model": _axis("simulate_ergodic_rate_axis"),
         "montecarlo_link": _axis("simulate_ergodic_rate_axis", fidelity="link_level"),
@@ -432,9 +397,6 @@ _SERIES = {
         "ee": _closed(lambda run, c: an.energy_efficiency(_sum_se(run, c), _power(run, c))),
     },
 }
-
-EXPERIMENTS = tuple(_SERIES)
-
 
 # ---------------------------------------------------------------------------
 # Emission
@@ -463,13 +425,3 @@ def emit_json(result: ExperimentResult, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
-
-
-def load_result(path) -> ExperimentResult:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    rows = [(tuple(axes), series, value, se, trials)
-            for axes, series, value, se, trials in payload["rows"]]
-    failures = [(tuple(axes), series, msg) for axes, series, msg in payload["failures"]]
-    return ExperimentResult(axis_names=list(payload["axis_names"]), rows=rows,
-                            metadata=payload["metadata"], failures=failures)

@@ -31,7 +31,8 @@ from functools import partial
 import numpy as np
 
 from .beamforming import RankDeficiencyError, link_gain, solve_beamforming
-from .geometry import NetworkConfig, draw_channel, sample_user_distance, stream
+from .geometry import (NetworkConfig, draw_channel, sample_nakagami_power,
+                       sample_user_distance, stream)
 
 __all__ = [
     "BLOCK",
@@ -116,8 +117,8 @@ def _run_blocks(fn, trials: int, n_workers: int):
 def _model_draws(gen, cfg: NetworkConfig, nb: int, rows: int):
     """Fixed draw order: distances, BS-side powers, user-side powers."""
     r = sample_user_distance(gen, cfg.R, cfg.r0, nb)
-    h = np.sqrt(gen.gamma(cfg.t1, 1.0 / cfg.t1, (nb, cfg.N)))
-    g = np.sqrt(gen.gamma(cfg.t2, 1.0 / cfg.t2, (nb, rows, cfg.N)))
+    h = np.sqrt(sample_nakagami_power(gen, cfg.t1, (nb, cfg.N)))
+    g = np.sqrt(sample_nakagami_power(gen, cfg.t2, (nb, rows, cfg.N)))
     return r, h, g
 
 
@@ -273,8 +274,8 @@ def _relay_draws(rc: RelayConfig, seed: int, blk):
     bi, lo, hi = blk
     gen = stream(seed, _TAG_RELAY, bi)
     nb = hi - lo
-    h1 = gen.gamma(rc.t1, 1.0 / rc.t1, nb)
-    h2 = gen.gamma(rc.t2, 1.0 / rc.t2, nb)
+    h1 = sample_nakagami_power(gen, rc.t1, nb)
+    h2 = sample_nakagami_power(gen, rc.t2, nb)
     r = sample_user_distance(gen, rc.R, rc.r0, nb)
     g1 = rc.ref_atten_lin * rc.d1 ** (-rc.alpha) * h1
     g2 = rc.ref_atten_lin * r ** (-rc.alpha) * h2
@@ -375,6 +376,8 @@ def optimal_power_split(relay_rate_fn, plan: TrialPlan, cfg_relay: RelayConfig,
     if grid is None:
         grid = np.round(np.arange(0.01, 1.0, 0.01), 2)
     splits = [float(s) for s in grid]
+    if not splits:
+        raise ValueError("optimal_power_split needs at least one power split")
     best = None
     for i, per_rate in enumerate(_relay_parts(scheme, plan, cfg_relay, splits, False, n_workers)):
         means = [math.fsum(p[0] for p in parts) / plan.trials for parts in per_rate]

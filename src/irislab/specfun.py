@@ -10,6 +10,7 @@ is hopeless in double precision.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,7 +43,7 @@ class ConditioningError(RuntimeError):
 
 
 class ParameterPatternError(ValueError):
-    """Meijer-G parameters outside the two supported patterns."""
+    """Meijer-G parameters outside the supported family, or a forced invalid path."""
 
 
 @dataclass(frozen=True)
@@ -174,16 +175,7 @@ def hyp2f2(a1: float, a2: float, b1: float, b2: float, z: float) -> EvalResult:
 #   G^{3,1}_{2,3}( z | a1, 1 ; a1, 0, b3 )  with  a1 in {0, delta2}, b3 > a1.
 # ---------------------------------------------------------------------------
 
-def _meijer_check_pattern(b_top, b2, b3, a1, a2):
-    if abs(a2 - 1.0) > 1e-12 or abs(b2) > 1e-12 or abs(b_top - a1) > 1e-12:
-        raise ParameterPatternError(
-            f"unsupported Meijer-G parameters: a=({a1},{a2}) b=({b_top},{b2},{b3})"
-        )
-    if a1 < 0.0 or a1 >= 1.0 or b3 <= a1:
-        raise ParameterPatternError(
-            f"unsupported Meijer-G parameters: a1={a1}, b3={b3}"
-        )
-
+_METHODS = ("auto", "slater", "contour", "dual")
 
 # At or below this real part numpy's complex exp returns exp(x)*cos(y) from
 # libm's exp and cos; above it numpy rescales (glibc's cexp above
@@ -204,21 +196,31 @@ def _exp_real(x, y):
         return np.exp(complex(x, y)).real
 
 
-def _meijer_contour(bs, a1, a2, z, nodes):
+@functools.lru_cache(maxsize=2)
+def _contour_nodes(a1, b3):
+    """Node t -> the contour integrand's z-free loggamma sum, as (re, im).
+
+    The line and the loggamma sum at a node depend on (a1, b3) only, so every
+    z evaluated with them reuses the sums of the nodes seen before.  A rate
+    evaluates two families, so two tables stay alive; a node's entry is the
+    number it would be recomputed as, so values never depend on the cache.
+    """
+    return {}
+
+
+def _meijer_contour(bs, a1, a2, z):
     """Mellin-Barnes integral along a vertical line, evaluated by quadrature.
 
     The integrand decays like exp(-3*pi*|t|/2), so a finite window loses
-    nothing, and conjugate symmetry halves the work.  The line and the
-    loggamma sum at a node do not depend on z, so ``nodes[(bs, a1, a2)]``
-    keeps that sum per node, as its real and imaginary parts, for every
-    later z.  With s = c0 + i t, Re(s ln z) = c0 ln z and Im(s ln z) =
-    t ln z, so the integrand is ``_exp_real`` of the same two sums numpy's
-    complex arithmetic forms, and its value is unchanged.
+    nothing, and conjugate symmetry halves the work.  With s = c0 + i t,
+    Re(s ln z) = c0 ln z and Im(s ln z) = t ln z, so the integrand is
+    ``_exp_real`` of the same two sums numpy's complex arithmetic forms, and
+    its value is unchanged.
     """
     c0 = 0.5 * ((a1 - 1.0) + min(bs))
     lnz = math.log(z)
     c0lnz = c0 * lnz
-    heads = nodes.setdefault((bs, a1, a2), {})
+    heads = _contour_nodes(a1, bs[2])
 
     def f(t):
         head = heads.get(t)
@@ -244,7 +246,8 @@ def _meijer_slater(bs, a1, a2, z):
     """Slater expansion over simple poles: three 2F2 terms.
 
     Only valid when the b parameters are pairwise separated by non-integers;
-    callers check that first.
+    callers check that first.  The sum comes back as a Python float, so the
+    caller's arithmetic on it cannot raise numpy overflow warnings.
     """
     total = 0.0
     max_term = 0.0
@@ -260,9 +263,9 @@ def _meijer_slater(bs, a1, a2, z):
         terms_used += f.terms_used
         total += term
         max_term = max(max_term, abs(term))
-    if abs(total) * 1e8 < max_term:
+    if abs(total) < max_term * 1e-8:
         raise ConditioningError("Slater expansion lost too many digits")
-    return total, max_term * 1e-13, terms_used
+    return float(total), float(max_term) * 1e-13, terms_used
 
 
 def _slater_applicable(bs, z):
@@ -276,27 +279,25 @@ def _slater_applicable(bs, z):
     return True
 
 
-def meijer_g_3123(b_top: float, b2: float, b3: float, a1: float, a2: float,
-                  z: float, method: str = "auto", nodes: dict | None = None) -> EvalResult:
-    """G^{3,1}_{2,3}( z | a1, a2 ; b_top, b2, b3 ) for the rate-integral family.
+def meijer_g_3123(a1: float, b3: float, z: float, method: str = "auto") -> EvalResult:
+    """G^{3,1}_{2,3}( z | a1, 1 ; a1, 0, b3 ) for the rate-integral family.
 
-    ``method``:
+    Requires 0 <= a1 < 1, b3 > a1 and z > 0.  ``method``:
       * ``auto``    - Slater expansion when the poles are simple, otherwise
                       Mellin-Barnes contour quadrature,
       * ``slater``  / ``contour`` - force one path,
       * ``dual``    - evaluate both and raise ConditioningError if they
                       disagree by more than 1e-5 relative.
-
-    ``nodes`` is a dict the contour path keeps its z-free loggamma sums in;
-    calls that share one skip the loggamma work at every node already seen
-    with the same parameters.  Values are the same with or without it.
     """
-    _meijer_check_pattern(b_top, b2, b3, a1, a2)
+    if method not in _METHODS:
+        raise ValueError(f"unknown Meijer-G method {method!r}; known: {', '.join(_METHODS)}")
+    if a1 < 0.0 or a1 >= 1.0 or b3 <= a1:
+        raise ParameterPatternError(
+            f"unsupported Meijer-G parameters: a1={a1}, b3={b3}"
+        )
     if z <= 0.0:
         raise ValueError(f"meijer_g_3123 requires z > 0, got {z}")
-    if nodes is None:
-        nodes = {}
-    bs = (b_top, b2, b3)
+    bs, a2 = (a1, 0.0, b3), 1.0
     can_slater = _slater_applicable(bs, z)
     if method == "slater" or (method in ("auto", "dual") and can_slater):
         if not can_slater:
@@ -306,10 +307,10 @@ def meijer_g_3123(b_top: float, b2: float, b3: float, a1: float, a2: float,
         except ConditioningError:
             if method == "slater":
                 raise
-            value, err = _meijer_contour(bs, a1, a2, z, nodes)
+            value, err = _meijer_contour(bs, a1, a2, z)
             return EvalResult(value, err, 0, method="contour")
         if method == "dual":
-            ref, ref_err = _meijer_contour(bs, a1, a2, z, nodes)
+            ref, ref_err = _meijer_contour(bs, a1, a2, z)
             rel = abs(value - ref) / max(abs(ref), 1e-300)
             if rel > 1e-5:
                 raise ConditioningError(
@@ -317,5 +318,5 @@ def meijer_g_3123(b_top: float, b2: float, b3: float, a1: float, a2: float,
                 )
             bound = max(bound, abs(value - ref))
         return EvalResult(value, bound, terms, method="slater")
-    value, err = _meijer_contour(bs, a1, a2, z, nodes)
+    value, err = _meijer_contour(bs, a1, a2, z)
     return EvalResult(value, err, 0, method="contour")

@@ -7,6 +7,7 @@ from scipy import integrate, special
 
 from irislab import analysis as an
 from irislab import geometry as geo
+from irislab import specfun as sf
 
 PRODUCT_MEAN_21 = 0.83304055090469367132   # E|g| E|h| at (t1, t2) = (2, 1)
 
@@ -429,23 +430,31 @@ def test_ergodic_rate_quadrature_vs_gamma_sampling():
 
 
 def test_ergodic_rate_meijer_matches_quadrature():
-    for cfg in (_cfg(N=4), _cfg(N=8, t1=3.0), _cfg(N=4, K=2, t1=2.0)):
+    # the last two sit at Gamma shape 169.5, where the Slater terms near 1e305
+    # once overflowed the conditioning guard (RuntimeWarnings are errors here)
+    for cfg in (_cfg(N=4), _cfg(N=8, t1=3.0), _cfg(N=4, K=2, t1=2.0),
+                _cfg(N=339, p_b=1e-6), _cfg(N=339, p_b=10 ** -4.5)):
         ap = an.gamma_approx(cfg)
         rq = an.ergodic_rate_quadrature(ap, cfg)
         rm = an.ergodic_rate_meijer(ap, cfg)
         assert rm == pytest.approx(rq, rel=1e-5)
 
 
+def _cold_rate(cfg):
+    sf._contour_nodes.cache_clear()
+    return an.ergodic_rate_meijer(an.gamma_approx(cfg), cfg)
+
+
 def test_ergodic_rate_meijer_shared_nodes_over_a_power_axis():
-    # integer shape (contour fallback) and non-integer shape (Slater below z = 30)
-    for t1, n in ((2.0, 4), (1.5, 8)):
-        cfgs = [_cfg(N=n, t1=t1, p_b=1e-3 * 10 ** (pb / 10.0))
-                for pb in (-10.0, 0.0, 10.0, 20.0, 30.0)]
-        nodes = {}
-        for cfg in cfgs:
-            ap = an.gamma_approx(cfg)
-            assert an.ergodic_rate_meijer(ap, cfg, nodes=nodes) == an.ergodic_rate_meijer(ap, cfg)
-        assert nodes
+    # integer shape (contour fallback) and non-integer shape (Slater below z = 30),
+    # one power axis after the other, then the two interleaved point by point
+    axes = [[_cfg(N=n, t1=t1, p_b=1e-3 * 10 ** (pb / 10.0))
+             for pb in (-10.0, 0.0, 10.0, 20.0, 30.0)] for t1, n in ((2.0, 4), (1.5, 8))]
+    for cfgs in (axes[0] + axes[1], [c for pair in zip(*axes) for c in pair]):
+        want = [_cold_rate(cfg) for cfg in cfgs]
+        sf._contour_nodes.cache_clear()
+        assert [an.ergodic_rate_meijer(an.gamma_approx(c), c) for c in cfgs] == want
+        assert sf._contour_nodes.cache_info().hits > 0
 
 
 def test_ergodic_rate_meijer_degenerate_annulus():

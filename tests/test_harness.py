@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -28,23 +29,14 @@ def test_noise_default_matches_thermal_floor():
     # D = 100 MHz -> -174 + 80 = -94 dBm
     watts = harness.noise_power_watts(1e8)
     assert 10 * __import__("math").log10(watts / 1e-3) == pytest.approx(-94.0, abs=1e-9)
+    # the bandwidth only sets the "auto" floor; it is not a NetworkConfig field
+    assert harness.config_from_dict({}).sigma2 == watts
+    assert harness.config_from_dict({"bandwidth_hz": 1e6}).sigma2 == harness.noise_power_watts(1e6)
 
 
 def test_config_round_trip():
     cfg = NetworkConfig(M=2, K=3, N=8, p_b=0.125, t1=2.5)
-    assert harness.config_from_dict(harness.config_to_dict(cfg)) == cfg
-
-
-def test_spec_round_trip():
-    d = {
-        "experiment": "op_vs_snr",
-        "sweep": {"pb_dbm": [0, 10, 20]},
-        "base": {"M": 1, "K": 1, "N": 2, "p_b": "0dBm", "sigma2": "auto"},
-        "plan": {"trials": 1000, "master_seed": 7},
-    }
-    spec = harness.spec_from_dict(d)
-    again = harness.spec_from_dict(harness.spec_to_dict(spec))
-    assert again == spec
+    assert harness.config_from_dict(dataclasses.asdict(cfg)) == cfg
 
 
 def test_spec_validation():
@@ -172,10 +164,10 @@ def test_emit_json_round_trip(tmp_path):
     result = harness.run_experiment(_mini_spec())
     path = tmp_path / "r.json"
     harness.emit_json(result, path)
-    again = harness.load_result(path)
-    assert again.rows == result.rows
-    assert again.metadata == result.metadata
-    assert again.failures == result.failures
+    again = json.loads(path.read_text())
+    assert [(tuple(axes), *rest) for axes, *rest in again["rows"]] == result.rows
+    assert again["metadata"] == result.metadata
+    assert again["failures"] == [[list(axes), *rest] for axes, *rest in result.failures]
 
 
 def test_op_family_curves_steepen_with_elements():
@@ -234,7 +226,7 @@ def test_relay_series_computed_once_per_relay_config(monkeypatch):
     assert len(calls) == 2 * 3          # per budget: af, df, df min-of-means
     assert len(set(calls)) == 2
     for series in ("af_optimal", "df_optimal", "df_min_of_means"):
-        vals = {axes: v for axes, v, _ in result.series(series)}
+        vals = {axes: v for axes, s, v, *_ in result.rows if s == series}
         assert vals[(20.0, 1.0)] == vals[(20.0, 5.0)] != vals[(30.0, 5.0)]
 
 
@@ -311,7 +303,8 @@ def _ee_spec(outputs):
 def test_ee_sweep_failures_are_per_series(monkeypatch):
     # the Meijer-G rate overflows at N=250, t1=5: only the series built on it fail
     result = harness.run_experiment(_ee_spec(["power_w"]))
-    assert [axes for axes, _, _ in result.series("power_w")] == [(100.0,), (250.0,)]
+    assert [(axes, s) for axes, s, *_ in result.rows] == [((100.0,), "power_w"),
+                                                          ((250.0,), "power_w")]
     assert result.failures == []
 
     calls = []
@@ -339,28 +332,21 @@ def test_sum_se_computed_once_per_rate_input(monkeypatch):
     assert sorted(calls) == [4, 8, 16, 32, 64]
 
 
-def test_ergodic_analytical_shares_nodes_per_group_and_fails_per_point(monkeypatch):
+def test_ergodic_analytical_fails_per_point(monkeypatch):
     spec = replace(cli._smoke(cli._load("ergodic_vs_snr")), outputs=["analytical"])
     bad_pb = 1e-3 * 10.0 ** (spec.sweep[-1][1][1] / 10.0)
-    tables = {}
-    alive = []      # holds every table, so a freed one's id cannot be reused
     real = an.ergodic_rate_meijer
 
-    def rate(approx, cfg, nodes=None):
-        tables.setdefault((cfg.t1, cfg.N), set()).add(id(nodes))
-        alive.append(nodes)
+    def rate(approx, cfg):
         if cfg.t1 == 1.0 and cfg.N == 4 and cfg.p_b == bad_pb:
             raise RuntimeError("forced")
-        return real(approx, cfg, nodes=nodes)
+        return real(approx, cfg)
 
     monkeypatch.setattr(an, "ergodic_rate_meijer", rate)
     result = harness.run_experiment(spec)
     assert [(axes, msg) for axes, _, msg in result.failures] == [
         ((1.0, 4.0, spec.sweep[-1][1][1]), "RuntimeError: forced")]
     assert len(result.rows) == 2 * 2 * 3 - 1
-    # one node table per power group, a new one for each group
-    assert all(len(ids) == 1 for ids in tables.values())
-    assert len(set().union(*tables.values())) == len(tables) == 4
 
 
 def test_ergodic_analytical_overflow_fails_only_its_point():
@@ -375,6 +361,21 @@ def test_ergodic_analytical_overflow_fails_only_its_point():
     assert (axes, series) == ((2.0, 338.0, 20.0), "analytical")
     assert msg.startswith("ConvergenceError: contour integral overflows (-inf): "
                           "bs=(0.0, 0.0, 169.0), a1=0.0, a2=1.0, z=")
+
+
+def test_ergodic_analytical_near_the_cap_fails_with_its_error_bound():
+    # Gamma shape 169 and 169.5: a bracket whose bound is infinite or which is
+    # itself infinite fails its point, as does an overflowing contour term
+    spec = replace(cli._load("ergodic_vs_snr"), outputs=["analytical"],
+                   sweep=[("t1", [2.0]), ("n_elements", [338, 339]), ("pb_dbm", [-10.0, 15.0])])
+    result = harness.run_experiment(spec)
+    assert result.rows == [((2.0, 338.0, -10.0), "analytical", 8.572312073789849, 0.0, 0)]
+    assert [(axes, msg.split(" (")[0]) for axes, _, msg in result.failures] == [
+        ((2.0, 338.0, 15.0), "ConvergenceError: Meijer-G rate bracket 6.724296603426535e+306 "
+                             "has error bound inf"),
+        ((2.0, 339.0, -10.0), "ConvergenceError: Meijer-G rate bracket inf "
+                              "has error bound 2.18938925795996e+307"),
+        ((2.0, 339.0, 15.0), "ConvergenceError: contour integral overflows")]
 
 
 # SHA-256 of each preset's closed-form series at its shipped grid, recorded

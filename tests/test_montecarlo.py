@@ -419,6 +419,8 @@ def test_split_search_needs_a_relay_engine():
         mc.optimal_power_split(lambda *a, **k: None, plan, _rc())
     with pytest.raises(ValueError):
         mc.optimal_power_split(mc.af_relay_rate, plan, _rc(), grid=[0.5, 1.0])
+    with pytest.raises(ValueError, match="at least one power split"):
+        mc.optimal_power_split(mc.af_relay_rate, plan, _rc(), grid=[])
 
 
 def test_empirical_diversity_slope():

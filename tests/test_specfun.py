@@ -112,7 +112,7 @@ def _quad_plain_oracle(a, z):
 
 def test_meijer_pattern_a_unit_point():
     # Gamma_u(2, x) = (1+x) e^-x, so the host integral collapses to 1
-    got = sf.meijer_g_3123(0.0, 0.0, 2.0, 0.0, 1.0, 1.0)
+    got = sf.meijer_g_3123(0.0, 2.0, 1.0)
     oracle, _ = integrate.quad(lambda x: math.exp(-x), 0, np.inf)
     assert got.value == pytest.approx(oracle, rel=1e-10)
     assert got.value == pytest.approx(_quad_plain_oracle(2.0, 1.0), rel=1e-8)
@@ -120,7 +120,7 @@ def test_meijer_pattern_a_unit_point():
 
 def test_meijer_pattern_a_small_z_tracks_host_integral():
     for z in (1e-4, 1e-2):
-        got = sf.meijer_g_3123(0.0, 0.0, 4.0, 0.0, 1.0, z)
+        got = sf.meijer_g_3123(0.0, 4.0, z)
         assert got.value == pytest.approx(_quad_plain_oracle(4.0, z), rel=1e-7)
 
 
@@ -129,7 +129,7 @@ def test_meijer_pattern_b_small_z_approaches_finite_limit():
     a, d2 = 4.0, 2.0 / 3.0
     limit = math.gamma(a + d2) * math.gamma(d2) * math.gamma(1.0 - d2)
     assert limit == pytest.approx(53.367073252202066444, rel=1e-12)
-    got = sf.meijer_g_3123(d2, 0.0, a + d2, d2, 1.0, 1e-10)
+    got = sf.meijer_g_3123(d2, a + d2, 1e-10)
     assert got.value == pytest.approx(limit, rel=1e-5)
 
 
@@ -137,8 +137,8 @@ def test_meijer_dual_path_self_consistency():
     # non-integer order separations: both paths valid, must agree to 1e-6
     d2 = 2.0 / 3.0
     for a in (4.3, 7.77, 12.9):
-        dual = sf.meijer_g_3123(d2, 0.0, a + d2, d2, 1.0, 0.5, method="dual")
-        contour = sf.meijer_g_3123(d2, 0.0, a + d2, d2, 1.0, 0.5, method="contour")
+        dual = sf.meijer_g_3123(d2, a + d2, 0.5, method="dual")
+        contour = sf.meijer_g_3123(d2, a + d2, 0.5, method="contour")
         assert dual.value == pytest.approx(contour.value, rel=1e-6)
 
 
@@ -146,12 +146,12 @@ def test_meijer_integer_order_uses_contour_fallback():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30
     d2 = 2.0 / 3.0
-    got = sf.meijer_g_3123(d2, 0.0, 4.0 + d2, d2, 1.0, 0.5)
+    got = sf.meijer_g_3123(d2, 4.0 + d2, 0.5)
     assert got.method == "contour"
     ref = float(mp.meijerg([[d2], [1]], [[d2, 0, 4.0 + d2], []], 0.5))
     assert got.value == pytest.approx(ref, rel=1e-9)
     with pytest.raises(sf.ParameterPatternError):
-        sf.meijer_g_3123(d2, 0.0, 4.0 + d2, d2, 1.0, 0.5, method="slater")
+        sf.meijer_g_3123(d2, 4.0 + d2, 0.5, method="slater")
 
 
 def test_meijer_against_mpmath_family():
@@ -159,52 +159,76 @@ def test_meijer_against_mpmath_family():
     mp.mp.dps = 30
     for (a1, b3, z) in [(0.0, 2.0, 1e-6), (0.0, 8.0, 0.3), (0.8, 9.3, 2.0),
                         (0.5, 23.0, 1e-5), (0.6667, 3.1, 14.0)]:
-        got = sf.meijer_g_3123(a1, 0.0, b3, a1, 1.0, z)
+        got = sf.meijer_g_3123(a1, b3, z)
         ref = float(mp.meijerg([[a1], [1]], [[a1, 0, b3], []], z))
         assert got.value == pytest.approx(ref, rel=1e-8)
 
 
 def test_meijer_rejects_unsupported_patterns():
     with pytest.raises(sf.ParameterPatternError):
-        sf.meijer_g_3123(0.3, 0.1, 2.0, 0.3, 1.0, 1.0)   # b2 != 0
+        sf.meijer_g_3123(-0.1, 2.0, 1.0)    # a1 < 0
     with pytest.raises(sf.ParameterPatternError):
-        sf.meijer_g_3123(0.3, 0.0, 2.0, 0.4, 1.0, 1.0)   # b_top != a1
+        sf.meijer_g_3123(1.0, 2.0, 1.0)     # a1 >= 1
     with pytest.raises(sf.ParameterPatternError):
-        sf.meijer_g_3123(0.3, 0.0, 2.0, 0.3, 2.0, 1.0)   # a2 != 1
+        sf.meijer_g_3123(0.3, 0.3, 1.0)     # b3 <= a1
     with pytest.raises(ValueError):
-        sf.meijer_g_3123(0.0, 0.0, 2.0, 0.0, 1.0, -1.0)  # z <= 0
+        sf.meijer_g_3123(0.0, 2.0, -1.0)    # z <= 0
 
 
-# (b_top, b2, b3, a1, a2): integer and non-integer shapes of both rate patterns;
-# all but the last have coinciding poles (b_top = b2, or an integer b3 - b_top)
-# and take the contour at every z, the last takes Slater up to z = 30
-_RATE_PARAMS = [(0.0, 0.0, 4.0, 0.0, 1.0), (0.0, 0.0, 4.3, 0.0, 1.0),
-                (2.0 / 3.0, 0.0, 4.0 + 2.0 / 3.0, 2.0 / 3.0, 1.0),
-                (2.0 / 3.0, 0.0, 4.3 + 2.0 / 3.0, 2.0 / 3.0, 1.0)]
+def test_meijer_rejects_an_unknown_method():
+    with pytest.raises(ValueError, match="unknown Meijer-G method 'bogus'"):
+        sf.meijer_g_3123(0.0, 2.0, 1.0, method="bogus")
+
+
+def test_meijer_slater_guard_does_not_overflow():
+    # Slater terms near 1e305 at the rate's shape cap (t1=2, N=339): the guard
+    # once scaled the sum by 1e8 and overflowed; the values are unchanged
+    d2 = 2.0 / 3.0
+    want = {6.2946270589708306e-06: 3.643462277684924e+305,
+            0.00019905358527674846: 3.6433112527321354e+305,
+            6.29462705897083: 3.4781236200587917e+305}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z, value in want.items():
+            got = sf.meijer_g_3123(d2, 169.5 + d2, z)
+            assert (got.method, got.value) == ("slater", value)
+            contour = sf.meijer_g_3123(d2, 169.5 + d2, z, method="contour")
+            assert got.value == pytest.approx(contour.value, rel=1e-12)
+
+
+# (a1, b3): integer and non-integer shapes of both rate patterns; all but the
+# last have coinciding poles (a1 = 0 = b2, or an integer b3 - a1) and take the
+# contour at every z, the last takes Slater up to z = 30
+_RATE_PARAMS = [(0.0, 4.0), (0.0, 4.3), (2.0 / 3.0, 4.0 + 2.0 / 3.0),
+                (2.0 / 3.0, 4.3 + 2.0 / 3.0)]
 _ZS = (45.0, 0.5, 1e-3, 20.0, 300.0, 0.5)       # both sides of the Slater limit z = 30
+
+
+def _cold(params, z, method="auto"):
+    sf._contour_nodes.cache_clear()
+    return sf.meijer_g_3123(*params, z, method=method)
 
 
 def test_meijer_shared_nodes_give_the_fresh_results():
     for params in _RATE_PARAMS:
-        nodes = {}
         for method in ("auto", "contour", "dual"):
-            for z in _ZS:
-                fresh = sf.meijer_g_3123(*params, z, method=method)
-                shared = sf.meijer_g_3123(*params, z, method=method, nodes=nodes)
-                assert shared == fresh
-        # every method reached the contour at some z, so the table holds its nodes
-        bs, a1, a2 = params[:3], params[3], params[4]
-        assert list(nodes) == [(bs, a1, a2)] and nodes[bs, a1, a2]
+            cold = [_cold(params, z, method) for z in _ZS]
+            sf._contour_nodes.cache_clear()
+            warm = [sf.meijer_g_3123(*params, z, method=method) for z in _ZS]
+            assert warm == cold
+            # every method reached the contour at some z, so later z reused nodes
+            assert sf._contour_nodes.cache_info().hits > 0
 
 
 def test_meijer_nodes_shared_by_interleaved_parameter_sets():
-    # pairs of the sets differ only in b3, or only in a1 and b_top
-    nodes = {}
-    for z in _ZS:
-        for params in _RATE_PARAMS:
-            assert (sf.meijer_g_3123(*params, z, nodes=nodes)
-                    == sf.meijer_g_3123(*params, z))
-    assert len(nodes) == len(_RATE_PARAMS)
+    # pairs of the sets differ only in b3, or only in a1: a pair keeps both its
+    # tables in the two-table cache, four sets evict each other's at every call
+    for sets in (_RATE_PARAMS[:2], _RATE_PARAMS[::2], _RATE_PARAMS):
+        cold = [_cold(params, z) for z in _ZS for params in sets]
+        sf._contour_nodes.cache_clear()
+        warm = [sf.meijer_g_3123(*params, z) for z in _ZS for params in sets]
+        assert warm == cold
+        assert (sf._contour_nodes.cache_info().hits > 0) == (len(sets) == 2)
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +347,9 @@ def test_meijer_contour_near_the_shape_cap_keeps_values_and_names_overflow(shape
             warnings.simplefilter("error", RuntimeWarning)
             if want is None:
                 with pytest.raises(sf.ConvergenceError) as err:
-                    sf.meijer_g_3123(*bs, d2, 1.0, z, method="contour")
+                    sf.meijer_g_3123(d2, shape + d2, z, method="contour")
                 assert str(err.value).startswith("contour integral overflows (")
                 assert f"bs={bs}, a1={d2}, a2=1.0, z={z}" in str(err.value)
             else:
-                got = sf.meijer_g_3123(*bs, d2, 1.0, z, method="contour")
+                got = sf.meijer_g_3123(d2, shape + d2, z, method="contour")
                 assert (got.value, got.abs_error_bound) == want
