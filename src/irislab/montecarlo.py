@@ -265,6 +265,18 @@ class RelayConfig:
     sigma2: float = 3.9810717055349695e-13
     ref_atten_db: float = -30.0
 
+    def __post_init__(self) -> None:
+        if self.t1 < 0.5 or self.t2 < 0.5:
+            raise ValueError(f"fading parameters must be >= 0.5, got t1={self.t1} t2={self.t2}")
+        if not (0.0 < self.r0 < self.R):
+            raise ValueError(f"need 0 < r0 < R, got r0={self.r0} R={self.R}")
+        if self.d1 <= 0.0:
+            raise ValueError("d1 must be positive")
+        if self.alpha <= 0.0:
+            raise ValueError(f"need alpha > 0, got {self.alpha}")
+        if self.p_tot <= 0.0 or self.sigma2 <= 0.0:
+            raise ValueError("p_tot and sigma2 must be positive")
+
     @property
     def ref_atten_lin(self) -> float:
         return 10.0 ** (self.ref_atten_db / 10.0)
@@ -282,12 +294,14 @@ def _relay_draws(rc: RelayConfig, seed: int, blk):
     return g1, g2
 
 
-def _relay_block(plan, rc, scheme, splits, moments, blk):
+def _relay_block(plan, rc, scheme, splits, exact, blk):
     """One block's draws, evaluated at every power split in ``splits``.
 
-    Per split, one (sum, sumsq, 0) aggregate per reported rate: the end-to-end
-    rate for ``'af'`` and ``'df'``, both hop rates for ``'df_hops'``.  Sums
-    of squares are skipped (left 0.0) unless ``moments`` is set.
+    Per split, one aggregate per reported rate: the end-to-end rate for
+    ``'af'`` and ``'df'``, both hop rates for ``'df_hops'``.  With ``exact``
+    it is the correctly rounded (sum, sumsq, 0) that ``_reduce_blocks``
+    takes; without, numpy's pairwise sum alone, whose error
+    ``_mean_interval`` bounds.
     """
     g1, g2 = _relay_draws(rc, plan.master_seed, blk)
     out = []
@@ -302,15 +316,18 @@ def _relay_block(plan, rc, scheme, splits, moments, blk):
             r1 = 0.5 * np.log2(1.0 + pb * g1 / rc.sigma2)
             r2 = 0.5 * np.log2(1.0 + pd * g2 / rc.sigma2)
             rates = (np.minimum(r1, r2),) if scheme == "df" else (r1, r2)
-        out.append([(_fsum(v), _fsum(v * v) if moments else 0.0, 0) for v in rates])
+        if exact:
+            out.append([(_fsum(v), _fsum(v * v), 0) for v in rates])
+        else:
+            out.append([float(v.sum()) for v in rates])
     return out
 
 
-def _relay_parts(scheme, plan, rc, splits, moments, n_workers):
+def _relay_parts(scheme, plan, rc, splits, exact, n_workers):
     """Per split, per reported rate, the list of block aggregates."""
     if not all(0.0 < s < 1.0 for s in splits):
         raise ValueError("power_split must lie in (0, 1)")
-    fn = partial(_relay_block, plan, rc, scheme, splits, moments)
+    fn = partial(_relay_block, plan, rc, scheme, splits, exact)
     blocks = _run_blocks(fn, plan.trials, n_workers)
     return [[[b[i][k] for b in blocks] for k in range(len(blocks[0][i]))]
             for i in range(len(splits))]
@@ -325,10 +342,32 @@ def _weakest(means) -> int:
     return best
 
 
-def _relay_rate(scheme, plan, rc, split, n_workers) -> Estimate:
-    ests = [_reduce_blocks(parts, plan.trials, binary=False)
-            for parts in _relay_parts(scheme, plan, rc, [float(split)], True, n_workers)[0]]
-    return ests[_weakest([e.mean for e in ests])]
+def _relay_estimates(scheme, plan, rc, splits, n_workers) -> list:
+    """Per split, the ``Estimate`` of its weakest reported rate, exactly reduced."""
+    out = []
+    for per_rate in _relay_parts(scheme, plan, rc, splits, True, n_workers):
+        ests = [_reduce_blocks(parts, plan.trials, binary=False) for parts in per_rate]
+        out.append(ests[_weakest([e.mean for e in ests])])
+    return out
+
+
+def _mean_interval(block_sums, trials):
+    """An interval holding the mean that ``_reduce_blocks`` gives for these blocks.
+
+    Relay rates are >= 0 (``RelayConfig`` keeps ``p_tot`` and ``sigma2``
+    positive), so the sum of absolute values is the sum itself and every
+    error is relative to it.  Any order of n - 1 rounded additions errs by
+    at most gamma_{n-1} = (n-1)u / (1 - (n-1)u) of it (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, eq. 4.4; u = 2**-53): numpy's
+    pairwise sum of at most ``BLOCK`` values, then the sum over blocks, then
+    one rounding for the division.  The exact path rounds its block sums,
+    their sum and the division once each.  ``4 (BLOCK + blocks + 4) u``
+    covers both with room for the gamma denominators and for rounding the
+    half-width itself; ``ulp(0)`` covers a division that underflows.
+    """
+    mean = sum(block_sums) / trials
+    half = 4.0 * (BLOCK + len(block_sums) + 4) * 2.0 ** -53 * mean + math.ulp(0.0)
+    return mean - half, mean + half
 
 
 def _df_scheme(combine: str) -> str:
@@ -342,7 +381,7 @@ def _df_scheme(combine: str) -> str:
 def af_relay_rate(plan: TrialPlan, cfg_relay: RelayConfig, power_split: float,
                   n_workers: int = 1) -> Estimate:
     """Amplify-and-forward rate: the relay also forwards its receive noise."""
-    return _relay_rate("af", plan, cfg_relay, power_split, n_workers)
+    return _relay_estimates("af", plan, cfg_relay, [float(power_split)], n_workers)[0]
 
 
 def df_relay_rate(plan: TrialPlan, cfg_relay: RelayConfig, power_split: float,
@@ -353,38 +392,57 @@ def df_relay_rate(plan: TrialPlan, cfg_relay: RelayConfig, power_split: float,
     information-theoretic reading); ``'min_of_means'`` reports the minimum
     of the two per-hop ergodic rates instead, both taken from one draw.
     """
-    return _relay_rate(_df_scheme(combine), plan, cfg_relay, power_split, n_workers)
+    return _relay_estimates(_df_scheme(combine), plan, cfg_relay, [float(power_split)],
+                            n_workers)[0]
 
 
 def optimal_power_split(relay_rate_fn, plan: TrialPlan, cfg_relay: RelayConfig,
                         grid=None, n_workers: int = 1, **rate_kw):
     """Grid search over the BS/relay power split with common random numbers.
 
-    ``relay_rate_fn`` is ``af_relay_rate`` or ``df_relay_rate``; ``rate_kw``
-    such as ``combine`` are passed on to it.  Every split is evaluated on
-    the same draws, in one pass over the blocks, so the argmax is over a
-    smooth curve rather than independent noise.  The first split with the
-    strictly greatest mean wins and is run once more through
-    ``relay_rate_fn`` for its full ``Estimate``.
+    ``relay_rate_fn`` is ``af_relay_rate``, or ``df_relay_rate`` with its
+    optional ``combine``.  Every split is evaluated on the same draws, so
+    the argmax is over a smooth curve rather than independent noise.  It
+    returns the first split with the strictly greatest mean, and the
+    ``Estimate`` that ``relay_rate_fn`` gives there, in two passes:
+
+    * a bounded pass over every split sums each block with numpy and gives
+      each split an interval that provably holds its exact mean
+      (``_mean_interval``; for ``min_of_means`` the minimum of the two
+      hops' intervals);
+    * an exact pass, in grid order, over the candidates: the splits whose
+      upper end reaches the greatest lower end, or every split if a bounded
+      value is not finite.
+
+    A split left out has an exact mean below the greatest lower end, which
+    the exact mean of the split that sets it reaches, so it can neither be
+    the maximum nor tie with it: the split and its ``Estimate`` are those
+    of an exact evaluation of every split.
     """
-    if relay_rate_fn is af_relay_rate:
+    if relay_rate_fn is af_relay_rate and not rate_kw:
         scheme = "af"
-    elif relay_rate_fn is df_relay_rate:
+    elif relay_rate_fn is df_relay_rate and set(rate_kw) <= {"combine"}:
         scheme = _df_scheme(rate_kw.get("combine", "per_draw"))
     else:
-        raise ValueError("relay_rate_fn must be af_relay_rate or df_relay_rate")
+        raise ValueError("relay_rate_fn must be af_relay_rate, or df_relay_rate "
+                         "with an optional combine")
     if grid is None:
         grid = np.round(np.arange(0.01, 1.0, 0.01), 2)
     splits = [float(s) for s in grid]
     if not splits:
         raise ValueError("optimal_power_split needs at least one power split")
+    ends = [[_mean_interval(sums, plan.trials) for sums in per_rate]
+            for per_rate in _relay_parts(scheme, plan, cfg_relay, splits, False, n_workers)]
+    # every hop is checked before the hop minimum, which can pass over a NaN
+    if all(math.isfinite(hi) for per_rate in ends for _, hi in per_rate):
+        bounds = [(min(lo for lo, _ in e), min(hi for _, hi in e)) for e in ends]
+        floor = max(lo for lo, _ in bounds)
+        splits = [s for s, (_, hi) in zip(splits, bounds) if hi >= floor]
     best = None
-    for i, per_rate in enumerate(_relay_parts(scheme, plan, cfg_relay, splits, False, n_workers)):
-        means = [math.fsum(p[0] for p in parts) / plan.trials for parts in per_rate]
-        mean = means[_weakest(means)]
-        if best is None or mean > best[1]:
-            best = (splits[i], mean)
-    return best[0], relay_rate_fn(plan, cfg_relay, best[0], n_workers=n_workers, **rate_kw)
+    for split, est in zip(splits, _relay_estimates(scheme, plan, cfg_relay, splits, n_workers)):
+        if best is None or est.mean > best[1].mean:
+            best = (split, est)
+    return best
 
 
 def empirical_diversity_slope(op_curve) -> float:

@@ -4,6 +4,7 @@ import itertools
 import json
 import time
 from dataclasses import replace
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -80,6 +81,20 @@ def _ee_dict():
 def test_spec_rejects_unknown_keys(section, key, value, tmp_path):
     d = _ee_dict()
     (d[section] if section else d)[key] = value
+    with pytest.raises(ValueError, match=key):
+        harness.spec_from_dict(d)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(d))
+    assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("key,value", [
+    ("t1", 0.4), ("t2", 0.2), ("r0", 0.0), ("R", 0.5), ("d1", 0.0), ("alpha", 0.0),
+    ("p_tot", 0.0), ("sigma2", -1e-13)])
+def test_spec_rejects_bad_relay_values(key, value, tmp_path):
+    d = json.loads(resources.files("irislab").joinpath("presets", "relay_compare.json")
+                   .read_text(encoding="utf-8"))
+    d["relay"][key] = value
     with pytest.raises(ValueError, match=key):
         harness.spec_from_dict(d)
     path = tmp_path / "c.json"

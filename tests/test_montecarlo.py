@@ -272,7 +272,7 @@ def test_power_axis_draws_once_per_block(monkeypatch):
     mc.simulate_op_axis(plan, _cfg(), _POWERS)
     mc.optimal_power_split(mc.df_relay_rate, plan, _rc(), combine="min_of_means")
     n_blocks = len(mc._block_ranges(plan.trials))
-    # the split search: one pass for every split, one more for the winner
+    # the split search: one pass for every split, one more for the candidates
     assert len(keys) == n_blocks + 2 * n_blocks
     assert len(set(keys)) == 2 * n_blocks
 
@@ -375,12 +375,15 @@ def _loop_split_search(relay_rate_fn, plan, rc, grid, **rate_kw):
     return best_split, best
 
 
-@pytest.mark.parametrize("n_workers", [1, 2])
-@pytest.mark.parametrize("rate_fn,rate_kw", [
+_RELAY_ENGINES = [
     (mc.af_relay_rate, {}),
     (mc.df_relay_rate, {}),
     (mc.df_relay_rate, {"combine": "min_of_means"}),
-])
+]
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("rate_fn,rate_kw", _RELAY_ENGINES)
 def test_split_grid_equals_per_split_calls(rate_fn, rate_kw, n_workers):
     plan = mc.TrialPlan(trials=_ODD_TRIALS, master_seed=17)
     rc = _rc(p_tot=0.1)
@@ -389,6 +392,68 @@ def test_split_grid_equals_per_split_calls(rate_fn, rate_kw, n_workers):
     assert got == _loop_split_search(rate_fn, plan, rc, grid, **rate_kw)
     one = rate_fn(plan, rc, 0.3, **rate_kw)
     assert rate_fn(plan, rc, 0.3, n_workers=n_workers, **rate_kw) == one
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("rate_fn,rate_kw", _RELAY_ENGINES)
+@pytest.mark.parametrize("p_tot,grid", [
+    (0.1, [0.3, 0.45, 0.3, 0.6, 0.3]),                      # the winner, three times
+    (1e-30, np.round(np.arange(0.05, 1.0, 0.05), 2)),       # every rate is 0.0
+    (0.1, None),                                            # flatter than the sums' error
+])
+def test_split_search_ties_and_flat_grids_equal_per_split_calls(rate_fn, rate_kw, n_workers,
+                                                                p_tot, grid):
+    plan = mc.TrialPlan(trials=_ODD_TRIALS, master_seed=17)
+    rc = _rc(p_tot=p_tot)
+    if grid is None:
+        # 1e-15 apart at the optimum, the means differ by less than a numpy
+        # block sum's rounding, and for AF and DF its argmax is not the exact one
+        centre, _ = mc.optimal_power_split(rate_fn, plan, rc, **rate_kw)
+        grid = [centre + k * 1e-15 for k in range(-20, 21)]
+    got = mc.optimal_power_split(rate_fn, plan, rc, grid=grid, n_workers=n_workers, **rate_kw)
+    assert got == _loop_split_search(rate_fn, plan, rc, grid, **rate_kw)
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("rate_fn,rate_kw", _RELAY_ENGINES)
+def test_non_finite_bounded_pass_keeps_every_split(monkeypatch, rate_fn, rate_kw, n_workers):
+    plan = mc.TrialPlan(trials=_ODD_TRIALS, master_seed=17)
+    rc = _rc(p_tot=0.1)
+    grid = np.round(np.arange(0.05, 1.0, 0.05), 2)
+    real = mc._relay_parts
+    exact_splits = []
+
+    def corrupted(scheme, plan, rc, splits, exact, n_workers):
+        parts = real(scheme, plan, rc, splits, exact, n_workers)
+        if exact:
+            exact_splits.append(list(splits))
+        else:
+            parts[7][-1][1] = math.nan           # a block sum of the split's last rate
+        return parts
+
+    monkeypatch.setattr(mc, "_relay_parts", corrupted)
+    got = mc.optimal_power_split(rate_fn, plan, rc, grid=grid, n_workers=n_workers, **rate_kw)
+    monkeypatch.undo()
+    assert exact_splits == [[float(s) for s in grid]]
+    assert got == _loop_split_search(rate_fn, plan, rc, grid, **rate_kw)
+
+
+@pytest.mark.parametrize("rate_fn,rate_kw", _RELAY_ENGINES)
+def test_default_grid_reduces_few_splits_exactly(monkeypatch, rate_fn, rate_kw):
+    calls = []
+    real = mc._fsum
+
+    def counting(vals):
+        calls.append(len(vals))
+        return real(vals)
+
+    monkeypatch.setattr(mc, "_fsum", counting)
+    plan = mc.TrialPlan(trials=_ODD_TRIALS, master_seed=3)
+    mc.optimal_power_split(rate_fn, plan, _rc(), **rate_kw)
+    n_rates = 2 if rate_kw else 1
+    n_blocks = len(mc._block_ranges(plan.trials))
+    # a sum and a sum of squares per split, rate and block; at most 3 of 99 splits
+    assert 0 < len(calls) <= 2 * 3 * n_rates * n_blocks
 
 
 def test_relay_rates_match_per_draw_reference():
@@ -421,6 +486,12 @@ def test_split_search_needs_a_relay_engine():
         mc.optimal_power_split(mc.af_relay_rate, plan, _rc(), grid=[0.5, 1.0])
     with pytest.raises(ValueError, match="at least one power split"):
         mc.optimal_power_split(mc.af_relay_rate, plan, _rc(), grid=[])
+    with pytest.raises(ValueError):      # af_relay_rate takes no combine
+        mc.optimal_power_split(mc.af_relay_rate, plan, _rc(), combine="per_draw")
+    with pytest.raises(ValueError):
+        mc.optimal_power_split(mc.df_relay_rate, plan, _rc(), combin="min_of_means")
+    with pytest.raises(ValueError):
+        mc.optimal_power_split(mc.df_relay_rate, plan, _rc(), combine="average")
 
 
 def test_empirical_diversity_slope():
