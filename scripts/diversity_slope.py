@@ -26,7 +26,7 @@ def slopes_for(n: int, t1: float, t2: float, window=(1e-10, 1e-5)):
                             p_b=1e-3 * 10 ** (pb_dbm / 10.0))
         snr_db = 10.0 * math.log10(cfg.p_b / cfg.sigma2)
         for curve, op in ((exact, an.op_exact(cfg)),
-                          (closed, an.op_closed_form(cfg, clamp=False))):
+                          (closed, an.op_closed_form(cfg))):
             if window[0] <= op <= window[1]:
                 curve.append((snr_db, op))
     return empirical_diversity_slope(exact), empirical_diversity_slope(closed)

@@ -21,7 +21,6 @@ both forced by the oracles:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,7 +31,6 @@ from .geometry import NetworkConfig
 from .specfun import ConvergenceError, hyp2f2, meijer_g_3123
 
 __all__ = [
-    "OutOfRangeWarning",
     "HighSnrChannelStats",
     "GammaApprox",
     "PowerModel",
@@ -59,10 +57,6 @@ __all__ = [
     "power_consumption",
     "energy_efficiency",
 ]
-
-
-class OutOfRangeWarning(UserWarning):
-    """Raw closed-form probability left [0, 1] and was clamped."""
 
 
 def _split_ts_tl(t1: float, t2: float):
@@ -256,13 +250,12 @@ def _ln_phi(s: HighSnrChannelStats, cfg: NetworkConfig) -> float:
             - math.lgamma(s.a) - math.log(cfg.R ** 2 - cfg.r0 ** 2))
 
 
-def op_closed_form(cfg: NetworkConfig, clamp: bool = True) -> float:
+def op_closed_form(cfg: NetworkConfig) -> float:
     """Closed-form outage probability over the annulus [r0, R].
 
     Assembled in the log domain because b^a and R^(alpha a + 2) individually
-    overflow double precision long before their product does.  Values outside
-    [0, 1] (possible: the channel CDF is a tail model) are clamped with a
-    warning unless ``clamp`` is false.
+    overflow double precision long before their product does.  The channel
+    CDF is a tail model, so the value can leave [0, 1]; it is returned as is.
     """
     stats, b = _tail_model(cfg)
     if b <= 0.0:
@@ -277,11 +270,7 @@ def op_closed_form(cfg: NetworkConfig, clamp: bool = True) -> float:
 
     ln_hi = branch(cfg.R)
     ln_lo = branch(cfg.r0)
-    p = math.exp(ln_hi) * (-math.expm1(ln_lo - ln_hi))
-    if clamp and not 0.0 <= p <= 1.0:
-        warnings.warn(f"closed-form outage {p:.6g} clamped to [0, 1]", OutOfRangeWarning)
-        p = min(max(p, 0.0), 1.0)
-    return p
+    return math.exp(ln_hi) * (-math.expm1(ln_lo - ln_hi))
 
 
 def op_quadrature(cfg: NetworkConfig) -> float:
@@ -391,16 +380,15 @@ def op_special_case(eps_or_delta: float, n: int, d1: float, R: float,
 class GammaApprox:
     """Moment-matched Gamma model of the squared post-combining gain."""
 
-    t_h: float
     shape: float
     scale: float
 
 
 def gamma_approx(cfg: NetworkConfig) -> GammaApprox:
-    """Gamma(shape, scale) with mean N*Q and variance N*Q*t_h."""
+    """Gamma(shape, scale) with mean N*Q and variance N*Q*scale."""
     q = cfg.Q
     t_h = (1.0 + cfg.t1 + q * cfg.t2) / (cfg.t1 * cfg.t2)
-    return GammaApprox(t_h=t_h, shape=cfg.N * q / t_h, scale=t_h)
+    return GammaApprox(shape=cfg.N * q / t_h, scale=t_h)
 
 
 def rate_snr_scale(approx: GammaApprox, cfg: NetworkConfig) -> float:
@@ -411,7 +399,7 @@ def rate_snr_scale(approx: GammaApprox, cfg: NetworkConfig) -> float:
     special case d1 = 1, 0 dB.
     """
     return (cfg.Q * cfg.sigma2 * cfg.d1 ** cfg.alpha
-            / (approx.t_h * cfg.p_b * cfg.ref_atten_lin))
+            / (approx.scale * cfg.p_b * cfg.ref_atten_lin))
 
 
 def ergodic_rate_quadrature(approx: GammaApprox, cfg: NetworkConfig) -> float:
@@ -505,8 +493,8 @@ class PowerModel:
     P_L: float          # per-element surface power
 
     def __post_init__(self) -> None:
-        if min(self.P_Bs, self.eps_b, self.P_U, self.P_L) < 0.0:
-            raise ValueError("power model entries must be nonnegative")
+        if not all(v >= 0.0 for v in (self.P_Bs, self.eps_b, self.P_U, self.P_L)):
+            raise ValueError(f"power model entries must be nonnegative, got {self}")
 
 
 def power_consumption(pm: PowerModel, cfg: NetworkConfig) -> float:

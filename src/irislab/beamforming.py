@@ -3,7 +3,7 @@
 The surface weights co-phase every cascaded path onto a real target vector;
 each user then projects onto the null space of the other users' effective
 columns and combines with MRC inside it.  ``link_snr`` is the ground-truth
-post-detection SNR, ``model_snr`` the analytical-model counterpart.
+post-detection SNR.
 
 Every link-level function takes a realization with or without leading trial
 axes (one trial is the case without) and runs once per stack, except where
@@ -32,7 +32,6 @@ __all__ = [
     "solve_beamforming",
     "link_gain",
     "link_snr",
-    "model_snr",
 ]
 
 _RANK_RCOND = 1e-10   # singular values below rcond * s_max count as zero
@@ -159,17 +158,3 @@ def link_snr(real: ChannelRealization, solution: BeamformingSolution,
     """Post-detection SNR of user m, per trial."""
     return link_gain(real, solution, cfg, m) * cfg.p_b / cfg.sigma2
 
-
-def model_snr(sum_gains: np.ndarray, beta_max: float, d1: float, d2: float,
-              cfg: NetworkConfig) -> float:
-    """Analytical-model SNR from the Q co-phased row gains.
-
-    sum_gains[q] = sum_n |g_{m,q,n}| |h_{n,m}|; the combiner norm contributes
-    the Q in the denominator.
-    """
-    Q = cfg.Q
-    if len(sum_gains) != Q:
-        raise ValueError(f"expected {Q} row gains, got {len(sum_gains)}")
-    gain = float(np.sum(np.square(sum_gains)))
-    pl = path_loss(d1, d2, cfg.alpha, cfg.ref_atten_db)
-    return gain * pl * cfg.p_b / (beta_max ** 2 * Q * cfg.sigma2)

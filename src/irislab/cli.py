@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from dataclasses import replace
@@ -48,12 +49,13 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="IRS-assisted MIMO downlink experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run a preset or a JSON experiment config")
-    run.add_argument("target", help="preset name or path to a config file")
+    run = sub.add_parser("run", help="run presets or JSON experiment configs; each "
+                                     "writes <experiment>.csv and <experiment>.json")
+    run.add_argument("targets", nargs="+", metavar="target",
+                     help="preset name or path to a config file")
     run.add_argument("--trials", type=int, default=None, help="override trial count")
     run.add_argument("--seed", type=int, default=None, help="override master seed")
     run.add_argument("--out", default=".", help="output directory")
-    run.add_argument("--format", choices=("csv", "json"), default="csv")
     run.add_argument("--series", default=None, help="comma-separated series subset")
     run.add_argument("--workers", type=int, default=1)
     run.add_argument("--smoke", action="store_true",
@@ -63,14 +65,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        if args.command == "presets":
-            for name in _preset_names():
-                print(name)
-            return 0
-        spec = _load(args.target)
+def _specs(args) -> list:
+    """Every target's spec with the overrides applied, one output name each."""
+    specs, owner = [], {}
+    for target in args.targets:
+        spec = _load(target)
         if args.trials is not None:
             spec.plan = replace(spec.plan, trials=args.trials)
         if args.seed is not None:
@@ -79,18 +78,35 @@ def main(argv=None) -> int:
             spec = replace(spec, outputs=[s.strip() for s in args.series.split(",") if s.strip()])
         if args.smoke:
             spec = _smoke(spec)
-        result = harness.run_experiment(spec, n_workers=args.workers)
+        if spec.experiment in owner:
+            raise ValueError(f"targets {owner[spec.experiment]!r} and {target!r} would both "
+                             f"write {spec.experiment}.csv")
+        owner[spec.experiment] = target
+        specs.append(spec)
+    return specs
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        if args.command == "presets":
+            for name in _preset_names():
+                print(name)
+            return 0
+        specs = _specs(args)                        # every target loads before any run
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        out_path = out_dir / f"{spec.experiment}.{args.format}"
-        if args.format == "csv":
-            harness.emit_csv(result, out_path)
-        else:
-            harness.emit_json(result, out_path)
-        print(f"wrote {out_path} ({len(result.rows)} rows, "
-              f"{result.metadata['wall_time_s']} s)")
-        for axes, series, msg in result.failures:
-            print(f"note: {series} failed at {axes}: {msg}")
+        for spec in specs:
+            result = harness.run_experiment(spec, n_workers=args.workers)
+            csv_path = out_dir / f"{spec.experiment}.csv"
+            harness.emit_csv(result, csv_path)
+            harness.emit_json(result, csv_path.with_suffix(".json"))
+            digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+            print(f"wrote {csv_path} and .json: {len(result.rows)} rows in "
+                  f"{result.metadata['wall_time_s']}s, {len(result.failures)} per-point "
+                  f"failures, sha256 {digest}")
+            for axes, series, msg in result.failures:
+                print(f"note: {series} failed at {axes}: {msg}")
         return 0
     except Exception as exc:                        # noqa: BLE001 - CLI boundary
         json.dump({"error": type(exc).__name__, "detail": str(exc)}, sys.stderr)

@@ -360,13 +360,21 @@ def _sum_se(run, cfg) -> float:
     return cfg.M * run.memo[key]
 
 
+def _outage(run, cfg) -> float:
+    """The closed-form outage; its tail model can leave [0, 1], which fails the point."""
+    p = an.op_closed_form(cfg)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"closed-form outage {p!r} is outside [0, 1]")
+    return p
+
+
 def _power(run, cfg) -> float:
     return an.power_consumption(run.spec.power_model, cfg)
 
 
 _SERIES = {
     "op_vs_snr": {
-        "analytical": _closed(lambda run, c: an.op_closed_form(c)),
+        "analytical": _closed(_outage),
         "asymptotic": _closed(lambda run, c: an.op_asymptotic(c)),
         "montecarlo_model": _axis("simulate_op_axis"),
         "montecarlo_link": _axis("simulate_op_axis", fidelity="link_level"),

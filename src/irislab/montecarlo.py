@@ -31,7 +31,7 @@ from functools import partial
 import numpy as np
 
 from .beamforming import RankDeficiencyError, link_gain, solve_beamforming
-from .geometry import (NetworkConfig, draw_channel, sample_nakagami_power,
+from .geometry import (NetworkConfig, check_scenario, draw_channel, sample_nakagami_power,
                        sample_user_distance, stream)
 
 __all__ = [
@@ -266,16 +266,7 @@ class RelayConfig:
     ref_atten_db: float = -30.0
 
     def __post_init__(self) -> None:
-        if self.t1 < 0.5 or self.t2 < 0.5:
-            raise ValueError(f"fading parameters must be >= 0.5, got t1={self.t1} t2={self.t2}")
-        if not (0.0 < self.r0 < self.R):
-            raise ValueError(f"need 0 < r0 < R, got r0={self.r0} R={self.R}")
-        if self.d1 <= 0.0:
-            raise ValueError("d1 must be positive")
-        if self.alpha <= 0.0:
-            raise ValueError(f"need alpha > 0, got {self.alpha}")
-        if self.p_tot <= 0.0 or self.sigma2 <= 0.0:
-            raise ValueError("p_tot and sigma2 must be positive")
+        check_scenario(self, "p_tot", alpha_min=0.0)
 
     @property
     def ref_atten_lin(self) -> float:

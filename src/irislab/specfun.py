@@ -233,12 +233,25 @@ def _meijer_contour(bs, a1, a2, z):
         return _exp_real(head[0] + c0lnz, head[1] + t * lnz)
 
     scale = abs(f(0.0)) + 1e-300
-    val, err = integrate.quad(f, 0.0, 48.0, limit=4000,
-                              epsabs=scale * 1e-14, epsrel=1e-12)
+    val, err, _, *flagged = integrate.quad(f, 0.0, 48.0, limit=4000, epsabs=scale * 1e-14,
+                                           epsrel=1e-12, full_output=1)
     if not math.isfinite(val):
         raise ConvergenceError(
             f"contour integral overflows ({val!r}): bs={bs}, a1={a1}, a2={a2}, z={z}"
         )
+    if flagged:
+        # QUADPACK doubts its estimate (near the top of the double range its
+        # error arithmetic saturates).  The value stands only under a bound
+        # that also covers scipy's other adaptive integrator, run on the
+        # integrand scaled to 1 at t = 0, to a tolerance far inside the 1e-5
+        # the rate asks of its terms.
+        ref, ref_err, info = integrate.quad_vec(lambda t: f(t) / scale, 0.0, 48.0,
+                                                epsabs=1e-12, epsrel=1e-10, full_output=True)
+        if not info.success:
+            raise ConvergenceError(
+                f"contour integral unresolved ({info.message}): bs={bs}, a1={a1}, a2={a2}, z={z}"
+            )
+        err = max(abs(err), abs(val - scale * ref) + scale * ref_err)
     return val / math.pi, abs(err) / math.pi
 
 

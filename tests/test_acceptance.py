@@ -52,7 +52,7 @@ def test_criterion_01_closed_form_equals_quadrature():
         q = an.op_quadrature(cfg)
         if not 1e-6 <= q <= 0.99:
             continue
-        cf = an.op_closed_form(cfg, clamp=False)
+        cf = an.op_closed_form(cfg)
         worst = max(worst, abs(cf - q) / q)
         checked += 1
     elapsed = time.monotonic() - t0
@@ -73,7 +73,7 @@ def test_criterion_02_diversity_orders():
             op = an.op_exact(cfg)
             if 1e-8 <= op <= 1e-4:
                 curve.append((snr_db, op))
-            cf = an.op_closed_form(cfg, clamp=False)
+            cf = an.op_closed_form(cfg)
             if 1e-8 <= cf <= 1e-4:
                 tail_curve.append((snr_db, cf))
         slope = mc.empirical_diversity_slope(curve)

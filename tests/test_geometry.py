@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,9 @@ import pytest
 from scipy import special, stats as spstats
 
 from irislab import geometry as geo
+from irislab.analysis import PowerModel
+from irislab.montecarlo import RelayConfig
+
 
 
 class _FixedU:
@@ -32,6 +36,18 @@ def test_config_invariants():
     assert cfg.Q == 2
     assert cfg.solvable
     assert not geo.NetworkConfig(M=2, K=3, N=5).solvable
+
+
+@pytest.mark.parametrize("cls,name", [
+    pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+    for cls in (geo.NetworkConfig, RelayConfig, PowerModel)
+    for f in dataclasses.fields(cls) if f.type in ("float", float)])
+def test_every_float_field_rejects_nan(cls, name):
+    required = dict(P_Bs=1.0, eps_b=1.2, P_U=0.01, P_L=0.01) if cls is PowerModel else {}
+    cls(**required)
+    with pytest.raises(ValueError, match=name) as caught:
+        cls(**{**required, name: math.nan})
+    assert "nan" in str(caught.value)
 
 
 def test_distance_inverse_cdf_endpoints():

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import time
 from dataclasses import replace
 from importlib import resources
@@ -90,7 +91,7 @@ def test_spec_rejects_unknown_keys(section, key, value, tmp_path):
 
 @pytest.mark.parametrize("key,value", [
     ("t1", 0.4), ("t2", 0.2), ("r0", 0.0), ("R", 0.5), ("d1", 0.0), ("alpha", 0.0),
-    ("p_tot", 0.0), ("sigma2", -1e-13)])
+    ("p_tot", 0.0), ("sigma2", -1e-13), ("t1", math.nan)])
 def test_spec_rejects_bad_relay_values(key, value, tmp_path):
     d = json.loads(resources.files("irislab").joinpath("presets", "relay_compare.json")
                    .read_text(encoding="utf-8"))
@@ -257,7 +258,7 @@ def test_irs_model_runs_at_model_level():
 def test_cli_run_and_errors(tmp_path, capsys):
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps(_ee_dict()))
-    code = cli.main(["run", str(cfg_path), "--out", str(tmp_path), "--format", "csv"])
+    code = cli.main(["run", str(cfg_path), "--out", str(tmp_path)])
     assert code == 0
     out = (tmp_path / "ee_sweep.csv").read_text().splitlines()
     assert out[0] == "axis_n_elements,series,value,std_error,trials"
@@ -266,6 +267,53 @@ def test_cli_run_and_errors(tmp_path, capsys):
     assert cli.main(["presets"]) == 0
     names = capsys.readouterr().out.split()
     assert "op_vs_snr" in names
+
+
+def test_cli_runs_several_targets_with_one_digest_each(tmp_path, capsys):
+    out = tmp_path / "results"
+    assert cli.main(["run", "throughput_surface", "ee_sweep", "--smoke", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    for name, line in zip(("throughput_surface", "ee_sweep"), lines):
+        digest = hashlib.sha256((out / f"{name}.csv").read_bytes()).hexdigest()
+        assert line.startswith(f"wrote {out / name}.csv and .json: ")
+        assert line.endswith(f" 0 per-point failures, sha256 {digest}")
+        assert json.loads((out / f"{name}.json").read_text())["metadata"]["experiment"] == name
+
+
+@pytest.mark.parametrize("targets,error,detail", [
+    (["ee_sweep", "op_vs_snrr"], "FileNotFoundError",
+     "no config file or preset named 'op_vs_snrr'; presets: ee_sweep, "),
+    (["ee_sweep", "exp.json"], "ValueError",
+     "targets 'ee_sweep' and 'exp.json' would both write ee_sweep.csv"),
+], ids=["unknown_target", "same_output_file"])
+def test_cli_checks_every_target_before_any_run(targets, error, detail, tmp_path, monkeypatch,
+                                                capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.json").write_text(json.dumps(_ee_dict()))
+    assert cli.main(["run", *targets, "--smoke", "--out", "results"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    reported = json.loads(captured.err)
+    assert reported["error"] == error and reported["detail"].startswith(detail)
+    assert not (tmp_path / "results").exists()
+
+
+def test_op_closed_form_outside_the_unit_interval_fails_its_point():
+    # near-equal fading parameters blow the tail constant up: the raw value passes 1
+    spec = harness.spec_from_dict({
+        "experiment": "op_vs_snr",
+        "sweep": {"pb_dbm": [-40]},
+        "base": {"N": 3, "t1": 1.02, "t2": 1.0},
+        "plan": {"trials": 1000, "master_seed": 1},
+        "outputs": ["analytical"],
+    })
+    raw = an.op_closed_form(replace(spec.base, p_b=1e-3 * 10.0 ** (-40 / 10.0)))
+    assert raw > 1.0
+    result = harness.run_experiment(spec)
+    assert result.rows == []
+    assert result.failures == [
+        ((-40.0,), "analytical", f"ValueError: closed-form outage {raw!r} is outside [0, 1]")]
 
 
 def test_cli_series_subset(tmp_path):
@@ -365,7 +413,7 @@ def test_ergodic_analytical_fails_per_point(monkeypatch):
 
 
 def test_ergodic_analytical_overflow_fails_only_its_point():
-    # Gamma shape N/t_h = 169: the contour overflows at 20 dBm; the rows at 0 and
+    # Gamma shape N/scale = 169: the contour overflows at 20 dBm; the rows at 0 and
     # 10 dBm are the values recorded before the overflow had its own error
     spec = replace(cli._load("ergodic_vs_snr"), outputs=["analytical"],
                    sweep=[("t1", [2.0]), ("n_elements", [338]), ("pb_dbm", [0.0, 10.0, 20.0])])

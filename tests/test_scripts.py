@@ -1,7 +1,6 @@
-"""The two scripts, run as a user runs them: a subprocess with PYTHONPATH=src."""
+"""The script, run as a user runs it: a subprocess with PYTHONPATH=src."""
 
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,18 +24,3 @@ def test_diversity_slope_prints_the_exact_slope():
     lines = _script("diversity_slope.py", "--elements", "1")
     assert len(lines) == 1 and lines[0].startswith("N=1: exact slope  2.000")
 
-
-def test_reproduce_figures_prints_one_digest_per_preset(tmp_path):
-    lines = _script("reproduce_figures.py", "--smoke", "--only", "throughput_surface,ee_sweep",
-                    "--out", str(tmp_path))
-    assert [line.split(":")[0] for line in lines] == ["ee_sweep", "throughput_surface"]
-    assert all(re.search(r"sha256 [0-9a-f]{64}$", line) for line in lines)
-    assert (tmp_path / "ee_sweep.csv").is_file()
-
-
-def test_reproduce_figures_rejects_an_unknown_preset(tmp_path):
-    proc = _run("reproduce_figures.py", "--smoke", "--only", "op_vs_snrr,ee_sweep",
-                "--out", str(tmp_path))
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert "unknown preset(s) op_vs_snrr; presets: ee_sweep, ergodic_vs_snr, " in proc.stderr
-    assert not any(tmp_path.iterdir())

@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -353,3 +354,27 @@ def test_meijer_contour_near_the_shape_cap_keeps_values_and_names_overflow(shape
             else:
                 got = sf.meijer_g_3123(d2, shape + d2, z, method="contour")
                 assert (got.value, got.abs_error_bound) == want
+
+
+# shape 169 at z = 2e-8: the integrand peaks at 1.5e308 and QUADPACK flags its
+# own estimate; this term is one of the four rates of ergodic_vs_snr at t1=2,
+# N=338, 10 dBm
+_FLAGGED = (0.0, 169.0, 1.9905358527674848e-08)
+
+
+def test_meijer_flagged_contour_keeps_its_value_under_a_covering_bound():
+    mp = pytest.importorskip("mpmath")
+    got = sf.meijer_g_3123(*_FLAGGED)
+    assert got.method == "contour" and got.value == 5.774410625122379e+303
+    a1, b3, z = _FLAGGED
+    ref = float(mp.meijerg([[a1], [1]], [[a1, 0, b3], []], z))
+    assert abs(got.value - ref) <= got.abs_error_bound <= 1e-2 * got.value
+
+
+def test_meijer_flagged_contour_without_a_second_evaluation_raises(monkeypatch):
+    def unresolved(*args, **kwargs):
+        return math.nan, math.nan, SimpleNamespace(success=False, message="forced")
+
+    monkeypatch.setattr(sf.integrate, "quad_vec", unresolved)
+    with pytest.raises(sf.ConvergenceError, match=r"contour integral unresolved \(forced\)"):
+        sf.meijer_g_3123(*_FLAGGED)
