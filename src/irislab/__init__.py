@@ -4,7 +4,7 @@ MIMO downlinks, with AF/DF relay baselines."""
 __version__ = "0.1.0"
 
 from .geometry import ChannelRealization, NetworkConfig
-from .montecarlo import Estimate, RelayConfig, TrialPlan
+from .montecarlo import Estimate, TrialPlan
 
 __all__ = [
     "__version__",
@@ -12,5 +12,4 @@ __all__ = [
     "ChannelRealization",
     "TrialPlan",
     "Estimate",
-    "RelayConfig",
 ]

@@ -493,8 +493,8 @@ class PowerModel:
     P_L: float          # per-element surface power
 
     def __post_init__(self) -> None:
-        if not all(v >= 0.0 for v in (self.P_Bs, self.eps_b, self.P_U, self.P_L)):
-            raise ValueError(f"power model entries must be nonnegative, got {self}")
+        if not all(0.0 <= v < math.inf for v in (self.P_Bs, self.eps_b, self.P_U, self.P_L)):
+            raise ValueError(f"power model entries must be finite and nonnegative, got {self}")
 
 
 def power_consumption(pm: PowerModel, cfg: NetworkConfig) -> float:

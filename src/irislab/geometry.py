@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "NetworkConfig",
     "ChannelRealization",
-    "check_scenario",
     "stream",
     "sample_user_distance",
     "path_loss",
@@ -45,11 +44,21 @@ class NetworkConfig:
     R_m: float = 1.5          # target rate (BPCU)
 
     def __post_init__(self) -> None:
+        """Value checks: every field is finite, then each scenario bound."""
         if not (self.N >= self.K >= self.M >= 1):
             raise ValueError(f"need N >= K >= M >= 1, got N={self.N} K={self.K} M={self.M}")
-        check_scenario(self, "p_b", alpha_min=2.0)
-        if not math.isfinite(self.R_m):
-            raise ValueError(f"R_m must be finite, got {self.R_m}")
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if not (self.t1 >= 0.5 and self.t2 >= 0.5):
+            raise ValueError(f"fading parameters must be >= 0.5, got t1={self.t1} t2={self.t2}")
+        if not 0.0 < self.r0 < self.R:
+            raise ValueError(f"need 0 < r0 < R, got r0={self.r0} R={self.R}")
+        if not self.alpha > 2.0:
+            raise ValueError(f"need alpha > 2, got {self.alpha}")
+        for name in ("d1", "p_b", "sigma2"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
     @property
     def Q(self) -> int:
@@ -64,28 +73,6 @@ class NetworkConfig:
     def solvable(self) -> bool:
         """Passive weights exist only when N >= M*K."""
         return self.N >= self.M * self.K
-
-
-def check_scenario(cfg, power: str, alpha_min: float) -> None:
-    """Value checks shared by the surface and the relay scenario.
-
-    ``power`` names the scenario's transmit-power field and ``alpha_min`` the
-    bound its path-loss exponent must exceed.  Each test is written so that a
-    NaN fails it.
-    """
-    if not (cfg.t1 >= 0.5 and cfg.t2 >= 0.5):
-        raise ValueError(f"fading parameters must be >= 0.5, got t1={cfg.t1} t2={cfg.t2}")
-    if not 0.0 < cfg.r0 < cfg.R:
-        raise ValueError(f"need 0 < r0 < R, got r0={cfg.r0} R={cfg.R}")
-    if not cfg.d1 > 0.0:
-        raise ValueError(f"d1 must be positive, got {cfg.d1}")
-    if not cfg.alpha > alpha_min:
-        raise ValueError(f"need alpha > {alpha_min:g}, got {cfg.alpha}")
-    for name in (power, "sigma2"):
-        if not getattr(cfg, name) > 0.0:
-            raise ValueError(f"{name} must be positive, got {getattr(cfg, name)}")
-    if not math.isfinite(cfg.ref_atten_db):
-        raise ValueError(f"ref_atten_db must be finite, got {cfg.ref_atten_db}")
 
 
 @dataclass

@@ -87,7 +87,6 @@ class ExperimentSpec:
     base: NetworkConfig
     plan: mc.TrialPlan
     outputs: list = field(default_factory=list)
-    relay: "mc.RelayConfig | None" = None
     power_model: "an.PowerModel | None" = None
 
     def __post_init__(self) -> None:
@@ -100,8 +99,7 @@ class ExperimentSpec:
             raise ValueError(f"unknown series {unknown} for {self.experiment}; "
                              f"known: {', '.join(_SERIES[self.experiment])}")
         for name, values in self.sweep:
-            if name not in _AXIS_FIELDS and not (
-                    name == "ptot_dbm" and self.experiment == "relay_compare"):
+            if name not in _AXIS_FIELDS:
                 raise ValueError(f"unknown sweep axis {name!r}")
             vals = list(values)
             if not vals or any(not math.isfinite(float(v)) for v in vals):
@@ -111,8 +109,6 @@ class ExperimentSpec:
             if _AXIS_FIELDS.get(name) in ("M", "K", "N") and any(
                     not float(v).is_integer() for v in vals):
                 raise ValueError(f"axis {name!r} needs integer values")
-        if self.experiment == "relay_compare" and self.relay is None:
-            raise ValueError("relay_compare needs a relay section")
         if self.experiment == "ee_sweep" and self.power_model is None:
             raise ValueError("ee_sweep needs a power_model section")
 
@@ -123,34 +119,27 @@ def _reject_unknown(section: str, d: dict, known) -> None:
         raise ValueError(f"unknown {section} key(s) {unknown}; known: {', '.join(known)}")
 
 
+def _plan_integer(key: str, value) -> int:
+    """An integer plan entry; an integral float such as 1e6 is accepted."""
+    integral = isinstance(value, (int, float)) and float(value).is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"plan.{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def spec_from_dict(d: dict) -> ExperimentSpec:
     _reject_unknown("top-level", d, ("experiment", "sweep", "base", "plan", "outputs",
-                                     "relay", "power_model"))
+                                     "power_model"))
     base = config_from_dict(d["base"])
     plan_d = dict(d.get("plan", {}))
     _reject_unknown("plan", plan_d, ("trials", "master_seed"))
     if "master_seed" not in plan_d:
         raise ValueError("plan.master_seed is required: runs must be reproducible")
     plan = mc.TrialPlan(
-        trials=int(plan_d.get("trials", 100000)),
-        master_seed=int(plan_d["master_seed"]),
+        trials=_plan_integer("trials", plan_d.get("trials", 100000)),
+        master_seed=_plan_integer("master_seed", plan_d["master_seed"]),
     )
     sweep = [(name, list(values)) for name, values in d["sweep"].items()]
-    relay = None
-    if "relay" in d:
-        rd = dict(d["relay"])
-        rd.setdefault("d1", base.d1)
-        for key in ("p_tot", "sigma2"):
-            if key in rd:
-                rd[key] = parse_power(rd[key])
-        rd.setdefault("sigma2", base.sigma2)
-        rd.setdefault("R", base.R)
-        rd.setdefault("r0", base.r0)
-        rd.setdefault("alpha", base.alpha)
-        rd.setdefault("t1", base.t1)
-        rd.setdefault("t2", base.t2)
-        rd.setdefault("ref_atten_db", base.ref_atten_db)
-        relay = mc.RelayConfig(**rd)
     pm = None
     if "power_model" in d:
         pd = dict(d["power_model"])
@@ -167,7 +156,6 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
         base=base,
         plan=plan,
         outputs=list(d.get("outputs", [])),
-        relay=relay,
         power_model=pm,
     )
 
@@ -189,8 +177,6 @@ def _apply_axes(base: NetworkConfig, names, values):
     """New config with the axis values applied; throughput ties K to M."""
     kw = {}
     for name, value in zip(names, values):
-        if name == "ptot_dbm":
-            continue
         fld = _AXIS_FIELDS[name]
         if fld == "p_b":
             kw["p_b"] = 1e-3 * 10.0 ** (float(value) / 10.0)
@@ -215,14 +201,14 @@ def run_experiment(spec: ExperimentSpec, n_workers: int = 1) -> ExperimentResult
     names = [name for name, _ in spec.sweep]
     points = [tuple(float(v) for v in point)
               for point in itertools.product(*(values for _, values in spec.sweep))]
-    run = _Run(spec, names, n_workers)
+    run = _Run(spec, n_workers)
     table = _SERIES[spec.experiment]
     rows, failures = [], []
     for group in _power_groups(names, points):
         pts = [points[i] for i in group]
         cfgs = [_apply_axes(spec.base, names, p) for p in pts]
         for series in dict.fromkeys(spec.outputs):
-            for point, payload in zip(pts, table[series](run, pts, cfgs)):
+            for point, payload in zip(pts, table[series](run, cfgs)):
                 if isinstance(payload, Exception):
                     failures.append((point, series, f"{type(payload).__name__}: {payload}"))
                 else:
@@ -257,9 +243,9 @@ def _version_string() -> str:
 # ---------------------------------------------------------------------------
 # Series table: experiment -> {series name -> evaluator}
 # ---------------------------------------------------------------------------
-# An evaluator takes one power group (points that differ only in pb_dbm, and
-# their configs) and returns one payload per point: (value, std_error, trials)
-# or the point's exception.  Engines are looked up by name at call time, never
+# An evaluator takes the configs of one power group (points that differ only in
+# pb_dbm) and returns one payload per point: (value, std_error, trials) or the
+# point's exception.  Engines are looked up by name at call time, never
 # bound at import: a rebound module attribute (a tracer, a test double) is the
 # one called, and optimal_power_split's identity test sees montecarlo's binding.
 
@@ -268,7 +254,6 @@ class _Run:
     """What the evaluators of one run_experiment call share."""
 
     spec: ExperimentSpec
-    names: list
     n_workers: int
     memo: dict = field(default_factory=dict)     # values computed once per run
 
@@ -280,7 +265,7 @@ def _payload(est):
 def _closed(value):
     """A closed form ``value(run, cfg)`` at each point, without standard error;
     an exception becomes that point's failure."""
-    def evaluate(run, points, cfgs):
+    def evaluate(run, cfgs):
         out = []
         for cfg in cfgs:
             try:
@@ -298,7 +283,7 @@ def _axis(engine, fidelity="model_level", **kw):
     engine failure (a link-level geometry without passive weights) fails
     every point of the group.
     """
-    def evaluate(run, points, cfgs):
+    def evaluate(run, cfgs):
         plan = replace(run.spec.plan, fidelity=fidelity)
         try:
             ests = getattr(mc, engine)(plan, cfgs[0], [c.p_b for c in cfgs],
@@ -309,36 +294,31 @@ def _axis(engine, fidelity="model_level", **kw):
     return evaluate
 
 
-def _relay_config(run, point) -> mc.RelayConfig:
-    """The spec's relay scenario, with the point's budget if ``ptot_dbm`` is swept."""
-    if "ptot_dbm" not in run.names:
-        return run.spec.relay
-    p_tot = 1e-3 * 10.0 ** (point[run.names.index("ptot_dbm")] / 10.0)
-    return replace(run.spec.relay, p_tot=p_tot)
+# what the relay baselines read of a NetworkConfig (not M, K, N or R_m)
+_RELAY_FIELDS = ("t1", "t2", "d1", "R", "r0", "alpha", "p_b", "sigma2", "ref_atten_db")
 
 
 def _relay(rate_fn, **rate_kw):
-    """The relay rate at its best split; it ignores the surface, so once per RelayConfig."""
-    def evaluate(run, points, cfgs):
-        rc = _relay_config(run, points[0])
-        key = (rate_fn, tuple(rate_kw.items()), rc)
-        if key not in run.memo:
-            _, est = mc.optimal_power_split(getattr(mc, rate_fn), run.spec.plan, rc,
-                                            n_workers=run.n_workers, **rate_kw)
-            run.memo[key] = _payload(est)
-        return [run.memo[key]] * len(cfgs)
+    """The relay rate at its best split of ``p_b``; it ignores the surface, so it
+    is computed once per run for each set of the fields it reads."""
+    def evaluate(run, cfgs):
+        out = []
+        for cfg in cfgs:
+            key = (rate_fn, tuple(rate_kw.items()), *(getattr(cfg, f) for f in _RELAY_FIELDS))
+            if key not in run.memo:
+                _, est = mc.optimal_power_split(getattr(mc, rate_fn), run.spec.plan, cfg,
+                                                n_workers=run.n_workers, **rate_kw)
+                run.memo[key] = _payload(est)
+            out.append(run.memo[key])
+        return out
     return evaluate
 
 
-def _irs_model(run, points, cfgs):
-    """Model-level surface sum rate at the relay's budget and d1; p_b is replaced,
-    so one per group."""
-    rc = _relay_config(run, points[0])
-    cfg = cfgs[0]
-    plan = replace(run.spec.plan, fidelity="model_level")
-    est = mc.simulate_ergodic_rate(plan, replace(cfg, p_b=rc.p_tot, d1=rc.d1),
-                                   n_workers=run.n_workers)
-    return [(cfg.M * est.mean, cfg.M * est.std_error, est.trials_used)] * len(cfgs)
+def _irs_model(run, cfgs):
+    """Model-level surface sum rate: M times the one-user ergodic rate."""
+    rates = _axis("simulate_ergodic_rate_axis")(run, cfgs)
+    return [rate if isinstance(rate, Exception) else (cfg.M * rate[0], cfg.M * rate[1], rate[2])
+            for cfg, rate in zip(cfgs, rates)]
 
 
 def _sum_se(run, cfg) -> float:

@@ -31,14 +31,13 @@ from functools import partial
 import numpy as np
 
 from .beamforming import RankDeficiencyError, link_gain, solve_beamforming
-from .geometry import (NetworkConfig, check_scenario, draw_channel, sample_nakagami_power,
-                       sample_user_distance, stream)
+from .geometry import (NetworkConfig, draw_channel, sample_nakagami_power, sample_user_distance,
+                       stream)
 
 __all__ = [
     "BLOCK",
     "TrialPlan",
     "Estimate",
-    "RelayConfig",
     "simulate_op",
     "simulate_ergodic_rate",
     "simulate_op_axis",
@@ -247,45 +246,23 @@ def simulate_ergodic_rate(plan: TrialPlan, cfg: NetworkConfig, n_workers: int = 
 # Half-duplex relay baselines
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RelayConfig:
-    """Two-hop single-antenna relay scenario sharing the disc geometry.
-
-    Each hop is a separate link, so the reference attenuation applies per
-    hop (the reflected cascade pays it once on the product distance).
-    """
-
-    t1: float = 3.0
-    t2: float = 1.0
-    d1: float = 25.0
-    R: float = 100.0
-    r0: float = 1.0
-    alpha: float = 3.0
-    p_tot: float = 1.0
-    sigma2: float = 3.9810717055349695e-13
-    ref_atten_db: float = -30.0
-
-    def __post_init__(self) -> None:
-        check_scenario(self, "p_tot", alpha_min=0.0)
-
-    @property
-    def ref_atten_lin(self) -> float:
-        return 10.0 ** (self.ref_atten_db / 10.0)
-
-
-def _relay_draws(rc: RelayConfig, seed: int, blk):
+def _relay_draws(cfg: NetworkConfig, seed: int, blk):
+    """One block's hop gains: BS to a single-antenna relay at ``cfg.d1``, and relay
+    to a user on the disc.  Each hop is a separate link, so the reference
+    attenuation applies per hop (the reflected cascade pays it once on the
+    product distance); ``M``, ``K``, ``N`` and ``R_m`` are not read."""
     bi, lo, hi = blk
     gen = stream(seed, _TAG_RELAY, bi)
     nb = hi - lo
-    h1 = sample_nakagami_power(gen, rc.t1, nb)
-    h2 = sample_nakagami_power(gen, rc.t2, nb)
-    r = sample_user_distance(gen, rc.R, rc.r0, nb)
-    g1 = rc.ref_atten_lin * rc.d1 ** (-rc.alpha) * h1
-    g2 = rc.ref_atten_lin * r ** (-rc.alpha) * h2
+    h1 = sample_nakagami_power(gen, cfg.t1, nb)
+    h2 = sample_nakagami_power(gen, cfg.t2, nb)
+    r = sample_user_distance(gen, cfg.R, cfg.r0, nb)
+    g1 = cfg.ref_atten_lin * cfg.d1 ** (-cfg.alpha) * h1
+    g2 = cfg.ref_atten_lin * r ** (-cfg.alpha) * h2
     return g1, g2
 
 
-def _relay_block(plan, rc, scheme, splits, exact, blk):
+def _relay_block(plan, cfg, scheme, splits, exact, blk):
     """One block's draws, evaluated at every power split in ``splits``.
 
     Per split, one aggregate per reported rate: the end-to-end rate for
@@ -294,18 +271,18 @@ def _relay_block(plan, rc, scheme, splits, exact, blk):
     takes; without, numpy's pairwise sum alone, whose error
     ``_mean_interval`` bounds.
     """
-    g1, g2 = _relay_draws(rc, plan.master_seed, blk)
+    g1, g2 = _relay_draws(cfg, plan.master_seed, blk)
     out = []
     for split in splits:
-        pb, pd = split * rc.p_tot, (1.0 - split) * rc.p_tot
+        pb, pd = split * cfg.p_b, (1.0 - split) * cfg.p_b
         if scheme == "af":
             # amplification normalizes the first-hop receive power to pd
             eps_a = pd / (pb * g1)
-            sinr = eps_a * g1 * g2 * pb / (rc.sigma2 * (1.0 + eps_a * g2))
+            sinr = eps_a * g1 * g2 * pb / (cfg.sigma2 * (1.0 + eps_a * g2))
             rates = (0.5 * np.log2(1.0 + sinr),)
         else:
-            r1 = 0.5 * np.log2(1.0 + pb * g1 / rc.sigma2)
-            r2 = 0.5 * np.log2(1.0 + pd * g2 / rc.sigma2)
+            r1 = 0.5 * np.log2(1.0 + pb * g1 / cfg.sigma2)
+            r2 = 0.5 * np.log2(1.0 + pd * g2 / cfg.sigma2)
             rates = (np.minimum(r1, r2),) if scheme == "df" else (r1, r2)
         if exact:
             out.append([(_fsum(v), _fsum(v * v), 0) for v in rates])
@@ -314,11 +291,11 @@ def _relay_block(plan, rc, scheme, splits, exact, blk):
     return out
 
 
-def _relay_parts(scheme, plan, rc, splits, exact, n_workers):
+def _relay_parts(scheme, plan, cfg, splits, exact, n_workers):
     """Per split, per reported rate, the list of block aggregates."""
     if not all(0.0 < s < 1.0 for s in splits):
         raise ValueError("power_split must lie in (0, 1)")
-    fn = partial(_relay_block, plan, rc, scheme, splits, exact)
+    fn = partial(_relay_block, plan, cfg, scheme, splits, exact)
     blocks = _run_blocks(fn, plan.trials, n_workers)
     return [[[b[i][k] for b in blocks] for k in range(len(blocks[0][i]))]
             for i in range(len(splits))]
@@ -333,10 +310,10 @@ def _weakest(means) -> int:
     return best
 
 
-def _relay_estimates(scheme, plan, rc, splits, n_workers) -> list:
+def _relay_estimates(scheme, plan, cfg, splits, n_workers) -> list:
     """Per split, the ``Estimate`` of its weakest reported rate, exactly reduced."""
     out = []
-    for per_rate in _relay_parts(scheme, plan, rc, splits, True, n_workers):
+    for per_rate in _relay_parts(scheme, plan, cfg, splits, True, n_workers):
         ests = [_reduce_blocks(parts, plan.trials, binary=False) for parts in per_rate]
         out.append(ests[_weakest([e.mean for e in ests])])
     return out
@@ -345,7 +322,7 @@ def _relay_estimates(scheme, plan, rc, splits, n_workers) -> list:
 def _mean_interval(block_sums, trials):
     """An interval holding the mean that ``_reduce_blocks`` gives for these blocks.
 
-    Relay rates are >= 0 (``RelayConfig`` keeps ``p_tot`` and ``sigma2``
+    Relay rates are >= 0 (``NetworkConfig`` keeps ``p_b`` and ``sigma2``
     positive), so the sum of absolute values is the sum itself and every
     error is relative to it.  Any order of n - 1 rounded additions errs by
     at most gamma_{n-1} = (n-1)u / (1 - (n-1)u) of it (Higham, Accuracy and
@@ -369,13 +346,16 @@ def _df_scheme(combine: str) -> str:
     raise ValueError(f"unknown combine mode {combine!r}")
 
 
-def af_relay_rate(plan: TrialPlan, cfg_relay: RelayConfig, power_split: float,
+def af_relay_rate(plan: TrialPlan, cfg_relay: NetworkConfig, power_split: float,
                   n_workers: int = 1) -> Estimate:
-    """Amplify-and-forward rate: the relay also forwards its receive noise."""
+    """Amplify-and-forward rate: the relay also forwards its receive noise.
+
+    The BS transmits ``power_split * cfg_relay.p_b`` and the relay the rest.
+    """
     return _relay_estimates("af", plan, cfg_relay, [float(power_split)], n_workers)[0]
 
 
-def df_relay_rate(plan: TrialPlan, cfg_relay: RelayConfig, power_split: float,
+def df_relay_rate(plan: TrialPlan, cfg_relay: NetworkConfig, power_split: float,
                   n_workers: int = 1, combine: str = "per_draw") -> Estimate:
     """Decode-and-forward rate, bottlenecked by the weaker hop.
 
@@ -387,7 +367,7 @@ def df_relay_rate(plan: TrialPlan, cfg_relay: RelayConfig, power_split: float,
                             n_workers)[0]
 
 
-def optimal_power_split(relay_rate_fn, plan: TrialPlan, cfg_relay: RelayConfig,
+def optimal_power_split(relay_rate_fn, plan: TrialPlan, cfg_relay: NetworkConfig,
                         grid=None, n_workers: int = 1, **rate_kw):
     """Grid search over the BS/relay power split with common random numbers.
 

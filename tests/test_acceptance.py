@@ -157,8 +157,8 @@ def test_criterion_05_high_snr_slopes():
         plan = mc.TrialPlan(trials=2 * 10 ** 5, master_seed=515)
         rates = []
         for snr in (1e10, 1e12):
-            rc = mc.RelayConfig(t1=3.0, t2=1.0, d1=25.0, ref_atten_db=0.0,
-                                p_tot=snr * 3.9810717055349695e-13)
+            rc = geo.NetworkConfig(t1=3.0, t2=1.0, d1=25.0, ref_atten_db=0.0,
+                                   p_b=snr * 3.9810717055349695e-13)
             rates.append(rate_fn(plan, rc, 0.5).mean)
         return (rates[1] - rates[0]) / math.log2(1e12 / 1e10)
 
@@ -178,12 +178,12 @@ def test_criterion_06_relay_crossover():
     """Reflected link beats optimized AF/DF at N=15, loses at N in {1, 2}."""
     t0 = time.monotonic()
     plan = mc.TrialPlan(trials=10 ** 5, master_seed=606)
-    rc = mc.RelayConfig(t1=3.0, t2=1.0, d1=25.0, p_tot=1.0)   # 30 dBm budget
+    rc = geo.NetworkConfig(t1=3.0, t2=1.0, d1=25.0, p_b=1.0)   # 30 dBm budget
     _, af = mc.optimal_power_split(mc.af_relay_rate, plan, rc)
     _, df = mc.optimal_power_split(mc.df_relay_rate, plan, rc)
     se = {}
     for n in (1, 2, 15):
-        cfg = _cfg(N=n, t1=3.0, t2=1.0, d1=25.0, p_b=rc.p_tot)
+        cfg = _cfg(N=n, t1=3.0, t2=1.0, d1=25.0, p_b=rc.p_b)
         est = mc.simulate_ergodic_rate(plan, cfg)
         se[n] = est.mean
     elapsed = time.monotonic() - t0

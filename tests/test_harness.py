@@ -52,9 +52,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         harness.spec_from_dict({"experiment": "op_vs_snr", "sweep": {"pb_dbm": [2, 1]},
                                 "base": base, "plan": {"master_seed": 1}})
-    with pytest.raises(ValueError):
-        harness.spec_from_dict({"experiment": "relay_compare", "sweep": {"pb_dbm": [1]},
-                                "base": base, "plan": {"master_seed": 1}})
     with pytest.raises(ValueError, match="analytcal"):
         harness.spec_from_dict({"experiment": "op_vs_snr", "sweep": {"pb_dbm": [1]},
                                 "base": base, "plan": {"master_seed": 1},
@@ -89,18 +86,35 @@ def test_spec_rejects_unknown_keys(section, key, value, tmp_path):
     assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 2
 
 
+def _relay_dict():
+    return json.loads(resources.files("irislab").joinpath("presets", "relay_compare.json")
+                      .read_text(encoding="utf-8"))
+
+
 @pytest.mark.parametrize("key,value", [
     ("t1", 0.4), ("t2", 0.2), ("r0", 0.0), ("R", 0.5), ("d1", 0.0), ("alpha", 0.0),
-    ("p_tot", 0.0), ("sigma2", -1e-13), ("t1", math.nan)])
+    ("p_b", 0.0), ("sigma2", -1e-13), ("t1", math.nan)])
 def test_spec_rejects_bad_relay_values(key, value, tmp_path):
-    d = json.loads(resources.files("irislab").joinpath("presets", "relay_compare.json")
-                   .read_text(encoding="utf-8"))
-    d["relay"][key] = value
+    # the relays run on the base scenario
+    d = _relay_dict()
+    d["base"][key] = value
     with pytest.raises(ValueError, match=key):
         harness.spec_from_dict(d)
     path = tmp_path / "c.json"
     path.write_text(json.dumps(d))
     assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("key,value,detail", [
+    ("relay", {"d1": 25.0, "p_tot": "30dBm"}, "unknown top-level key(s) ['relay']"),
+    ("sweep", {"ptot_dbm": [20, 30]}, "unknown sweep axis 'ptot_dbm'")])
+def test_relay_section_and_budget_axis_are_rejected(key, value, detail, tmp_path, capsys):
+    d = _relay_dict()
+    d[key] = value
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(d))
+    assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert json.loads(capsys.readouterr().err)["detail"].startswith(detail)
 
 
 def test_integer_axes_reject_fractions():
@@ -110,6 +124,15 @@ def test_integer_axes_reject_fractions():
             harness.spec_from_dict(d)
         d["sweep"] = {axis: [4.0, 5]}
         harness.spec_from_dict(d)
+    for key, value in (("trials", 1000.7), ("master_seed", 1.5), ("trials", True),
+                       ("master_seed", "7"), ("trials", math.inf)):
+        d = _ee_dict()
+        d["plan"][key] = value
+        with pytest.raises(ValueError, match=f"plan.{key}"):
+            harness.spec_from_dict(d)
+    d = _ee_dict()
+    d["plan"].update(trials=1e6, master_seed=7.0)
+    assert harness.spec_from_dict(d).plan == TrialPlan(trials=1000000, master_seed=7)
 
 
 def _mini_spec(trials=2000, seed=11):
@@ -231,19 +254,21 @@ def test_relay_series_computed_once_per_relay_config(monkeypatch):
     real = mc.optimal_power_split
 
     def counting(*args, **kwargs):
-        calls.append(args[2])
+        calls.append(args[2].p_b)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(mc, "optimal_power_split", counting)
     spec = cli._load("relay_compare")
     spec.plan = replace(spec.plan, trials=1000)
-    spec.sweep = [("ptot_dbm", [20, 30]), ("n_elements", [1, 2, 5])]
+    spec.sweep = [("pb_dbm", [20, 30]), ("n_elements", [1, 2, 5])]
     result = harness.run_experiment(spec)
     assert len(calls) == 2 * 3          # per budget: af, df, df min-of-means
     assert len(set(calls)) == 2
     for series in ("af_optimal", "df_optimal", "df_min_of_means"):
         vals = {axes: v for axes, s, v, *_ in result.rows if s == series}
         assert vals[(20.0, 1.0)] == vals[(20.0, 5.0)] != vals[(30.0, 5.0)]
+    irs = {axes: v for axes, s, v, *_ in result.rows if s == "irs_model"}
+    assert all(irs[(20.0, n)] < irs[(30.0, n)] for n in (1.0, 2.0, 5.0))
 
 
 def test_irs_model_runs_at_model_level():
@@ -253,6 +278,19 @@ def test_irs_model_runs_at_model_level():
     model = harness.run_experiment(spec).rows
     spec.plan = replace(spec.plan, fidelity="link_level")
     assert harness.run_experiment(spec).rows == model
+
+
+def test_irs_model_engine_error_fails_its_points(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("forced")
+
+    monkeypatch.setattr(mc, "simulate_ergodic_rate_axis", broken)
+    spec = replace(cli._load("relay_compare"), outputs=["irs_model"])
+    spec.sweep = [("n_elements", [2]), ("pb_dbm", [20, 30])]
+    result = harness.run_experiment(spec)
+    assert result.rows == []
+    assert result.failures == [((2.0, p), "irs_model", "RuntimeError: forced")
+                               for p in (20.0, 30.0)]
 
 
 def test_cli_run_and_errors(tmp_path, capsys):

@@ -282,18 +282,18 @@ def test_power_axis_draws_once_per_block(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _rc(**kw):
-    base = dict(t1=3.0, t2=1.0, d1=25.0, p_tot=1.0)
+    base = dict(t1=3.0, t2=1.0, d1=25.0, p_b=1.0)
     base.update(kw)
-    return mc.RelayConfig(**base)
+    return geo.NetworkConfig(**base)
 
 
 def test_relay_rate_vanishes_without_power():
     plan = mc.TrialPlan(trials=20000, master_seed=2)
-    rc = _rc(p_tot=1e-30)
+    rc = _rc(p_b=1e-30)
     assert mc.af_relay_rate(plan, rc, 0.5).mean < 1e-9
     assert mc.df_relay_rate(plan, rc, 0.5).mean < 1e-9
     # second hop starves when nearly all power stays at the BS
-    rc2 = _rc(p_tot=1.0)
+    rc2 = _rc(p_b=1.0)
     assert mc.df_relay_rate(plan, rc2, 0.99).mean < mc.df_relay_rate(plan, rc2, 0.5).mean
 
 
@@ -311,7 +311,7 @@ def test_af_noise_amplification_term_hurts():
     rc = _rc()
     for blk in mc._block_ranges(2048):
         g1, g2 = mc._relay_draws(rc, plan.master_seed, blk)
-        pb = pd = 0.5 * rc.p_tot
+        pb = pd = 0.5 * rc.p_b
         eps_a = pd / (pb * g1)
         with_noise = eps_a * g1 * g2 * pb / (rc.sigma2 * (1.0 + eps_a * g2))
         without = eps_a * g1 * g2 * pb / rc.sigma2
@@ -321,7 +321,7 @@ def test_af_noise_amplification_term_hurts():
 
 def test_df_dominates_af_on_matched_draws():
     plan = mc.TrialPlan(trials=50000, master_seed=7)
-    rc = _rc(p_tot=10.0)
+    rc = _rc(p_b=10.0)
     af = mc.af_relay_rate(plan, rc, 0.5)
     df = mc.df_relay_rate(plan, rc, 0.5)
     assert df.mean >= af.mean
@@ -346,8 +346,8 @@ def test_df_hops_balance_in_symmetric_setup():
     hop1, hop2 = 0.0, 0.0
     for blk in mc._block_ranges(plan.trials):
         g1, g2 = mc._relay_draws(rc, plan.master_seed, blk)
-        hop1 += float(np.sum(0.5 * np.log2(1 + 0.5 * rc.p_tot * g1 / rc.sigma2)))
-        hop2 += float(np.sum(0.5 * np.log2(1 + 0.5 * rc.p_tot * g2 / rc.sigma2)))
+        hop1 += float(np.sum(0.5 * np.log2(1 + 0.5 * rc.p_b * g1 / rc.sigma2)))
+        hop2 += float(np.sum(0.5 * np.log2(1 + 0.5 * rc.p_b * g2 / rc.sigma2)))
     m1, m2 = hop1 / plan.trials, hop2 / plan.trials
     assert abs(m1 - m2) <= 0.10 * max(m1, m2)
     assert r1.mean == pytest.approx(min(m1, m2), rel=1e-9)
@@ -386,7 +386,7 @@ _RELAY_ENGINES = [
 @pytest.mark.parametrize("rate_fn,rate_kw", _RELAY_ENGINES)
 def test_split_grid_equals_per_split_calls(rate_fn, rate_kw, n_workers):
     plan = mc.TrialPlan(trials=_ODD_TRIALS, master_seed=17)
-    rc = _rc(p_tot=0.1)
+    rc = _rc(p_b=0.1)
     grid = np.round(np.arange(0.05, 1.0, 0.05), 2)
     got = mc.optimal_power_split(rate_fn, plan, rc, grid=grid, n_workers=n_workers, **rate_kw)
     assert got == _loop_split_search(rate_fn, plan, rc, grid, **rate_kw)
@@ -396,15 +396,15 @@ def test_split_grid_equals_per_split_calls(rate_fn, rate_kw, n_workers):
 
 @pytest.mark.parametrize("n_workers", [1, 2])
 @pytest.mark.parametrize("rate_fn,rate_kw", _RELAY_ENGINES)
-@pytest.mark.parametrize("p_tot,grid", [
+@pytest.mark.parametrize("p_b,grid", [
     (0.1, [0.3, 0.45, 0.3, 0.6, 0.3]),                      # the winner, three times
     (1e-30, np.round(np.arange(0.05, 1.0, 0.05), 2)),       # every rate is 0.0
     (0.1, None),                                            # flatter than the sums' error
 ])
 def test_split_search_ties_and_flat_grids_equal_per_split_calls(rate_fn, rate_kw, n_workers,
-                                                                p_tot, grid):
+                                                                p_b, grid):
     plan = mc.TrialPlan(trials=_ODD_TRIALS, master_seed=17)
-    rc = _rc(p_tot=p_tot)
+    rc = _rc(p_b=p_b)
     if grid is None:
         # 1e-15 apart at the optimum, the means differ by less than a numpy
         # block sum's rounding, and for AF and DF its argmax is not the exact one
@@ -418,7 +418,7 @@ def test_split_search_ties_and_flat_grids_equal_per_split_calls(rate_fn, rate_kw
 @pytest.mark.parametrize("rate_fn,rate_kw", _RELAY_ENGINES)
 def test_non_finite_bounded_pass_keeps_every_split(monkeypatch, rate_fn, rate_kw, n_workers):
     plan = mc.TrialPlan(trials=_ODD_TRIALS, master_seed=17)
-    rc = _rc(p_tot=0.1)
+    rc = _rc(p_b=0.1)
     grid = np.round(np.arange(0.05, 1.0, 0.05), 2)
     real = mc._relay_parts
     exact_splits = []
@@ -459,7 +459,7 @@ def test_default_grid_reduces_few_splits_exactly(monkeypatch, rate_fn, rate_kw):
 def test_relay_rates_match_per_draw_reference():
     plan = mc.TrialPlan(trials=_ODD_TRIALS, master_seed=5)
     rc = _rc()
-    pb, pd = 0.4 * rc.p_tot, (1.0 - 0.4) * rc.p_tot
+    pb, pd = 0.4 * rc.p_b, (1.0 - 0.4) * rc.p_b
     parts = {"af": [], "df": [], "hop1": [], "hop2": []}
     for blk in mc._block_ranges(plan.trials):
         g1, g2 = mc._relay_draws(rc, plan.master_seed, blk)
