@@ -2,7 +2,7 @@
 
 The surface weights co-phase every cascaded path onto a real target vector;
 each user then projects onto the null space of the other users' effective
-columns and combines with MRC inside it.  ``link_snr`` is the ground-truth
+columns and applies MRC inside it.  ``link_snr`` is the ground-truth
 post-detection SNR.
 
 Every link-level function takes a realization with or without leading trial

@@ -93,6 +93,8 @@ def main(argv=None) -> int:
             for name in _preset_names():
                 print(name)
             return 0
+        if args.workers < 1:
+            raise ValueError(f"--workers must be >= 1, got {args.workers}")
         specs = _specs(args)                        # every target loads before any run
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

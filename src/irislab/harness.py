@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -102,8 +103,9 @@ class ExperimentSpec:
             if name not in _AXIS_FIELDS:
                 raise ValueError(f"unknown sweep axis {name!r}")
             vals = list(values)
-            if not vals or any(not math.isfinite(float(v)) for v in vals):
-                raise ValueError(f"axis {name!r} needs finite values")
+            if not vals or any(isinstance(v, bool) or not isinstance(v, numbers.Real)
+                               or not math.isfinite(v) for v in vals):
+                raise ValueError(f"axis {name!r} needs finite numbers, got {vals!r}")
             if sorted(vals) != vals:
                 raise ValueError(f"axis {name!r} values must be sorted")
             if _AXIS_FIELDS.get(name) in ("M", "K", "N") and any(
@@ -247,7 +249,7 @@ def _version_string() -> str:
 # pb_dbm) and returns one payload per point: (value, std_error, trials) or the
 # point's exception.  Engines are looked up by name at call time, never
 # bound at import: a rebound module attribute (a tracer, a test double) is the
-# one called, and optimal_power_split's identity test sees montecarlo's binding.
+# one called.
 
 @dataclass
 class _Run:
@@ -276,7 +278,7 @@ def _closed(value):
     return evaluate
 
 
-def _axis(engine, fidelity="model_level", **kw):
+def _axis(engine, **kw):
     """A ``mc.<engine>`` called once for the whole power group.
 
     The draws do not depend on the power, so the whole axis shares them; an
@@ -284,9 +286,8 @@ def _axis(engine, fidelity="model_level", **kw):
     every point of the group.
     """
     def evaluate(run, cfgs):
-        plan = replace(run.spec.plan, fidelity=fidelity)
         try:
-            ests = getattr(mc, engine)(plan, cfgs[0], [c.p_b for c in cfgs],
+            ests = getattr(mc, engine)(run.spec.plan, cfgs[0], [c.p_b for c in cfgs],
                                        n_workers=run.n_workers, **kw)
         except Exception as e:                      # noqa: BLE001 - per-point report
             return [e] * len(cfgs)
@@ -298,16 +299,16 @@ def _axis(engine, fidelity="model_level", **kw):
 _RELAY_FIELDS = ("t1", "t2", "d1", "R", "r0", "alpha", "p_b", "sigma2", "ref_atten_db")
 
 
-def _relay(rate_fn, **rate_kw):
-    """The relay rate at its best split of ``p_b``; it ignores the surface, so it
-    is computed once per run for each set of the fields it reads."""
+def _relay(scheme):
+    """The relay ``scheme``'s rate at its best split of ``p_b``; it ignores the
+    surface, so it is computed once per run for each set of the fields it reads."""
     def evaluate(run, cfgs):
         out = []
         for cfg in cfgs:
-            key = (rate_fn, tuple(rate_kw.items()), *(getattr(cfg, f) for f in _RELAY_FIELDS))
+            key = (scheme, *(getattr(cfg, f) for f in _RELAY_FIELDS))
             if key not in run.memo:
-                _, est = mc.optimal_power_split(getattr(mc, rate_fn), run.spec.plan, cfg,
-                                                n_workers=run.n_workers, **rate_kw)
+                _, est = mc.optimal_power_split(scheme, run.spec.plan, cfg,
+                                                n_workers=run.n_workers)
                 run.memo[key] = _payload(est)
             out.append(run.memo[key])
         return out
@@ -372,9 +373,9 @@ _SERIES = {
     },
     "relay_compare": {
         "irs_model": _irs_model,
-        "af_optimal": _relay("af_relay_rate"),
-        "df_optimal": _relay("df_relay_rate"),
-        "df_min_of_means": _relay("df_relay_rate", combine="min_of_means"),
+        "af_optimal": _relay("af"),
+        "df_optimal": _relay("df"),
+        "df_min_of_means": _relay("df_min_of_means"),
     },
     "throughput_surface": {
         "analytical": _closed(_sum_se),

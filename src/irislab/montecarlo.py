@@ -60,13 +60,10 @@ _TAG_RELAY = 14
 class TrialPlan:
     trials: int
     master_seed: int
-    fidelity: str = "model_level"     # model_level | link_level
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.fidelity not in ("model_level", "link_level"):
-            raise ValueError(f"unknown fidelity {self.fidelity!r}")
 
 
 @dataclass(frozen=True)
@@ -102,11 +99,15 @@ def _reduce_blocks(parts, trials: int, binary: bool) -> Estimate:
 
 
 def _run_blocks(fn, trials: int, n_workers: int):
+    """``fn`` of every block, in block order, on at most one worker per block."""
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     ranges = _block_ranges(trials)
-    if n_workers <= 1:
+    workers = min(n_workers, len(ranges))
+    if workers == 1:
         return [fn(r) for r in ranges]
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(fn, ranges, chunksize=max(1, len(ranges) // (4 * n_workers))))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, ranges, chunksize=max(1, len(ranges) // (4 * workers))))
 
 
 # ---------------------------------------------------------------------------
@@ -194,52 +195,58 @@ def _link_block(plan, cfg, user, powers, outage, blk):
     return _power_parts(cfg, base, powers, cfg.sigma2, outage, _log2_each, deg)
 
 
-def _axis(plan, cfg, powers, squared, outage, n_workers, user):
+def _axis(plan, cfg, powers, squared, outage, n_workers, user, fidelity):
     powers = [float(p) for p in powers]
-    if plan.fidelity == "link_level":
+    if fidelity == "link_level":
         if not cfg.solvable:
             raise ValueError(f"link level needs N >= M*K, got N={cfg.N} M*K={cfg.M * cfg.K}")
         fn = partial(_link_block, plan, cfg, user, powers, outage)
-    else:
+    elif fidelity == "model_level":
         fn = partial(_model_block, plan, cfg, powers, squared, outage)
+    else:
+        raise ValueError(f"unknown fidelity {fidelity!r}; known: model_level, link_level")
     blocks = _run_blocks(fn, plan.trials, n_workers)
     return [_reduce_blocks([b[i] for b in blocks], plan.trials, binary=outage)
             for i in range(len(powers))]
 
 
 def simulate_op_axis(plan: TrialPlan, cfg: NetworkConfig, powers, n_workers: int = 1,
-                     gain: str = "amplitude", user: int = 0) -> list:
+                     gain: str = "amplitude", user: int = 0,
+                     fidelity: str = "model_level") -> list:
     """Outage at each transmit power, one ``Estimate`` per power.
 
     ``cfg.p_b`` is ignored; every power is evaluated on the same draws.  At
-    model level, ``gain='amplitude'`` thresholds the co-phased sum (the
-    tail-model event) and ``'squared'`` the squared combining gain on the
-    rate engine's draws (the event the Gamma model describes).  At link
-    level the detected SNR of ``user`` is thresholded.
+    ``fidelity='model_level'``, ``gain='amplitude'`` thresholds the
+    co-phased sum (the tail-model event) and ``'squared'`` the squared
+    combining gain on the rate engine's draws (the event the Gamma model
+    describes).  At ``'link_level'`` the detected SNR of ``user`` is
+    thresholded.
     """
     if gain not in ("amplitude", "squared"):
         raise ValueError(f"unknown gain convention {gain!r}")
-    if gain == "squared" and plan.fidelity == "link_level":
+    if gain == "squared" and fidelity == "link_level":
         raise ValueError("the squared gain convention is a model-level event")
-    return _axis(plan, cfg, powers, gain == "squared", True, n_workers, user)
+    return _axis(plan, cfg, powers, gain == "squared", True, n_workers, user, fidelity)
 
 
 def simulate_ergodic_rate_axis(plan: TrialPlan, cfg: NetworkConfig, powers,
-                               n_workers: int = 1, user: int = 0) -> list:
+                               n_workers: int = 1, user: int = 0,
+                               fidelity: str = "model_level") -> list:
     """Ergodic rate at each transmit power, on one set of draws."""
-    return _axis(plan, cfg, powers, True, False, n_workers, user)
+    return _axis(plan, cfg, powers, True, False, n_workers, user, fidelity)
 
 
 def simulate_op(plan: TrialPlan, cfg: NetworkConfig, n_workers: int = 1,
-                user: int = 0) -> Estimate:
-    """Outage probability estimate at the plan's fidelity."""
-    return simulate_op_axis(plan, cfg, [cfg.p_b], n_workers, user=user)[0]
+                user: int = 0, fidelity: str = "model_level") -> Estimate:
+    """Outage probability estimate at ``fidelity`` (model_level | link_level)."""
+    return simulate_op_axis(plan, cfg, [cfg.p_b], n_workers, user=user, fidelity=fidelity)[0]
 
 
 def simulate_ergodic_rate(plan: TrialPlan, cfg: NetworkConfig, n_workers: int = 1,
-                          user: int = 0) -> Estimate:
+                          user: int = 0, fidelity: str = "model_level") -> Estimate:
     """Ergodic rate estimate: mean of log2(1 + SNR) with its standard error."""
-    return simulate_ergodic_rate_axis(plan, cfg, [cfg.p_b], n_workers, user=user)[0]
+    return simulate_ergodic_rate_axis(plan, cfg, [cfg.p_b], n_workers, user=user,
+                                      fidelity=fidelity)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +273,10 @@ def _relay_block(plan, cfg, scheme, splits, exact, blk):
     """One block's draws, evaluated at every power split in ``splits``.
 
     Per split, one aggregate per reported rate: the end-to-end rate for
-    ``'af'`` and ``'df'``, both hop rates for ``'df_hops'``.  With ``exact``
-    it is the correctly rounded (sum, sumsq, 0) that ``_reduce_blocks``
-    takes; without, numpy's pairwise sum alone, whose error
-    ``_mean_interval`` bounds.
+    ``'af'`` and ``'df'``, both hop rates for ``'df_min_of_means'``.  With
+    ``exact`` it is the correctly rounded (sum, sumsq, 0) that
+    ``_reduce_blocks`` takes; without, numpy's pairwise sum alone, whose
+    error ``_mean_interval`` bounds.
     """
     g1, g2 = _relay_draws(cfg, plan.master_seed, blk)
     out = []
@@ -291,8 +298,13 @@ def _relay_block(plan, cfg, scheme, splits, exact, blk):
     return out
 
 
+_SCHEMES = ("af", "df", "df_min_of_means")
+
+
 def _relay_parts(scheme, plan, cfg, splits, exact, n_workers):
     """Per split, per reported rate, the list of block aggregates."""
+    if scheme not in _SCHEMES:
+        raise ValueError(f"unknown relay scheme {scheme!r}; known: {', '.join(_SCHEMES)}")
     if not all(0.0 < s < 1.0 for s in splits):
         raise ValueError("power_split must lie in (0, 1)")
     fn = partial(_relay_block, plan, cfg, scheme, splits, exact)
@@ -338,48 +350,37 @@ def _mean_interval(block_sums, trials):
     return mean - half, mean + half
 
 
-def _df_scheme(combine: str) -> str:
-    if combine == "per_draw":
-        return "df"
-    if combine == "min_of_means":
-        return "df_hops"
-    raise ValueError(f"unknown combine mode {combine!r}")
-
-
-def af_relay_rate(plan: TrialPlan, cfg_relay: NetworkConfig, power_split: float,
+def af_relay_rate(plan: TrialPlan, cfg: NetworkConfig, power_split: float,
                   n_workers: int = 1) -> Estimate:
     """Amplify-and-forward rate: the relay also forwards its receive noise.
 
-    The BS transmits ``power_split * cfg_relay.p_b`` and the relay the rest.
+    The BS transmits ``power_split * cfg.p_b`` and the relay the rest.
     """
-    return _relay_estimates("af", plan, cfg_relay, [float(power_split)], n_workers)[0]
+    return _relay_estimates("af", plan, cfg, [float(power_split)], n_workers)[0]
 
 
-def df_relay_rate(plan: TrialPlan, cfg_relay: NetworkConfig, power_split: float,
-                  n_workers: int = 1, combine: str = "per_draw") -> Estimate:
-    """Decode-and-forward rate, bottlenecked by the weaker hop.
-
-    ``combine='per_draw'`` takes the minimum inside the expectation (the
-    information-theoretic reading); ``'min_of_means'`` reports the minimum
-    of the two per-hop ergodic rates instead, both taken from one draw.
-    """
-    return _relay_estimates(_df_scheme(combine), plan, cfg_relay, [float(power_split)],
-                            n_workers)[0]
+def df_relay_rate(plan: TrialPlan, cfg: NetworkConfig, power_split: float,
+                  n_workers: int = 1) -> Estimate:
+    """Decode-and-forward rate, bottlenecked by the weaker hop of each draw."""
+    return _relay_estimates("df", plan, cfg, [float(power_split)], n_workers)[0]
 
 
-def optimal_power_split(relay_rate_fn, plan: TrialPlan, cfg_relay: NetworkConfig,
-                        grid=None, n_workers: int = 1, **rate_kw):
+def optimal_power_split(scheme: str, plan: TrialPlan, cfg: NetworkConfig,
+                        grid=None, n_workers: int = 1):
     """Grid search over the BS/relay power split with common random numbers.
 
-    ``relay_rate_fn`` is ``af_relay_rate``, or ``df_relay_rate`` with its
-    optional ``combine``.  Every split is evaluated on the same draws, so
-    the argmax is over a smooth curve rather than independent noise.  It
-    returns the first split with the strictly greatest mean, and the
-    ``Estimate`` that ``relay_rate_fn`` gives there, in two passes:
+    ``scheme`` is ``'af'`` (the rate of ``af_relay_rate``), ``'df'`` (that
+    of ``df_relay_rate``: the minimum inside the expectation, the
+    information-theoretic reading) or ``'df_min_of_means'`` (the minimum of
+    the two per-hop ergodic rates, both taken from one draw).  Every split
+    is evaluated on the same draws, so the argmax is over a smooth curve
+    rather than independent noise.  It returns the first split with the
+    strictly greatest mean, and the scheme's ``Estimate`` there, in two
+    passes:
 
     * a bounded pass over every split sums each block with numpy and gives
       each split an interval that provably holds its exact mean
-      (``_mean_interval``; for ``min_of_means`` the minimum of the two
+      (``_mean_interval``; for ``'df_min_of_means'`` the minimum of the two
       hops' intervals);
     * an exact pass, in grid order, over the candidates: the splits whose
       upper end reaches the greatest lower end, or every split if a bounded
@@ -390,27 +391,20 @@ def optimal_power_split(relay_rate_fn, plan: TrialPlan, cfg_relay: NetworkConfig
     the maximum nor tie with it: the split and its ``Estimate`` are those
     of an exact evaluation of every split.
     """
-    if relay_rate_fn is af_relay_rate and not rate_kw:
-        scheme = "af"
-    elif relay_rate_fn is df_relay_rate and set(rate_kw) <= {"combine"}:
-        scheme = _df_scheme(rate_kw.get("combine", "per_draw"))
-    else:
-        raise ValueError("relay_rate_fn must be af_relay_rate, or df_relay_rate "
-                         "with an optional combine")
     if grid is None:
         grid = np.round(np.arange(0.01, 1.0, 0.01), 2)
     splits = [float(s) for s in grid]
     if not splits:
         raise ValueError("optimal_power_split needs at least one power split")
     ends = [[_mean_interval(sums, plan.trials) for sums in per_rate]
-            for per_rate in _relay_parts(scheme, plan, cfg_relay, splits, False, n_workers)]
+            for per_rate in _relay_parts(scheme, plan, cfg, splits, False, n_workers)]
     # every hop is checked before the hop minimum, which can pass over a NaN
     if all(math.isfinite(hi) for per_rate in ends for _, hi in per_rate):
         bounds = [(min(lo for lo, _ in e), min(hi for _, hi in e)) for e in ends]
         floor = max(lo for lo, _ in bounds)
         splits = [s for s, (_, hi) in zip(splits, bounds) if hi >= floor]
     best = None
-    for split, est in zip(splits, _relay_estimates(scheme, plan, cfg_relay, splits, n_workers)):
+    for split, est in zip(splits, _relay_estimates(scheme, plan, cfg, splits, n_workers)):
         if best is None or est.mean > best[1].mean:
             best = (split, est)
     return best

@@ -179,8 +179,8 @@ def test_criterion_06_relay_crossover():
     t0 = time.monotonic()
     plan = mc.TrialPlan(trials=10 ** 5, master_seed=606)
     rc = geo.NetworkConfig(t1=3.0, t2=1.0, d1=25.0, p_b=1.0)   # 30 dBm budget
-    _, af = mc.optimal_power_split(mc.af_relay_rate, plan, rc)
-    _, df = mc.optimal_power_split(mc.df_relay_rate, plan, rc)
+    _, af = mc.optimal_power_split("af", plan, rc)
+    _, df = mc.optimal_power_split("df", plan, rc)
     se = {}
     for n in (1, 2, 15):
         cfg = _cfg(N=n, t1=3.0, t2=1.0, d1=25.0, p_b=rc.p_b)

@@ -117,13 +117,23 @@ def test_relay_section_and_budget_axis_are_rejected(key, value, detail, tmp_path
     assert json.loads(capsys.readouterr().err)["detail"].startswith(detail)
 
 
-def test_integer_axes_reject_fractions():
+def test_integer_axes_reject_fractions(tmp_path):
     for axis in ("n_elements", "m_antennas", "k_antennas"):
         d = {**_ee_dict(), "experiment": "throughput_surface", "sweep": {axis: [4.0, 4.7]}}
         with pytest.raises(ValueError, match=axis):
             harness.spec_from_dict(d)
         d["sweep"] = {axis: [4.0, 5]}
         harness.spec_from_dict(d)
+    # a JSON true is not 1 and a numeric string is not a number
+    for axis, values in (("n_elements", [True, 4]), ("n_elements", ["4", "5"]),
+                         ("n_elements", ["9", "10"]), ("n_elements", [4, None]),
+                         ("pb_dbm", [False, 10]), ("t1", ["1.5"])):
+        d = {**_ee_dict(), "experiment": "op_vs_snr", "sweep": {axis: values}}
+        with pytest.raises(ValueError, match=f"axis '{axis}' needs finite numbers"):
+            harness.spec_from_dict(d)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(d))
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 2
     for key, value in (("trials", 1000.7), ("master_seed", 1.5), ("trials", True),
                        ("master_seed", "7"), ("trials", math.inf)):
         d = _ee_dict()
@@ -151,7 +161,7 @@ def test_link_series_one_engine_call_per_power_group(monkeypatch):
     real = mc.simulate_op_axis
 
     def counting(plan, cfg, powers, **kw):
-        calls.append((plan.fidelity, cfg.N, len(powers)))
+        calls.append((kw.get("fidelity"), cfg.N, len(powers)))
         return real(plan, cfg, powers, **kw)
 
     monkeypatch.setattr(mc, "simulate_op_axis", counting)
@@ -271,15 +281,6 @@ def test_relay_series_computed_once_per_relay_config(monkeypatch):
     assert all(irs[(20.0, n)] < irs[(30.0, n)] for n in (1.0, 2.0, 5.0))
 
 
-def test_irs_model_runs_at_model_level():
-    spec = replace(cli._load("relay_compare"), outputs=["irs_model"])
-    spec.sweep = [("n_elements", [2])]
-    spec.plan = replace(spec.plan, trials=300)
-    model = harness.run_experiment(spec).rows
-    spec.plan = replace(spec.plan, fidelity="link_level")
-    assert harness.run_experiment(spec).rows == model
-
-
 def test_irs_model_engine_error_fails_its_points(monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("forced")
@@ -324,7 +325,8 @@ def test_cli_runs_several_targets_with_one_digest_each(tmp_path, capsys):
      "no config file or preset named 'op_vs_snrr'; presets: ee_sweep, "),
     (["ee_sweep", "exp.json"], "ValueError",
      "targets 'ee_sweep' and 'exp.json' would both write ee_sweep.csv"),
-], ids=["unknown_target", "same_output_file"])
+    (["ee_sweep", "--workers", "0"], "ValueError", "--workers must be >= 1, got 0"),
+], ids=["unknown_target", "same_output_file", "no_workers"])
 def test_cli_checks_every_target_before_any_run(targets, error, detail, tmp_path, monkeypatch,
                                                 capsys):
     monkeypatch.chdir(tmp_path)

@@ -19,8 +19,8 @@ def _cfg(**kw):
 def test_plan_validation():
     with pytest.raises(ValueError):
         mc.TrialPlan(trials=0, master_seed=1)
-    with pytest.raises(ValueError):
-        mc.TrialPlan(trials=10, master_seed=1, fidelity="magic")
+    with pytest.raises(ValueError, match="unknown fidelity 'magic'"):
+        mc.simulate_op(mc.TrialPlan(trials=10, master_seed=1), _cfg(), fidelity="magic")
 
 
 def test_op_trivial_limits():
@@ -51,8 +51,8 @@ def test_rate_determinism_and_worker_invariance():
 
 def test_link_level_matches_manual_single_trial():
     cfg = _cfg(M=2, K=3, N=8)
-    plan = mc.TrialPlan(trials=1, master_seed=777, fidelity="link_level")
-    est = mc.simulate_ergodic_rate(plan, cfg)
+    plan = mc.TrialPlan(trials=1, master_seed=777)
+    est = mc.simulate_ergodic_rate(plan, cfg, fidelity="link_level")
     gen = geo.stream(777, mc._TAG_LINK, 0)
     real = geo.draw_channel(gen, cfg)
     sol = bf.solve_beamforming(real, cfg)
@@ -106,22 +106,24 @@ _LINK_CASES = [(M, K, N, user) for M, K, N in [(1, 1, 1), (2, 3, 6), (2, 2, 4), 
 @pytest.mark.parametrize("M,K,N,user", _LINK_CASES)
 def test_link_values_equal_per_trial_reference(M, K, N, user):
     cfg = _cfg(M=M, K=K, N=N, p_b=1e-3)
-    plan = mc.TrialPlan(trials=300, master_seed=40 + M * 10 + user, fidelity="link_level")
+    plan = mc.TrialPlan(trials=300, master_seed=40 + M * 10 + user)
     bases, deg = mc._link_chunk(plan, cfg, user, 0, plan.trials)
     assert deg == 0
     want = [_reference_trial(geo.stream(plan.master_seed, mc._TAG_LINK, t), cfg, user)
             for t in range(plan.trials)]
     assert bases.tolist() == [float(w) for w in want]
-    got = mc.simulate_ergodic_rate(plan, cfg, user=user)
+    got = mc.simulate_ergodic_rate(plan, cfg, user=user, fidelity="link_level")
     assert got.mean == math.fsum(_reference_values(want, cfg, cfg.p_b)) / plan.trials
 
 
 def test_link_power_axis_across_chunks_blocks_and_workers():
     cfg = _cfg(M=2, K=3, N=6)
-    plan = mc.TrialPlan(trials=_ODD_TRIALS, master_seed=17, fidelity="link_level")
+    plan = mc.TrialPlan(trials=_ODD_TRIALS, master_seed=17)
     powers = [1e-4, 1e-2]
-    ops = {w: mc.simulate_op_axis(plan, cfg, powers, n_workers=w) for w in (1, 2)}
-    rates = {w: mc.simulate_ergodic_rate_axis(plan, cfg, powers, n_workers=w) for w in (1, 2)}
+    ops = {w: mc.simulate_op_axis(plan, cfg, powers, n_workers=w, fidelity="link_level")
+           for w in (1, 2)}
+    rates = {w: mc.simulate_ergodic_rate_axis(plan, cfg, powers, n_workers=w,
+                                              fidelity="link_level") for w in (1, 2)}
     assert ops[1] == ops[2] and rates[1] == rates[2]
     bases = [_reference_trial(geo.stream(plan.master_seed, mc._TAG_LINK, t), cfg, 0)
              for t in range(plan.trials)]
@@ -129,12 +131,12 @@ def test_link_power_axis_across_chunks_blocks_and_workers():
         vals = _reference_values(bases, cfg, p_b)
         assert rate.mean == math.fsum(vals) / plan.trials
         assert op.mean == sum(v < cfg.R_m for v in vals) / plan.trials
-        assert op == mc.simulate_op(plan, replace(cfg, p_b=p_b))
+        assert op == mc.simulate_op(plan, replace(cfg, p_b=p_b), fidelity="link_level")
 
 
 def test_rank_deficient_draw_is_redrawn_from_its_own_stream(monkeypatch):
     cfg = _cfg(M=2, K=3, N=6, p_b=1e-3)
-    plan = mc.TrialPlan(trials=5, master_seed=23, fidelity="link_level")
+    plan = mc.TrialPlan(trials=5, master_seed=23)
     solve = bf.solve_passive_weights
     calls = []
 
@@ -145,7 +147,7 @@ def test_rank_deficient_draw_is_redrawn_from_its_own_stream(monkeypatch):
         return solve(Hbar, S)
 
     monkeypatch.setattr(bf, "solve_passive_weights", first_two_reject_trial_3)
-    est = mc.simulate_ergodic_rate(plan, cfg)
+    est = mc.simulate_ergodic_rate(plan, cfg, fidelity="link_level")
     assert calls == [5, 5, 5]
     assert est.degenerate_draws == 2
     bases = [_reference_trial(geo.stream(plan.master_seed, mc._TAG_LINK, t), cfg, 0,
@@ -159,22 +161,22 @@ def test_rank_deficiency_beyond_64_redraws_raises(monkeypatch):
     draws = []
     real_draw = mc.draw_channel
     monkeypatch.setattr(mc, "draw_channel", lambda g, c: draws.append(g) or real_draw(g, c))
-    plan = mc.TrialPlan(trials=3, master_seed=5, fidelity="link_level")
+    plan = mc.TrialPlan(trials=3, master_seed=5)
     with pytest.raises(bf.RankDeficiencyError):
-        mc.simulate_op(plan, _cfg(M=1, K=2, N=3))
+        mc.simulate_op(plan, _cfg(M=1, K=2, N=3), fidelity="link_level")
     assert len(draws) == 1 + 64 * 3       # the stack, then 64 redraws of each trial
 
 
 def test_link_level_requires_solvable_geometry():
-    plan = mc.TrialPlan(trials=10, master_seed=1, fidelity="link_level")
+    plan = mc.TrialPlan(trials=10, master_seed=1)
     with pytest.raises(ValueError):
-        mc.simulate_op(plan, _cfg(M=2, K=3, N=5))
+        mc.simulate_op(plan, _cfg(M=2, K=3, N=5), fidelity="link_level")
 
 
 def test_link_level_degenerate_fraction_small():
     cfg = _cfg(M=2, K=2, N=5)    # N >= MK + 1
-    plan = mc.TrialPlan(trials=20000, master_seed=8, fidelity="link_level")
-    est = mc.simulate_op(plan, cfg)
+    plan = mc.TrialPlan(trials=20000, master_seed=8)
+    est = mc.simulate_op(plan, cfg, fidelity="link_level")
     assert est.degenerate_draws / est.trials_used < 1e-4
 
 
@@ -189,9 +191,9 @@ def test_op_model_matches_closed_form_deep_window():
 
 def test_exchangeability_across_users():
     cfg = _cfg(M=2, K=3, N=8, p_b=1e-4)
-    plan = mc.TrialPlan(trials=20000, master_seed=99, fidelity="link_level")
-    e0 = mc.simulate_op(plan, cfg, user=0)
-    e1 = mc.simulate_op(plan, cfg, user=1)
+    plan = mc.TrialPlan(trials=20000, master_seed=99)
+    e0 = mc.simulate_op(plan, cfg, user=0, fidelity="link_level")
+    e1 = mc.simulate_op(plan, cfg, user=1, fidelity="link_level")
     spread = math.hypot(e0.std_error, e1.std_error)
     assert abs(e0.mean - e1.mean) <= 4.0 * spread
 
@@ -204,6 +206,40 @@ def test_rate_model_vs_gamma_quadrature_with_band():
     want = an.ergodic_rate_quadrature(an.gamma_approx(cfg), cfg)
     assert est.mean >= want - 3.0 * est.std_error          # lower bound
     assert abs(est.mean - want) <= 3.0 * est.std_error + 0.10 * want
+
+
+def test_worker_count_is_checked_and_capped(monkeypatch):
+    requested = []
+
+    class RecordingPool:
+        """Runs in this process; records the pool size it was asked for."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    cfg = _cfg(p_b=0.01)
+    one_block = mc.TrialPlan(trials=mc.BLOCK, master_seed=3)
+    three_blocks = mc.TrialPlan(trials=_ODD_TRIALS, master_seed=3)
+    serial = {p: mc.simulate_op(p, cfg) for p in (one_block, three_blocks)}
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
+    assert mc.simulate_op(one_block, cfg, n_workers=64) == serial[one_block]
+    assert requested == []                      # a single block runs serially
+    assert mc.simulate_op(three_blocks, cfg, n_workers=64) == serial[three_blocks]
+    assert mc.optimal_power_split("df", three_blocks, _rc(), grid=[0.5], n_workers=2)
+    assert requested == [3, 2, 2]               # split search: bounded and exact pass
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match=f"n_workers must be >= 1, got {bad}"):
+            mc.simulate_op(one_block, cfg, n_workers=bad)
+    assert requested == [3, 2, 2]
 
 
 def test_fsum_of_list_equals_fsum_of_array():
@@ -256,7 +292,7 @@ def test_squared_gain_outage_matches_loop_reference():
     with pytest.raises(ValueError):
         mc.simulate_op_axis(plan, cfg, _POWERS, gain="cubed")
     with pytest.raises(ValueError):        # a model-level event only
-        mc.simulate_op_axis(replace(plan, fidelity="link_level"), cfg, _POWERS, gain="squared")
+        mc.simulate_op_axis(plan, cfg, _POWERS, gain="squared", fidelity="link_level")
 
 
 def test_power_axis_draws_once_per_block(monkeypatch):
@@ -270,7 +306,7 @@ def test_power_axis_draws_once_per_block(monkeypatch):
     monkeypatch.setattr(mc, "stream", counting_stream)
     plan = mc.TrialPlan(trials=_ODD_TRIALS, master_seed=3)
     mc.simulate_op_axis(plan, _cfg(), _POWERS)
-    mc.optimal_power_split(mc.df_relay_rate, plan, _rc(), combine="min_of_means")
+    mc.optimal_power_split("df_min_of_means", plan, _rc())
     n_blocks = len(mc._block_ranges(plan.trials))
     # the split search: one pass for every split, one more for the candidates
     assert len(keys) == n_blocks + 2 * n_blocks
@@ -327,21 +363,24 @@ def test_df_dominates_af_on_matched_draws():
     assert df.mean >= af.mean
 
 
+def _one_split(scheme, plan, rc, split, n_workers=1):
+    """The scheme's ``Estimate`` at one split, as the split search reduces it."""
+    return mc._relay_estimates(scheme, plan, rc, [split], n_workers)[0]
+
+
 def test_df_min_of_means_variant():
     plan = mc.TrialPlan(trials=50000, master_seed=7)
     rc = _rc()
     per_draw = mc.df_relay_rate(plan, rc, 0.5)
-    mom = mc.df_relay_rate(plan, rc, 0.5, combine="min_of_means")
+    mom = _one_split("df_min_of_means", plan, rc, 0.5)
     assert mom.mean >= per_draw.mean      # Jensen direction
-    with pytest.raises(ValueError):
-        mc.df_relay_rate(plan, rc, 0.5, combine="average")
 
 
 def test_df_hops_balance_in_symmetric_setup():
     # relay at the mean user distance with equal fading: hops within 10%
     plan = mc.TrialPlan(trials=10 ** 5, master_seed=11)
     rc = _rc(t1=1.0, t2=1.0, d1=66.673267326732673)
-    r1 = mc.df_relay_rate(plan, rc, 0.5, combine="min_of_means")
+    r1 = _one_split("df_min_of_means", plan, rc, 0.5)
     # recompute each hop separately for the comparison
     hop1, hop2 = 0.0, 0.0
     for blk in mc._block_ranges(plan.trials):
@@ -356,67 +395,64 @@ def test_df_hops_balance_in_symmetric_setup():
 def test_optimal_split_properties():
     plan = mc.TrialPlan(trials=30000, master_seed=13)
     rc = _rc(t1=1.0, t2=1.0, d1=66.673267326732673)
-    split, best = mc.optimal_power_split(mc.df_relay_rate, plan, rc)
+    split, best = mc.optimal_power_split("df", plan, rc)
     assert abs(split - 0.5) <= 0.05
     assert best.mean >= mc.df_relay_rate(plan, rc, 0.5).mean
     # weaker first hop pulls power toward the BS side
     far = _rc(t1=1.0, t2=1.0, d1=90.0)
-    split_far, _ = mc.optimal_power_split(mc.df_relay_rate, plan, far)
+    split_far, _ = mc.optimal_power_split("df", plan, far)
     assert split_far > 0.5
 
 
-def _loop_split_search(relay_rate_fn, plan, rc, grid, **rate_kw):
-    """Reference: one full engine call per split, first strictly greater mean wins."""
+def _loop_split_search(scheme, plan, rc, grid):
+    """Reference: one full evaluation per split, first strictly greater mean wins."""
     best_split, best = None, None
     for split in grid:
-        est = relay_rate_fn(plan, rc, float(split), **rate_kw)
+        est = _one_split(scheme, plan, rc, float(split))
         if best is None or est.mean > best.mean:
             best_split, best = float(split), est
     return best_split, best
 
 
-_RELAY_ENGINES = [
-    (mc.af_relay_rate, {}),
-    (mc.df_relay_rate, {}),
-    (mc.df_relay_rate, {"combine": "min_of_means"}),
-]
+_SCHEMES = ["af", "df", "df_min_of_means"]
 
 
 @pytest.mark.parametrize("n_workers", [1, 2])
-@pytest.mark.parametrize("rate_fn,rate_kw", _RELAY_ENGINES)
-def test_split_grid_equals_per_split_calls(rate_fn, rate_kw, n_workers):
+@pytest.mark.parametrize("scheme", _SCHEMES)
+def test_split_grid_equals_per_split_calls(scheme, n_workers):
     plan = mc.TrialPlan(trials=_ODD_TRIALS, master_seed=17)
     rc = _rc(p_b=0.1)
     grid = np.round(np.arange(0.05, 1.0, 0.05), 2)
-    got = mc.optimal_power_split(rate_fn, plan, rc, grid=grid, n_workers=n_workers, **rate_kw)
-    assert got == _loop_split_search(rate_fn, plan, rc, grid, **rate_kw)
-    one = rate_fn(plan, rc, 0.3, **rate_kw)
-    assert rate_fn(plan, rc, 0.3, n_workers=n_workers, **rate_kw) == one
+    got = mc.optimal_power_split(scheme, plan, rc, grid=grid, n_workers=n_workers)
+    assert got == _loop_split_search(scheme, plan, rc, grid)
+    assert _one_split(scheme, plan, rc, 0.3, n_workers) == _one_split(scheme, plan, rc, 0.3)
+    engine = {"af": mc.af_relay_rate, "df": mc.df_relay_rate}.get(scheme)
+    if engine is not None:
+        assert engine(plan, rc, 0.3, n_workers) == _one_split(scheme, plan, rc, 0.3)
 
 
 @pytest.mark.parametrize("n_workers", [1, 2])
-@pytest.mark.parametrize("rate_fn,rate_kw", _RELAY_ENGINES)
+@pytest.mark.parametrize("scheme", _SCHEMES)
 @pytest.mark.parametrize("p_b,grid", [
     (0.1, [0.3, 0.45, 0.3, 0.6, 0.3]),                      # the winner, three times
     (1e-30, np.round(np.arange(0.05, 1.0, 0.05), 2)),       # every rate is 0.0
     (0.1, None),                                            # flatter than the sums' error
 ])
-def test_split_search_ties_and_flat_grids_equal_per_split_calls(rate_fn, rate_kw, n_workers,
-                                                                p_b, grid):
+def test_split_search_ties_and_flat_grids_equal_per_split_calls(scheme, n_workers, p_b, grid):
     plan = mc.TrialPlan(trials=_ODD_TRIALS, master_seed=17)
     rc = _rc(p_b=p_b)
     if grid is None:
         # 1e-15 apart at the optimum, the means differ by less than a numpy
         # block sum's rounding, and for AF and DF its argmax is not the exact one
-        centre, _ = mc.optimal_power_split(rate_fn, plan, rc, **rate_kw)
+        centre, _ = mc.optimal_power_split(scheme, plan, rc)
         grid = [centre + k * 1e-15 for k in range(-20, 21)]
-    got = mc.optimal_power_split(rate_fn, plan, rc, grid=grid, n_workers=n_workers, **rate_kw)
-    assert got == _loop_split_search(rate_fn, plan, rc, grid, **rate_kw)
+    got = mc.optimal_power_split(scheme, plan, rc, grid=grid, n_workers=n_workers)
+    assert got == _loop_split_search(scheme, plan, rc, grid)
 
 
 @pytest.mark.parametrize("n_workers", [1, 2])
-@pytest.mark.parametrize("rate_fn,rate_kw", _RELAY_ENGINES)
-def test_non_finite_bounded_pass_keeps_every_split(monkeypatch, rate_fn, rate_kw, n_workers):
+@pytest.mark.parametrize("scheme", _SCHEMES)
+def test_non_finite_bounded_pass_keeps_every_split(monkeypatch, scheme, n_workers):
     plan = mc.TrialPlan(trials=_ODD_TRIALS, master_seed=17)
     rc = _rc(p_b=0.1)
     grid = np.round(np.arange(0.05, 1.0, 0.05), 2)
@@ -432,14 +468,14 @@ def test_non_finite_bounded_pass_keeps_every_split(monkeypatch, rate_fn, rate_kw
         return parts
 
     monkeypatch.setattr(mc, "_relay_parts", corrupted)
-    got = mc.optimal_power_split(rate_fn, plan, rc, grid=grid, n_workers=n_workers, **rate_kw)
+    got = mc.optimal_power_split(scheme, plan, rc, grid=grid, n_workers=n_workers)
     monkeypatch.undo()
     assert exact_splits == [[float(s) for s in grid]]
-    assert got == _loop_split_search(rate_fn, plan, rc, grid, **rate_kw)
+    assert got == _loop_split_search(scheme, plan, rc, grid)
 
 
-@pytest.mark.parametrize("rate_fn,rate_kw", _RELAY_ENGINES)
-def test_default_grid_reduces_few_splits_exactly(monkeypatch, rate_fn, rate_kw):
+@pytest.mark.parametrize("scheme", _SCHEMES)
+def test_default_grid_reduces_few_splits_exactly(monkeypatch, scheme):
     calls = []
     real = mc._fsum
 
@@ -449,8 +485,8 @@ def test_default_grid_reduces_few_splits_exactly(monkeypatch, rate_fn, rate_kw):
 
     monkeypatch.setattr(mc, "_fsum", counting)
     plan = mc.TrialPlan(trials=_ODD_TRIALS, master_seed=3)
-    mc.optimal_power_split(rate_fn, plan, _rc(), **rate_kw)
-    n_rates = 2 if rate_kw else 1
+    mc.optimal_power_split(scheme, plan, _rc())
+    n_rates = 2 if scheme == "df_min_of_means" else 1
     n_blocks = len(mc._block_ranges(plan.trials))
     # a sum and a sum of squares per split, rate and block; at most 3 of 99 splits
     assert 0 < len(calls) <= 2 * 3 * n_rates * n_blocks
@@ -474,24 +510,21 @@ def test_relay_rates_match_per_draw_reference():
     assert mc.af_relay_rate(plan, rc, 0.4) == want["af"]
     assert mc.df_relay_rate(plan, rc, 0.4) == want["df"]
     est1, est2 = want["hop1"], want["hop2"]
-    assert mc.df_relay_rate(plan, rc, 0.4, combine="min_of_means") == (
+    assert _one_split("df_min_of_means", plan, rc, 0.4) == (
         est1 if est1.mean <= est2.mean else est2)
 
 
 def test_split_search_needs_a_relay_engine():
     plan = mc.TrialPlan(trials=10, master_seed=2)
+    # the old call form passed the engine itself
+    for scheme in (mc.af_relay_rate, mc.df_relay_rate, lambda *a, **k: None,
+                   "AF", "df_hops", "min_of_means", "", None):
+        with pytest.raises(ValueError, match="known: af, df, df_min_of_means"):
+            mc.optimal_power_split(scheme, plan, _rc())
     with pytest.raises(ValueError):
-        mc.optimal_power_split(lambda *a, **k: None, plan, _rc())
-    with pytest.raises(ValueError):
-        mc.optimal_power_split(mc.af_relay_rate, plan, _rc(), grid=[0.5, 1.0])
+        mc.optimal_power_split("af", plan, _rc(), grid=[0.5, 1.0])
     with pytest.raises(ValueError, match="at least one power split"):
-        mc.optimal_power_split(mc.af_relay_rate, plan, _rc(), grid=[])
-    with pytest.raises(ValueError):      # af_relay_rate takes no combine
-        mc.optimal_power_split(mc.af_relay_rate, plan, _rc(), combine="per_draw")
-    with pytest.raises(ValueError):
-        mc.optimal_power_split(mc.df_relay_rate, plan, _rc(), combin="min_of_means")
-    with pytest.raises(ValueError):
-        mc.optimal_power_split(mc.df_relay_rate, plan, _rc(), combine="average")
+        mc.optimal_power_split("af", plan, _rc(), grid=[])
 
 
 def test_empirical_diversity_slope():
