@@ -6,10 +6,12 @@ columns and applies MRC inside it.  ``link_snr`` is the ground-truth
 post-detection SNR.
 
 Every link-level function takes a realization with or without leading trial
-axes (one trial is the case without) and runs once per stack, except where
-numpy's batched form rounds differently: ``lstsq`` and the norm of each
-detection coefficient vector run per trial, the square ``|v^H h|^2`` per
-element.
+axes (one trial is the case without) and runs once per stack.  The weights
+come from one call of the LAPACK ``gelsd`` gufunc that numpy's ``lstsq`` wraps,
+and each detection norm from the dot product numpy's ``norm`` takes on one
+vector, so a stack gives the per-trial values bit for bit.  Only the square
+``|v^H h|^2`` runs per element, where numpy's vectorized square rounds
+differently.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .geometry import ChannelRealization, NetworkConfig, path_loss
 
@@ -35,6 +38,10 @@ __all__ = [
 ]
 
 _RANK_RCOND = 1e-10   # singular values below rcond * s_max count as zero
+
+
+def _raise_lstsq(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
 class RankDeficiencyError(RuntimeError):
@@ -83,17 +90,16 @@ def solve_passive_weights(Hbar: np.ndarray, S: np.ndarray) -> np.ndarray:
     mk, n = Hbar.shape[-2:]
     if n < mk:
         raise RankDeficiencyError(f"no solution for N={n} < MK={mk}")
-    phi_v = np.empty(Hbar.shape[:-2] + (n,), dtype=complex)
-    deficient = []
-    for i in np.ndindex(Hbar.shape[:-2]):
-        phi_v[i], _, rank, _ = np.linalg.lstsq(Hbar[i], S[i].astype(complex),
-                                               rcond=_RANK_RCOND)
-        if rank < mk:
-            deficient.append(i)
+    # the gufunc numpy's lstsq wraps, with its error handling, once per stack
+    with np.errstate(call=_raise_lstsq, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        phi_v, _, rank, _ = _umath_linalg.lstsq(Hbar, S.astype(complex)[..., np.newaxis],
+                                                _RANK_RCOND, signature="DDd->Ddid")
+    deficient = [tuple(i) for i in np.argwhere(rank < mk).tolist()]
     if deficient:
         raise RankDeficiencyError(
             f"cascade matrix rank < MK={mk} in {len(deficient)} trial(s)", deficient)
-    return phi_v
+    return phi_v[..., 0]
 
 
 def normalize_weights(phi_v: np.ndarray):
@@ -127,8 +133,8 @@ def detection_vector(H_eff_m: np.ndarray, m: int) -> np.ndarray:
         U = np.linalg.svd(np.delete(H_eff_m, m, axis=-1), full_matrices=True)[0]
         T = U[..., :, M - 1:]     # K x Q basis of the interference null space
     x = (np.swapaxes(T.conj(), -1, -2) @ h_m[..., np.newaxis])[..., 0]
-    for i in np.ndindex(x.shape[:-1]):
-        x[i] = x[i] / np.linalg.norm(x[i])
+    # per trial, the dot products numpy's norm takes on one complex vector
+    x = x / np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))[..., np.newaxis]
     return (T @ x[..., np.newaxis])[..., 0]
 
 

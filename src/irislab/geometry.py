@@ -101,13 +101,14 @@ def stream(master_seed: int, *key: int) -> np.random.Generator:
 
 def sample_user_distance(rng: np.random.Generator, R: float, r0: float,
                          size: Optional[int] = None):
-    """Distance of a user placed uniformly on the annulus [r0, R].
-
-    Inverse CDF of f(r) = 2r / (R^2 - r0^2): r = sqrt(r0^2 + u (R^2 - r0^2)).
-    """
+    """Distance of a user placed uniformly on the annulus [r0, R]."""
     if r0 >= R:
         raise ValueError(f"need r0 < R, got r0={r0} R={R}")
-    u = rng.random(size)
+    return _annulus_distance(rng.random(size), R, r0)
+
+
+def _annulus_distance(u, R: float, r0: float):
+    """Inverse CDF of f(r) = 2r / (R^2 - r0^2): r = sqrt(r0^2 + u (R^2 - r0^2))."""
     return np.sqrt(r0 ** 2 + u * (R ** 2 - r0 ** 2))
 
 
@@ -138,19 +139,25 @@ def draw_channel(rng, cfg: NetworkConfig) -> ChannelRealization:
     Given a list of generators, draws one realization from each, stacked on
     a leading trial axis.  Each stream's draw order is fixed (distances,
     then the powers and phases of H, then of each G[m]) so a given stream
-    always yields the same realization; the draws become complex gains once
-    for the whole stack.
+    always yields the same realization.  Only the generator calls run per
+    trial; the draws become distances and complex gains once for the whole
+    stack.
     """
     gens = rng if isinstance(rng, list) else [rng]
     nb, M, K, N = len(gens), cfg.M, cfg.K, cfg.N
-    d2 = np.empty((nb, M))
+    u = np.empty((nb, M))
     h = np.empty((2, nb, N, M))          # power, phase
     g = np.empty((2, nb, M, K, N))
+    (h_pow, h_phase), (g_pow, g_phase) = h, g
+    t1, s1, t2, s2, two_pi = cfg.t1, 1.0 / cfg.t1, cfg.t2, 1.0 / cfg.t2, 2.0 * np.pi
     for i, gen in enumerate(gens):
-        d2[i] = sample_user_distance(gen, cfg.R, cfg.r0, M)
-        for t, (power, phase) in [(cfg.t1, h[:, i])] + [(cfg.t2, g[:, i, m]) for m in range(M)]:
-            power[...] = sample_nakagami_power(gen, t, power.shape)
-            phase[...] = gen.uniform(0.0, 2.0 * np.pi, phase.shape)
+        u[i] = gen.random(M)
+        h_pow[i] = gen.gamma(t1, s1, (N, M))
+        h_phase[i] = gen.uniform(0.0, two_pi, (N, M))
+        for m in range(M):
+            g_pow[i, m] = gen.gamma(t2, s2, (K, N))
+            g_phase[i, m] = gen.uniform(0.0, two_pi, (K, N))
+    d2 = _annulus_distance(u, cfg.R, cfg.r0)
     H, G = (np.sqrt(x[0]) * np.exp(1j * x[1]) for x in (h, g))
     if gens is rng:
         return ChannelRealization(H=H, G=G, d2=d2)

@@ -301,15 +301,19 @@ _RELAY_FIELDS = ("t1", "t2", "d1", "R", "r0", "alpha", "p_b", "sigma2", "ref_att
 
 def _relay(scheme):
     """The relay ``scheme``'s rate at its best split of ``p_b``; it ignores the
-    surface, so it is computed once per run for each set of the fields it reads."""
+    surface, so it is computed once per run for each set of the fields it reads,
+    and every point with that set shares its value or its failure."""
     def evaluate(run, cfgs):
         out = []
         for cfg in cfgs:
             key = (scheme, *(getattr(cfg, f) for f in _RELAY_FIELDS))
             if key not in run.memo:
-                _, est = mc.optimal_power_split(scheme, run.spec.plan, cfg,
-                                                n_workers=run.n_workers)
-                run.memo[key] = _payload(est)
+                try:
+                    _, est = mc.optimal_power_split(scheme, run.spec.plan, cfg,
+                                                    n_workers=run.n_workers)
+                    run.memo[key] = _payload(est)
+                except Exception as e:              # noqa: BLE001 - per-point report
+                    run.memo[key] = e
             out.append(run.memo[key])
         return out
     return evaluate

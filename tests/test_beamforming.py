@@ -80,6 +80,45 @@ def test_solve_rejects_underdetermined_and_rank_deficient():
         bf.solve_passive_weights(degenerate, np.array([1.0, 2.0]))
 
 
+def _cascade_stack(seed, nb, mk, n):
+    rng = np.random.default_rng(seed)
+    Hbar = rng.standard_normal((nb, mk, n)) + 1j * rng.standard_normal((nb, mk, n))
+    return Hbar, np.abs(rng.standard_normal((nb, mk)))
+
+
+# The stacked kernels call numpy's lstsq gufunc and the dot product of its
+# norm directly; these tests pin them to numpy's public per-trial forms, so a
+# numpy that changes either fails here instead of changing values silently.
+@pytest.mark.parametrize("mk, n", [(1, 1), (4, 4), (6, 6), (1, 4), (4, 8), (6, 16)])
+def test_stacked_solve_equals_per_trial_lstsq(mk, n):
+    Hbar, S = _cascade_stack(mk * 100 + n, 300, mk, n)
+    got = bf.solve_passive_weights(Hbar, S)
+    want = [np.linalg.lstsq(Hbar[i], S[i].astype(complex), rcond=1e-10)[0]
+            for i in range(len(Hbar))]
+    assert got.shape == (300, n)
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_stacked_solve_names_every_rank_deficient_trial():
+    Hbar, S = _cascade_stack(7, 6, 4, 6)
+    for i in (1, 4):
+        Hbar[i, 3] = Hbar[i, 0]
+    with pytest.raises(bf.RankDeficiencyError) as err:
+        bf.solve_passive_weights(Hbar, S)
+    assert err.value.trials == [(1,), (4,)]
+    with pytest.raises(bf.RankDeficiencyError) as err:
+        bf.solve_passive_weights(Hbar[4], S[4])
+    assert err.value.trials == [()]
+
+
+def test_solve_of_a_nan_cascade_raises_linalg_error():
+    Hbar, S = _cascade_stack(8, 3, 4, 6)
+    Hbar[1, 2, 3] = np.nan
+    for args in ((Hbar, S), (Hbar[1], S[1])):
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            bf.solve_passive_weights(*args)
+
+
 def test_normalize_weights():
     phi_v = np.array([0.3 + 0.1j, -0.2j])
     phi, beta = bf.normalize_weights(phi_v)
@@ -149,6 +188,22 @@ def test_detection_vector_norm_identity():
             np.linalg.norm(T.conj().T @ H[:, m]) ** 2, rel=1e-10)
     with pytest.raises(ValueError):
         bf.detection_vector(np.ones((2, 3), complex), 0)
+
+
+@pytest.mark.parametrize("K, M", [(1, 1), (2, 1), (3, 1), (3, 3), (3, 2), (4, 2)])
+def test_stacked_detection_equals_per_trial_norm(K, M):
+    rng = np.random.default_rng(10 * K + M)
+    H = rng.standard_normal((400, K, M)) + 1j * rng.standard_normal((400, K, M))
+    m = M - 1
+    if M == 1:
+        T = np.broadcast_to(np.eye(K, dtype=complex), (400, K, K))
+    else:
+        T = np.linalg.svd(np.delete(H, m, axis=-1), full_matrices=True)[0][..., :, M - 1:]
+    assert T.shape[-1] == K - M + 1                       # Q
+    x = (np.swapaxes(T.conj(), -1, -2) @ H[..., m, np.newaxis])[..., 0]
+    x = np.array([xi / np.linalg.norm(xi) for xi in x])
+    want = (T @ x[..., np.newaxis])[..., 0]
+    assert bf.detection_vector(H, m).tobytes() == want.tobytes()
 
 
 def test_link_snr_hand_case_and_linearity():

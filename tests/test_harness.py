@@ -294,6 +294,26 @@ def test_irs_model_engine_error_fails_its_points(monkeypatch):
                                for p in (20.0, 30.0)]
 
 
+def test_relay_engine_error_fails_its_points(monkeypatch):
+    calls = []
+
+    def broken(*args, **kwargs):
+        calls.append(args[0])
+        raise ValueError("forced")
+
+    monkeypatch.setattr(mc, "optimal_power_split", broken)
+    spec = cli._load("relay_compare")
+    spec.plan = replace(spec.plan, trials=1000)
+    spec.sweep = [("n_elements", [1, 2]), ("pb_dbm", [20, 30])]
+    result = harness.run_experiment(spec)
+    relays = ("af_optimal", "df_min_of_means", "df_optimal")
+    points = [(n, p) for n in (1.0, 2.0) for p in (20.0, 30.0)]
+    assert result.failures == [(pt, s, "ValueError: forced") for pt in points for s in relays]
+    assert sorted((axes, s) for axes, s, *_ in result.rows) == [(pt, "irs_model") for pt in points]
+    # the failure is shared like a value: one call per scheme and budget
+    assert sorted(calls) == sorted(["af", "df", "df_min_of_means"] * 2)
+
+
 def test_cli_run_and_errors(tmp_path, capsys):
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps(_ee_dict()))

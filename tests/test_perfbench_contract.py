@@ -43,3 +43,13 @@ def test_traced_model_mc_batch_keeps_its_digest_and_sees_every_split_search(tmp_
     assert plain.digest == traced.digest
     # one search per relay series: af_optimal, df_optimal, df_min_of_means
     assert tracer.counters["montecarlo.optimal_power_split.calls"] == 3
+
+
+def test_link_parallel_batch_digest_does_not_depend_on_workers(tmp_path):
+    batch, workloads = (_perfbench(n) for n in ("batch", "workloads"))
+    sweeps = workloads.build("link_parallel", 3, smoke=True)
+    assert {n_workers for _, _, n_workers in sweeps} == {2}
+    pooled = batch.run_batch(sweeps, tmp_path)
+    serial = batch.run_batch([(name, spec, 1) for name, spec, _ in sweeps], tmp_path)
+    assert pooled.failed == serial.failed == 0
+    assert pooled.digest == serial.digest
