@@ -9,6 +9,7 @@ regardless of how trials are scheduled.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,6 +19,8 @@ __all__ = [
     "NetworkConfig",
     "ChannelRealization",
     "stream",
+    "philox_keys",
+    "resume_stream",
     "sample_user_distance",
     "path_loss",
     "sample_nakagami_power",
@@ -99,6 +102,82 @@ def stream(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+
+
+def _uint32_words(n: int) -> list:
+    """Little-endian 32-bit words of a non-negative int, as SeedSequence splits it."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"seed words must be non-negative integers, got {n}")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def philox_keys(master_seed: int, key_prefix, counters) -> np.ndarray:
+    """Philox keys of ``stream(master_seed, *key_prefix, t)`` for every t in ``counters``.
+
+    Row i is that stream's ``bit_generator.state["state"]["key"]``, an
+    (n, 2) uint64 stack.  The key is a pure function of the stream address:
+    SeedSequence hashes the 32-bit words of the seed (padded to the pool
+    size) and of the spawn key.  Only the counter's word differs between
+    rows and it comes last, so the shared words are mixed once in Python
+    ints and the counter column in numpy uint32 arithmetic, which wraps
+    like the C code.  Counters must lie in [0, 2**32): one word each.
+    """
+    t = np.asarray(counters)
+    if t.ndim != 1 or (t.size and t.dtype.kind not in "iu"):
+        raise ValueError("counters must be a 1-d sequence of integers")
+    if t.size and (t.min() < 0 or t.max() > _MASK32):
+        raise ValueError("counters must lie in [0, 2**32)")
+    run = _uint32_words(master_seed)
+    entropy = run + [0] * (_POOL - len(run))
+    entropy += [w for k in key_prefix for w in _uint32_words(k)]
+    entropy.append(t.astype(np.uint32))
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = (_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * hashmix(y) & _MASK32) & _MASK32
+        return r ^ r >> 16
+
+    pool = [hashmix(w) for w in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], pool[src])
+    for word in entropy[_POOL:]:
+        pool = [mix(p, word) for p in pool]
+    const, state = _INIT_B, []
+    for word in pool:                   # generate_state(2, np.uint64)
+        word = word ^ const
+        const = const * _MULT_B & _MASK32
+        word = word * const & _MASK32
+        state.append((word ^ word >> 16).astype(np.uint64))
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
+
+
+def resume_stream(key, cfg: NetworkConfig) -> np.random.Generator:
+    """The stream that Philox ``key`` opens, where a key stack's draw left it."""
+    gen = np.random.Generator(np.random.Philox(key=key))
+    draw_channel(gen, cfg)
+    return gen
+
+
 def sample_user_distance(rng: np.random.Generator, R: float, r0: float,
                          size: Optional[int] = None):
     """Distance of a user placed uniformly on the annulus [r0, R]."""
@@ -133,32 +212,55 @@ def sample_nakagami_power(rng: np.random.Generator, t: float,
     return rng.gamma(t, 1.0 / t, size)
 
 
-def draw_channel(rng, cfg: NetworkConfig) -> ChannelRealization:
-    """Draw one full realization: H (N x M), G (M x K x N), d2 (M,).
+def draw_channel(source, cfg: NetworkConfig) -> ChannelRealization:
+    """Draw realizations: H (N x M), G (M x K x N), d2 (M,) each.
 
-    Given a list of generators, draws one realization from each, stacked on
-    a leading trial axis.  Each stream's draw order is fixed (distances,
-    then the powers and phases of H, then of each G[m]) so a given stream
-    always yields the same realization.  Only the generator calls run per
-    trial; the draws become distances and complex gains once for the whole
-    stack.
+    ``source`` is a generator, which gives one realization, or an (n, 2)
+    stack of Philox keys (``philox_keys``), which gives the first
+    realization of each key's stream, stacked on a leading trial axis.  A
+    key stack runs through one reused generator whose state is set to each
+    key at counter 0.  Each stream's draw order is fixed (distances, then
+    the powers and phases of H, then of each G[m]) so a given stream always
+    yields the same realization.  Only the generator calls run per trial,
+    and they write into preallocated rows.  The rest runs once on the
+    stack: the gamma scale (``gamma(t, s)`` is ``s * standard_gamma(t)``),
+    the phase scale (``uniform(0, 2 pi)`` is ``0 + 2 pi * random()``), the
+    distances and the complex gains.
     """
-    gens = rng if isinstance(rng, list) else [rng]
-    nb, M, K, N = len(gens), cfg.M, cfg.K, cfg.N
+    single = isinstance(source, np.random.Generator)
+    if single:
+        gen, keys = source, [None]
+    else:
+        keys = np.asarray(source)
+        if keys.dtype != np.uint64 or keys.ndim != 2 or keys.shape[1] != 2:
+            raise ValueError("draw_channel takes a Generator or an (n, 2) uint64 key stack")
+        bg = np.random.Philox(0)         # seeded only to skip OS entropy; each key resets it
+        gen = np.random.Generator(bg)
+        zeros = np.zeros(4, dtype=np.uint64)
+        philox = {"counter": zeros, "key": None}
+        state = {"bit_generator": "Philox", "state": philox, "buffer": zeros,
+                 "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    nb, M, K, N = len(keys), cfg.M, cfg.K, cfg.N
     u = np.empty((nb, M))
     h = np.empty((2, nb, N, M))          # power, phase
     g = np.empty((2, nb, M, K, N))
     (h_pow, h_phase), (g_pow, g_phase) = h, g
-    t1, s1, t2, s2, two_pi = cfg.t1, 1.0 / cfg.t1, cfg.t2, 1.0 / cfg.t2, 2.0 * np.pi
-    for i, gen in enumerate(gens):
-        u[i] = gen.random(M)
-        h_pow[i] = gen.gamma(t1, s1, (N, M))
-        h_phase[i] = gen.uniform(0.0, two_pi, (N, M))
+    t1, t2 = cfg.t1, cfg.t2
+    for i, key in enumerate(keys):
+        if key is not None:
+            philox["key"] = key
+            bg.state = state
+        gen.random(out=u[i])
+        gen.standard_gamma(t1, out=h_pow[i])
+        gen.random(out=h_phase[i])
         for m in range(M):
-            g_pow[i, m] = gen.gamma(t2, s2, (K, N))
-            g_phase[i, m] = gen.uniform(0.0, two_pi, (K, N))
+            gen.standard_gamma(t2, out=g_pow[i, m])
+            gen.random(out=g_phase[i, m])
+    for x, t in ((h, t1), (g, t2)):
+        x[0] *= 1.0 / t
+        x[1] *= 2.0 * np.pi
     d2 = _annulus_distance(u, cfg.R, cfg.r0)
     H, G = (np.sqrt(x[0]) * np.exp(1j * x[1]) for x in (h, g))
-    if gens is rng:
-        return ChannelRealization(H=H, G=G, d2=d2)
-    return ChannelRealization(H=H[0], G=G[0], d2=d2[0])
+    if single:
+        return ChannelRealization(H=H[0], G=G[0], d2=d2[0])
+    return ChannelRealization(H=H, G=G, d2=d2)

@@ -24,6 +24,7 @@ describes.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -31,8 +32,8 @@ from functools import partial
 import numpy as np
 
 from .beamforming import RankDeficiencyError, link_gain, solve_beamforming
-from .geometry import (NetworkConfig, draw_channel, sample_nakagami_power, sample_user_distance,
-                       stream)
+from .geometry import (NetworkConfig, draw_channel, philox_keys, resume_stream,
+                       sample_nakagami_power, sample_user_distance, stream)
 
 __all__ = [
     "BLOCK",
@@ -62,8 +63,14 @@ class TrialPlan:
     master_seed: int
 
     def __post_init__(self) -> None:
+        for name in ("trials", "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
 
 
 @dataclass(frozen=True)
@@ -159,12 +166,14 @@ _CHUNK = 512          # trials stacked per linear-algebra pass; bounds peak memo
 def _link_chunk(plan, cfg, user, lo, hi):
     """``link_gain`` of trials lo..hi-1 and the number of rank-deficient draws.
 
-    Every trial draws from its own stream; a rank-deficient trial draws
-    again from that stream, so its value does not depend on the chunking.
+    Every trial draws from its own stream, keyed by (seed, link tag, trial);
+    a rank-deficient trial draws again from that stream, resumed past its
+    earlier draws, so its value does not depend on the chunking.
     """
-    gens = [stream(plan.master_seed, _TAG_LINK, t) for t in range(lo, hi)]
-    real = draw_channel(gens, cfg)
-    failed = [0] * len(gens)
+    keys = philox_keys(plan.master_seed, (_TAG_LINK,), range(lo, hi))
+    real = draw_channel(keys, cfg)
+    failed = [0] * len(keys)
+    resumed = {}
     while True:
         try:
             sol = solve_beamforming(real, cfg, users=(user,))
@@ -175,7 +184,9 @@ def _link_chunk(plan, cfg, user, lo, hi):
                 failed[i] += 1
                 if failed[i] > 64:
                     raise
-                again = draw_channel(gens[i], cfg)
+                if i not in resumed:
+                    resumed[i] = resume_stream(keys[i], cfg)
+                again = draw_channel(resumed[i], cfg)
                 real.H[i], real.G[i], real.d2[i] = again.H, again.G, again.d2
             continue
         return link_gain(real, sol, cfg, user), sum(failed)
@@ -411,7 +422,14 @@ def optimal_power_split(scheme: str, plan: TrialPlan, cfg: NetworkConfig,
 
 
 def empirical_diversity_slope(op_curve) -> float:
-    """Least-squares slope of log10(OP) against -snr_db / 10."""
+    """Least-squares slope of log10(OP) against -snr_db / 10.
+
+    Points with an outage of exactly zero carry no slope and are skipped; a
+    non-finite SNR, or an outage that is not a probability, raises.
+    """
+    for s, p in op_curve:
+        if not (math.isfinite(s) and 0.0 <= p <= 1.0):
+            raise ValueError(f"bad outage point (snr_db={s!r}, op={p!r})")
     pts = [(s, p) for s, p in op_curve if p > 0.0]
     if len(pts) < 2:
         raise ValueError("need at least two positive outage points")

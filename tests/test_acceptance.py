@@ -199,7 +199,7 @@ def test_criterion_07_zero_forcing_invariant():
     """Residual interference and co-phasing residual over 1e4 draws, one stack."""
     t0 = time.monotonic()
     cfg = _cfg(M=2, K=3, N=8)
-    real = geo.draw_channel([geo.stream(707, trial) for trial in range(10 ** 4)], cfg)
+    real = geo.draw_channel(geo.philox_keys(707, (), range(10 ** 4)), cfg)
     Hbar = bf.stack_interference_matrix(real)
     S = bf.target_vector(real)
     phi_v = bf.solve_passive_weights(Hbar, S)

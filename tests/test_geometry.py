@@ -156,3 +156,43 @@ def test_reproducibility_same_stream_key():
     assert np.array_equal(a.d2, b.d2)
     c = geo.draw_channel(geo.stream(42, 8), cfg)
     assert not np.array_equal(a.H, c.H)
+
+
+_KEY_SEEDS = (0, 3, 2 ** 32 - 1, 2 ** 32 + 5, 2 ** 70 + 3, 2 ** 130 + 7)
+
+
+@pytest.mark.parametrize("prefix", [(), (11,), (13,), (14,)])
+@pytest.mark.parametrize("seed", _KEY_SEEDS)
+def test_philox_keys_equal_seed_sequence(seed, prefix):
+    counters = list(range(3000)) + [2 ** 32 - 1]
+    want = np.array([np.random.SeedSequence(seed, spawn_key=(*prefix, t)).generate_state(2, np.uint64)
+                     for t in counters])
+    got = geo.philox_keys(seed, prefix, counters)
+    assert got.dtype == np.uint64 and got.shape == (len(counters), 2)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got[-1], geo.stream(seed, *prefix, 2 ** 32 - 1).bit_generator.state["state"]["key"])
+
+
+def test_philox_keys_reject_out_of_range_counters_and_seeds():
+    for counters in ([2 ** 32], [0, 2 ** 40], [-1], [0.5]):
+        with pytest.raises(ValueError, match="counters"):
+            geo.philox_keys(1, (13,), counters)
+    for seed, prefix in ((-1, (13,)), (1, (-13,))):
+        with pytest.raises(ValueError, match="non-negative"):
+            geo.philox_keys(seed, prefix, range(3))
+    assert geo.philox_keys(1, (13,), range(0)).shape == (0, 2)
+
+
+def test_resumed_stream_continues_past_the_key_stack_draw():
+    cfg = geo.NetworkConfig(M=2, K=2, N=5)
+    key = geo.philox_keys(42, (13,), [7])[0]
+    gen = geo.stream(42, 13, 7)
+    geo.draw_channel(gen, cfg)
+    resumed = geo.resume_stream(key, cfg)
+    for _ in range(2):
+        assert geo.draw_channel(resumed, cfg).H.tobytes() == geo.draw_channel(gen, cfg).H.tobytes()
+
+
+def test_draw_channel_rejects_a_generator_list():
+    with pytest.raises(ValueError, match="key stack"):
+        geo.draw_channel([geo.stream(1, 0)], geo.NetworkConfig())

@@ -145,6 +145,13 @@ def test_integer_axes_reject_fractions(tmp_path):
     assert harness.spec_from_dict(d).plan == TrialPlan(trials=1000000, master_seed=7)
 
 
+
+def test_negative_seed_is_rejected_when_the_spec_is_read():
+    d = _ee_dict()
+    d["plan"]["master_seed"] = -1
+    with pytest.raises(ValueError, match="master_seed must be >= 0"):
+        harness.spec_from_dict(d)
+
 def _mini_spec(trials=2000, seed=11):
     return harness.spec_from_dict({
         "experiment": "op_vs_snr",

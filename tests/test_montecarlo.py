@@ -19,6 +19,10 @@ def _cfg(**kw):
 def test_plan_validation():
     with pytest.raises(ValueError):
         mc.TrialPlan(trials=0, master_seed=1)
+    for trials, seed in ((10, -1), (10, True), (10, 1.0), (10, "7"), (10.0, 1), (True, 1)):
+        with pytest.raises(ValueError, match="trials|master_seed"):
+            mc.TrialPlan(trials=trials, master_seed=seed)
+    assert mc.TrialPlan(trials=np.int64(10), master_seed=2 ** 70).master_seed == 2 ** 70
     with pytest.raises(ValueError, match="unknown fidelity 'magic'"):
         mc.simulate_op(mc.TrialPlan(trials=10, master_seed=1), _cfg(), fidelity="magic")
 
@@ -101,6 +105,17 @@ def _reference_values(bases, cfg, p_b):
 
 _LINK_CASES = [(M, K, N, user) for M, K, N in [(1, 1, 1), (2, 3, 6), (2, 2, 4), (3, 3, 9)]
                for user in range(M)]
+
+
+@pytest.mark.parametrize("M,K,N", sorted({c[:3] for c in _LINK_CASES}))
+def test_key_stack_draws_equal_per_trial_streams(M, K, N):
+    cfg = _cfg(M=M, K=K, N=N)
+    seed, trials = 60 + M, range(5, 205)
+    stacked = geo.draw_channel(geo.philox_keys(seed, (mc._TAG_LINK,), trials), cfg)
+    for i, t in enumerate(trials):
+        one = geo.draw_channel(geo.stream(seed, mc._TAG_LINK, t), cfg)
+        for a, b in ((stacked.H[i], one.H), (stacked.G[i], one.G), (stacked.d2[i], one.d2)):
+            assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("M,K,N,user", _LINK_CASES)
@@ -532,3 +547,13 @@ def test_empirical_diversity_slope():
     assert mc.empirical_diversity_slope(curve) == pytest.approx(4.0, abs=1e-6)
     with pytest.raises(ValueError):
         mc.empirical_diversity_slope([(10.0, 0.0)])
+    # exact zeros carry no slope and are skipped
+    assert mc.empirical_diversity_slope(curve + [(40.0, 0.0)]) == pytest.approx(4.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("bad", [(10.0, math.nan), (10.0, -1e-3), (10.0, 1.5), (10.0, math.inf),
+                                 (math.nan, 1e-2), (-math.inf, 1e-2)])
+def test_empirical_diversity_slope_rejects_bad_points(bad):
+    curve = [(0.0, 0.1), bad, (20.0, 1e-3)]
+    with pytest.raises(ValueError, match="bad outage point"):
+        mc.empirical_diversity_slope(curve)
