@@ -21,6 +21,7 @@ both forced by the oracles:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -213,7 +214,8 @@ def product_sum_cdf(x, t1: float, t2: float, n: int):
     arbitrary precision for n <= 3, the relative error is about 1e-14 while
     the CDF is small and the absolute error about 1e-12 where it nears one
     (so it may exceed one by that much).  Unlike the tail model this is a
-    proper CDF, and it has no pole at t1 == t2.
+    proper CDF, and it has no pole at t1 == t2.  A failed inversion (NaN, or
+    a value outside [-1e-9, 1 + 1e-9]) raises ``ConvergenceError``.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
@@ -222,7 +224,12 @@ def product_sum_cdf(x, t1: float, t2: float, n: int):
     pos = x > 1e-300      # the contour scale overflows below; the CDF is negligible there
     s = (0.4 * _TALBOT_NODES / x[pos])[:, np.newaxis] * _TALBOT_U
     out = np.zeros(x.shape)
-    out[pos] = (_TALBOT_C * np.exp(n * _ln_laplace(s, ts, tl))).real.sum(axis=1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        out[pos] = (_TALBOT_C * np.exp(n * _ln_laplace(s, ts, tl))).real.sum(axis=1)
+    bad = ~((out >= -1e-9) & (out <= 1.0 + 1e-9))
+    if bad.any():
+        raise ConvergenceError(f"Talbot inversion gives CDF {float(out[bad][0])!r} at "
+                               f"x={float(x[bad][0])!r} (t1={t1}, t2={t2}, n={n})")
     return out if out.ndim else float(out)
 
 
@@ -471,12 +478,14 @@ def ergodic_rate_meijer(approx: GammaApprox, cfg: NetworkConfig) -> float:
     return phi * bracket / (2.0 * math.log(2.0) * math.gamma(a))
 
 
-def high_snr_slope(rate_fn, cfg: NetworkConfig,
-                   snr_lo: float = 1e10, snr_hi: float = 1e12) -> float:
+_SLOPE_SNR_LO, _SLOPE_SNR_HI = 1e10, 1e12      # p_b / sigma2 of the finite difference
+
+
+def high_snr_slope(rate_fn, cfg: NetworkConfig) -> float:
     """Finite-difference slope of rate versus log2(p_b / sigma2)."""
-    r_lo = rate_fn(replace(cfg, p_b=snr_lo * cfg.sigma2))
-    r_hi = rate_fn(replace(cfg, p_b=snr_hi * cfg.sigma2))
-    return (r_hi - r_lo) / math.log2(snr_hi / snr_lo)
+    r_lo = rate_fn(replace(cfg, p_b=_SLOPE_SNR_LO * cfg.sigma2))
+    r_hi = rate_fn(replace(cfg, p_b=_SLOPE_SNR_HI * cfg.sigma2))
+    return (r_hi - r_lo) / math.log2(_SLOPE_SNR_HI / _SLOPE_SNR_LO)
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +502,9 @@ class PowerModel:
     P_L: float          # per-element surface power
 
     def __post_init__(self) -> None:
-        if not all(0.0 <= v < math.inf for v in (self.P_Bs, self.eps_b, self.P_U, self.P_L)):
-            raise ValueError(f"power model entries must be finite and nonnegative, got {self}")
+        for name, v in vars(self).items():
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 0.0 <= v < math.inf:
+                raise ValueError(f"{name} must be a finite nonnegative number, got {v!r}")
 
 
 def power_consumption(pm: PowerModel, cfg: NetworkConfig) -> float:

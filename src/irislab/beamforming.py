@@ -127,11 +127,9 @@ def detection_vector(H_eff_m: np.ndarray, m: int) -> np.ndarray:
     if K < M:
         raise ValueError(f"need K >= M for a nonempty null space, got K={K} M={M}")
     h_m = H_eff_m[..., m]
-    if M == 1:
-        T = np.broadcast_to(np.eye(K, dtype=complex), H_eff_m.shape[:-2] + (K, K))
-    else:
-        U = np.linalg.svd(np.delete(H_eff_m, m, axis=-1), full_matrices=True)[0]
-        T = U[..., :, M - 1:]     # K x Q basis of the interference null space
+    # with M == 1 nothing interferes: the SVD of the K x 0 matrix gives the identity
+    U = np.linalg.svd(np.delete(H_eff_m, m, axis=-1), full_matrices=True)[0]
+    T = U[..., :, M - 1:]         # K x Q basis of the interference null space
     x = (np.swapaxes(T.conj(), -1, -2) @ h_m[..., np.newaxis])[..., 0]
     # per trial, the dot products numpy's norm takes on one complex vector
     x = x / np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))[..., np.newaxis]

@@ -9,6 +9,7 @@ regardless of how trials are scheduled.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Optional
@@ -47,12 +48,16 @@ class NetworkConfig:
     R_m: float = 1.5          # target rate (BPCU)
 
     def __post_init__(self) -> None:
-        """Value checks: every field is finite, then each scenario bound."""
-        if not (self.N >= self.K >= self.M >= 1):
-            raise ValueError(f"need N >= K >= M >= 1, got N={self.N} K={self.K} M={self.M}")
-        for name, value in vars(self).items():
+        """Value checks: finite numbers (not bools), integer M, K and N, then each bound."""
+        for name, value in vars(self).items():    # int, float first: the ABC check is slow
+            if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if name in ("M", "K", "N") and not isinstance(value, (int, numbers.Integral)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        if not (self.N >= self.K >= self.M >= 1):
+            raise ValueError(f"need N >= K >= M >= 1, got N={self.N} K={self.K} M={self.M}")
         if not (self.t1 >= 0.5 and self.t2 >= 0.5):
             raise ValueError(f"fading parameters must be >= 0.5, got t1={self.t1} t2={self.t2}")
         if not 0.0 < self.r0 < self.R:

@@ -54,7 +54,7 @@ _AXIS_FIELDS = {
 
 def parse_power(value) -> float:
     """Power in watts from a number (already watts) or a suffixed string."""
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     s = str(value).strip().lower().replace(" ", "")
     if s.endswith("dbm"):
@@ -68,16 +68,31 @@ def parse_power(value) -> float:
 
 def noise_power_watts(bandwidth_hz: float) -> float:
     """Thermal noise power: -174 + 10 log10(D) dBm."""
+    if (isinstance(bandwidth_hz, bool) or not isinstance(bandwidth_hz, numbers.Real)
+            or not 0.0 < bandwidth_hz < math.inf):
+        raise ValueError(f"bandwidth_hz must be a positive finite number, got {bandwidth_hz!r}")
     return 1e-3 * 10.0 ** ((-174.0 + 10.0 * math.log10(bandwidth_hz)) / 10.0)
 
 
+def _watts(key: str, value) -> float:
+    """``parse_power`` of one config entry; a bad value names its key."""
+    try:
+        return parse_power(value)
+    except ValueError as e:
+        raise ValueError(f"{key}: {e}") from None
+
+
 def config_from_dict(d: dict) -> NetworkConfig:
+    """The base scenario; an integral float M, K or N (4.0) becomes an int."""
     d = dict(d)
     if "p_b" in d:
-        d["p_b"] = parse_power(d["p_b"])
-    bw = float(d.pop("bandwidth_hz", 1e8))
+        d["p_b"] = _watts("p_b", d["p_b"])
+    noise = noise_power_watts(d.pop("bandwidth_hz", 1e8))
     sigma2 = d.get("sigma2", "auto")
-    d["sigma2"] = noise_power_watts(bw) if sigma2 == "auto" else parse_power(sigma2)
+    d["sigma2"] = noise if sigma2 == "auto" else _watts("sigma2", sigma2)
+    for key in ("M", "K", "N"):
+        if isinstance(d.get(key), float) and d[key].is_integer():
+            d[key] = int(d[key])
     return NetworkConfig(**d)
 
 
@@ -147,10 +162,10 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
         pd = dict(d["power_model"])
         _reject_unknown("power_model", pd, ("P_Bs", "eps_b", "P_U", "P_L"))
         pm = an.PowerModel(
-            P_Bs=parse_power(pd["P_Bs"]),
-            eps_b=float(pd["eps_b"]),
-            P_U=parse_power(pd["P_U"]),
-            P_L=parse_power(pd["P_L"]),
+            P_Bs=_watts("P_Bs", pd["P_Bs"]),
+            eps_b=pd["eps_b"],
+            P_U=_watts("P_U", pd["P_U"]),
+            P_L=_watts("P_L", pd["P_L"]),
         )
     return ExperimentSpec(
         experiment=d["experiment"],
@@ -259,6 +274,15 @@ class _Run:
     n_workers: int
     memo: dict = field(default_factory=dict)     # values computed once per run
 
+    def once(self, key, fn, *args):
+        """``fn(*args)``, computed once per run for ``key``; an exception is kept like a value."""
+        if key not in self.memo:
+            try:
+                self.memo[key] = fn(*args)
+            except Exception as e:                  # noqa: BLE001 - per-point report
+                self.memo[key] = e
+        return self.memo[key]
+
 
 def _payload(est):
     return est.mean, est.std_error, est.trials_used
@@ -303,19 +327,13 @@ def _relay(scheme):
     """The relay ``scheme``'s rate at its best split of ``p_b``; it ignores the
     surface, so it is computed once per run for each set of the fields it reads,
     and every point with that set shares its value or its failure."""
+    def split(run, cfg):
+        _, est = mc.optimal_power_split(scheme, run.spec.plan, cfg, n_workers=run.n_workers)
+        return _payload(est)
+
     def evaluate(run, cfgs):
-        out = []
-        for cfg in cfgs:
-            key = (scheme, *(getattr(cfg, f) for f in _RELAY_FIELDS))
-            if key not in run.memo:
-                try:
-                    _, est = mc.optimal_power_split(scheme, run.spec.plan, cfg,
-                                                    n_workers=run.n_workers)
-                    run.memo[key] = _payload(est)
-                except Exception as e:              # noqa: BLE001 - per-point report
-                    run.memo[key] = e
-            out.append(run.memo[key])
-        return out
+        return [run.once((scheme, *(getattr(cfg, f) for f in _RELAY_FIELDS)), split, run, cfg)
+                for cfg in cfgs]
     return evaluate
 
 
@@ -335,14 +353,10 @@ def _sum_se(run, cfg) -> float:
         return 0.0
     approx = an.gamma_approx(cfg)
     key = ("se", approx.shape, an.rate_snr_scale(approx, cfg), cfg.R, cfg.r0, cfg.alpha)
-    if key not in run.memo:
-        try:
-            run.memo[key] = an.ergodic_rate_meijer(approx, cfg)
-        except Exception as e:                      # noqa: BLE001 - per-point report
-            run.memo[key] = e
-    if isinstance(run.memo[key], Exception):
-        raise run.memo[key]
-    return cfg.M * run.memo[key]
+    rate = run.once(key, an.ergodic_rate_meijer, approx, cfg)
+    if isinstance(rate, Exception):
+        raise rate
+    return cfg.M * rate
 
 
 def _outage(run, cfg) -> float:

@@ -20,7 +20,6 @@ from scipy import special as sp
 
 __all__ = [
     "ConvergenceError",
-    "ConditioningError",
     "ParameterPatternError",
     "EvalResult",
     "hyp2f2",
@@ -38,12 +37,8 @@ class ConvergenceError(RuntimeError):
     """Series or quadrature failed to reach the requested tolerance."""
 
 
-class ConditioningError(RuntimeError):
-    """Two independent evaluation paths disagree beyond tolerance."""
-
-
 class ParameterPatternError(ValueError):
-    """Meijer-G parameters outside the supported family, or a forced invalid path."""
+    """Meijer-G parameters outside the supported family."""
 
 
 @dataclass(frozen=True)
@@ -175,8 +170,6 @@ def hyp2f2(a1: float, a2: float, b1: float, b2: float, z: float) -> EvalResult:
 #   G^{3,1}_{2,3}( z | a1, 1 ; a1, 0, b3 )  with  a1 in {0, delta2}, b3 > a1.
 # ---------------------------------------------------------------------------
 
-_METHODS = ("auto", "slater", "contour", "dual")
-
 # At or below this real part numpy's complex exp returns exp(x)*cos(y) from
 # libm's exp and cos; above it numpy rescales (glibc's cexp above
 # 1023*ln 2 = 709.09, numpy's own cexp above 710.48).
@@ -260,7 +253,8 @@ def _meijer_slater(bs, a1, a2, z):
 
     Only valid when the b parameters are pairwise separated by non-integers;
     callers check that first.  The sum comes back as a Python float, so the
-    caller's arithmetic on it cannot raise numpy overflow warnings.
+    caller's arithmetic on it cannot raise numpy overflow warnings; ``None``
+    means the terms cancelled past eight digits and the sum is not trusted.
     """
     total = 0.0
     max_term = 0.0
@@ -277,7 +271,7 @@ def _meijer_slater(bs, a1, a2, z):
         total += term
         max_term = max(max_term, abs(term))
     if abs(total) < max_term * 1e-8:
-        raise ConditioningError("Slater expansion lost too many digits")
+        return None
     return float(total), float(max_term) * 1e-13, terms_used
 
 
@@ -292,18 +286,13 @@ def _slater_applicable(bs, z):
     return True
 
 
-def meijer_g_3123(a1: float, b3: float, z: float, method: str = "auto") -> EvalResult:
+def meijer_g_3123(a1: float, b3: float, z: float) -> EvalResult:
     """G^{3,1}_{2,3}( z | a1, 1 ; a1, 0, b3 ) for the rate-integral family.
 
-    Requires 0 <= a1 < 1, b3 > a1 and z > 0.  ``method``:
-      * ``auto``    - Slater expansion when the poles are simple, otherwise
-                      Mellin-Barnes contour quadrature,
-      * ``slater``  / ``contour`` - force one path,
-      * ``dual``    - evaluate both and raise ConditioningError if they
-                      disagree by more than 1e-5 relative.
+    Requires 0 <= a1 < 1, b3 > a1 and z > 0.  The Slater expansion runs when
+    the poles are simple and its terms keep their digits, otherwise the
+    Mellin-Barnes contour quadrature; ``method`` on the result names the path.
     """
-    if method not in _METHODS:
-        raise ValueError(f"unknown Meijer-G method {method!r}; known: {', '.join(_METHODS)}")
     if a1 < 0.0 or a1 >= 1.0 or b3 <= a1:
         raise ParameterPatternError(
             f"unsupported Meijer-G parameters: a1={a1}, b3={b3}"
@@ -311,25 +300,8 @@ def meijer_g_3123(a1: float, b3: float, z: float, method: str = "auto") -> EvalR
     if z <= 0.0:
         raise ValueError(f"meijer_g_3123 requires z > 0, got {z}")
     bs, a2 = (a1, 0.0, b3), 1.0
-    can_slater = _slater_applicable(bs, z)
-    if method == "slater" or (method in ("auto", "dual") and can_slater):
-        if not can_slater:
-            raise ParameterPatternError("coinciding poles: Slater expansion invalid")
-        try:
-            value, bound, terms = _meijer_slater(bs, a1, a2, z)
-        except ConditioningError:
-            if method == "slater":
-                raise
-            value, err = _meijer_contour(bs, a1, a2, z)
-            return EvalResult(value, err, 0, method="contour")
-        if method == "dual":
-            ref, ref_err = _meijer_contour(bs, a1, a2, z)
-            rel = abs(value - ref) / max(abs(ref), 1e-300)
-            if rel > 1e-5:
-                raise ConditioningError(
-                    f"Slater/contour disagree by {rel:.2e} at z={z}"
-                )
-            bound = max(bound, abs(value - ref))
-        return EvalResult(value, bound, terms, method="slater")
+    slater = _meijer_slater(bs, a1, a2, z) if _slater_applicable(bs, z) else None
+    if slater is not None:
+        return EvalResult(*slater, method="slater")
     value, err = _meijer_contour(bs, a1, a2, z)
     return EvalResult(value, err, 0, method="contour")

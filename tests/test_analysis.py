@@ -294,6 +294,22 @@ def test_product_sum_cdf_is_a_distribution():
         an.product_sum_cdf(-1.0, 2.0, 1.0, 2)
 
 
+@pytest.mark.parametrize("t1,t2,n,xs", [
+    (1.0, 1.0, 2, [1e-15]), (1.5, 1.5, 1, [1e-3, 1e-15]), (2.0, 2.0, 3, 3e-15),
+    (3.0, 2.0, 16, np.logspace(-3, 3, 200)), (2.0, 1.0, 32, np.logspace(-3, 3, 200))])
+def test_product_sum_cdf_raises_where_the_inversion_fails(t1, t2, n, xs):
+    # NaN at tiny x for t1 == t2, values far outside [0, 1] for large n: an
+    # error, not a number and not a RuntimeWarning
+    with pytest.raises(sf.ConvergenceError, match=r"Talbot inversion gives CDF .* at x="):
+        an.product_sum_cdf(xs, t1, t2, n)
+
+
+def test_op_exact_raises_where_the_inversion_fails():
+    # N = 64 at -30 dBm once gave -2.0e39 beside an IntegrationWarning
+    with pytest.raises(sf.ConvergenceError, match=r"\(t1=1.0, t2=2.0, n=64\)"):
+        an.op_exact(_pb_dbm(64, -30.0))
+
+
 def test_op_exact_single_element_against_swapped_integral():
     # N = 1: OP = int f(x) P(r > (x / c)^(1/alpha)) dx, no inversion involved
     for pb_dbm in (-20.0, -5.0, 10.0, 40.0):

@@ -37,6 +37,19 @@ def test_config_invariants():
     assert not geo.NetworkConfig(M=2, K=3, N=5).solvable
 
 
+@pytest.mark.parametrize("name,value,detail", [
+    ("N", 2.5, "N must be an integer, got 2.5"), ("K", 1.5, "K must be an integer, got 1.5"),
+    ("N", 4.0, "N must be an integer, got 4.0"), ("N", True, "N must be a number, got True"),
+    ("M", False, "M must be a number, got False"), ("t1", True, "t1 must be a number, got True"),
+    ("R", "100", "R must be a number, got '100'")])
+def test_config_counts_are_integers_and_fields_numbers(name, value, detail):
+    # a bool is not a number and a fraction of an element is not an element
+    with pytest.raises(ValueError) as caught:
+        geo.NetworkConfig(**{"M": 1, "K": 2, "N": 4, name: value})
+    assert str(caught.value) == detail
+    assert geo.NetworkConfig(M=np.int64(1), K=2, N=4, R=np.float64(50.0)).N == 4
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("cls,name", [
     pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")

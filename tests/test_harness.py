@@ -146,6 +146,47 @@ def test_integer_axes_reject_fractions(tmp_path):
 
 
 
+@pytest.mark.parametrize("section,key,value,detail", [
+    ("base", "N", 2.5, "N must be an integer, got 2.5"),
+    ("base", "K", 1.5, "K must be an integer, got 1.5"),
+    ("base", "N", True, "N must be a number, got True"),
+    ("base", "t1", "2", "t1 must be a number, got '2'"),
+    ("base", "p_b", True, "p_b: cannot parse power True"),
+    ("base", "sigma2", True, "sigma2: cannot parse power True"),
+    ("base", "p_b", "xdBm", "p_b: could not convert"),
+    ("base", "bandwidth_hz", True, "bandwidth_hz must be a positive finite number, got True"),
+    ("base", "bandwidth_hz", 0, "bandwidth_hz must be a positive finite number, got 0"),
+    ("base", "bandwidth_hz", -1, "bandwidth_hz must be a positive finite number, got -1"),
+    ("base", "bandwidth_hz", "1e8", "bandwidth_hz must be a positive finite number, got '1e8'"),
+    ("power_model", "eps_b", True, "eps_b must be a finite nonnegative number, got True"),
+    ("power_model", "eps_b", "1.2", "eps_b must be a finite nonnegative number, got '1.2'"),
+    ("power_model", "P_L", False, "P_L: cannot parse power False")])
+def test_bad_config_values_name_their_key(section, key, value, detail, tmp_path, capsys):
+    d = _ee_dict()
+    d[section][key] = value
+    with pytest.raises(ValueError, match=key):
+        harness.spec_from_dict(d)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(d))
+    assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 2
+    assert json.loads(capsys.readouterr().err)["detail"].startswith(detail)
+
+
+def test_integral_float_counts_run_like_integers():
+    # "N": 4.0 once made every Monte Carlo point fail with a TypeError
+    def run(base):
+        d = {"experiment": "op_vs_snr", "sweep": {"pb_dbm": [0, 10]},
+             "base": {"t1": 2.0, "t2": 1.0, **base}, "plan": {"trials": 500, "master_seed": 5},
+             "outputs": ["analytical", "montecarlo_model"]}
+        spec = harness.spec_from_dict(d)
+        return spec.base, harness.run_experiment(spec)
+    cfg, floats = run({"M": 1.0, "K": 1.0, "N": 4.0})
+    assert (type(cfg.M), type(cfg.K), type(cfg.N)) == (int, int, int)
+    _, ints = run({"M": 1, "K": 1, "N": 4})
+    assert floats.failures == ints.failures == []
+    assert floats.rows == ints.rows and len(ints.rows) == 4
+
+
 def test_negative_seed_is_rejected_when_the_spec_is_read():
     d = _ee_dict()
     d["plan"]["master_seed"] = -1

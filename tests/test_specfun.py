@@ -138,9 +138,10 @@ def test_meijer_dual_path_self_consistency():
     # non-integer order separations: both paths valid, must agree to 1e-6
     d2 = 2.0 / 3.0
     for a in (4.3, 7.77, 12.9):
-        dual = sf.meijer_g_3123(d2, a + d2, 0.5, method="dual")
-        contour = sf.meijer_g_3123(d2, a + d2, 0.5, method="contour")
-        assert dual.value == pytest.approx(contour.value, rel=1e-6)
+        slater = sf.meijer_g_3123(d2, a + d2, 0.5)
+        assert slater.method == "slater"
+        contour, _ = sf._meijer_contour((d2, 0.0, a + d2), d2, 1.0, 0.5)
+        assert slater.value == pytest.approx(contour, rel=1e-6)
 
 
 def test_meijer_integer_order_uses_contour_fallback():
@@ -151,8 +152,6 @@ def test_meijer_integer_order_uses_contour_fallback():
     assert got.method == "contour"
     ref = float(mp.meijerg([[d2], [1]], [[d2, 0, 4.0 + d2], []], 0.5))
     assert got.value == pytest.approx(ref, rel=1e-9)
-    with pytest.raises(sf.ParameterPatternError):
-        sf.meijer_g_3123(d2, 4.0 + d2, 0.5, method="slater")
 
 
 def test_meijer_against_mpmath_family():
@@ -176,11 +175,6 @@ def test_meijer_rejects_unsupported_patterns():
         sf.meijer_g_3123(0.0, 2.0, -1.0)    # z <= 0
 
 
-def test_meijer_rejects_an_unknown_method():
-    with pytest.raises(ValueError, match="unknown Meijer-G method 'bogus'"):
-        sf.meijer_g_3123(0.0, 2.0, 1.0, method="bogus")
-
-
 def test_meijer_slater_guard_does_not_overflow():
     # Slater terms near 1e305 at the rate's shape cap (t1=2, N=339): the guard
     # once scaled the sum by 1e8 and overflowed; the values are unchanged
@@ -193,8 +187,8 @@ def test_meijer_slater_guard_does_not_overflow():
         for z, value in want.items():
             got = sf.meijer_g_3123(d2, 169.5 + d2, z)
             assert (got.method, got.value) == ("slater", value)
-            contour = sf.meijer_g_3123(d2, 169.5 + d2, z, method="contour")
-            assert got.value == pytest.approx(contour.value, rel=1e-12)
+            contour, _ = sf._meijer_contour((d2, 0.0, 169.5 + d2), d2, 1.0, z)
+            assert got.value == pytest.approx(contour, rel=1e-12)
 
 
 # (a1, b3): integer and non-integer shapes of both rate patterns; all but the
@@ -205,19 +199,26 @@ _RATE_PARAMS = [(0.0, 4.0), (0.0, 4.3), (2.0 / 3.0, 4.0 + 2.0 / 3.0),
 _ZS = (45.0, 0.5, 1e-3, 20.0, 300.0, 0.5)       # both sides of the Slater limit z = 30
 
 
-def _cold(params, z, method="auto"):
+def _cold(params, z):
     sf._contour_nodes.cache_clear()
-    return sf.meijer_g_3123(*params, z, method=method)
+    return sf.meijer_g_3123(*params, z)
+
+
+def _contour(a1, b3, z):
+    return sf._meijer_contour((a1, 0.0, b3), a1, 1.0, z)
 
 
 def test_meijer_shared_nodes_give_the_fresh_results():
     for params in _RATE_PARAMS:
-        for method in ("auto", "contour", "dual"):
-            cold = [_cold(params, z, method) for z in _ZS]
+        for evaluate in (sf.meijer_g_3123, _contour):
+            cold = []
+            for z in _ZS:
+                sf._contour_nodes.cache_clear()
+                cold.append(evaluate(*params, z))
             sf._contour_nodes.cache_clear()
-            warm = [sf.meijer_g_3123(*params, z, method=method) for z in _ZS]
+            warm = [evaluate(*params, z) for z in _ZS]
             assert warm == cold
-            # every method reached the contour at some z, so later z reused nodes
+            # both reached the contour at some z, so later z reused nodes
             assert sf._contour_nodes.cache_info().hits > 0
 
 
@@ -278,7 +279,7 @@ def test_exp_real_switches_to_numpy_just_above_709(monkeypatch):
 
 _Z_NEAR_CAP = (1e-30, 1e-20, 1e-10, 1e-5, 1.0, 31.0, 50.0)
 
-# (shape, d2) -> (value, abs_error_bound) at each z above with method="contour",
+# (shape, d2) -> (value, abs_error_bound) of the contour path at each z above,
 # recorded while the integrand still ran through numpy's complex exp; None where
 # that run raised on a non-finite integral.  (169, 0.8) at z=1e-20 is finite
 # although one node's real part overflowed to inf.
@@ -348,12 +349,11 @@ def test_meijer_contour_near_the_shape_cap_keeps_values_and_names_overflow(shape
             warnings.simplefilter("error", RuntimeWarning)
             if want is None:
                 with pytest.raises(sf.ConvergenceError) as err:
-                    sf.meijer_g_3123(d2, shape + d2, z, method="contour")
+                    sf._meijer_contour(bs, d2, 1.0, z)
                 assert str(err.value).startswith("contour integral overflows (")
                 assert f"bs={bs}, a1={d2}, a2=1.0, z={z}" in str(err.value)
             else:
-                got = sf.meijer_g_3123(d2, shape + d2, z, method="contour")
-                assert (got.value, got.abs_error_bound) == want
+                assert sf._meijer_contour(bs, d2, 1.0, z) == want
 
 
 # shape 169 at z = 2e-8: the integrand peaks at 1.5e308 and QUADPACK flags its
