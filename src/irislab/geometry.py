@@ -54,7 +54,12 @@ class NetworkConfig:
                 raise ValueError(f"{name} must be a number, got {value!r}")
             if name in ("M", "K", "N") and not isinstance(value, (int, numbers.Integral)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:
+                raise ValueError(f"{name} must fit in a float, got an int of "
+                                 f"{value.bit_length()} bits") from None
+            if not finite:
                 raise ValueError(f"{name} must be finite, got {value}")
         if not (self.N >= self.K >= self.M >= 1):
             raise ValueError(f"need N >= K >= M >= 1, got N={self.N} K={self.K} M={self.M}")

@@ -7,6 +7,13 @@ for any worker count: workers only decide who computes which block.  The
 draws do not depend on the transmit power or the relay power split, so the
 engines evaluate a whole power axis or split grid on one draw per block.
 
+With ``n_workers > 1`` the blocks run on one process pool per process: the
+first call with more than one block forks it, later calls reuse it, and the
+interpreter joins its workers at exit.  A forked child starts a pool of its
+own.  Workers run the package as it was
+when the pool was forked, so a monkeypatch applied later is not seen inside
+them; patch block-level internals only around one-worker calls.
+
 Two model-level gain conventions coexist on purpose:
 
 * outage  - thresholds the co-phased amplitude sum itself, which is the
@@ -25,9 +32,12 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
+from multiprocessing.util import Finalize
 
 import numpy as np
 
@@ -105,16 +115,54 @@ def _reduce_blocks(parts, trials: int, binary: bool) -> Estimate:
     return Estimate(mean=mean, std_error=se, trials_used=trials, degenerate_draws=deg)
 
 
+_pool = None      # (workers, executor, finalizer): the process's one pool, see _run_blocks
+
+
+def _drop_pool() -> None:
+    """Join the cached pool's workers and forget it."""
+    global _pool
+    if _pool is not None:
+        join, _pool = _pool[2], None
+        join()
+
+
+def _forget_pool() -> None:
+    global _pool
+    _pool = None
+
+
+# a forked child lacks the threads that serve its parent's pool
+os.register_at_fork(after_in_child=_forget_pool)
+
+
 def _run_blocks(fn, trials: int, n_workers: int):
-    """``fn`` of every block, in block order, on at most one worker per block."""
+    """``fn`` of every block, in block order, on at most one worker per block.
+
+    A single block runs in this process.  More blocks run on the process's
+    one pool, forked by the first such call and reused while the capped
+    worker count stays the same.  A new count joins the old workers before
+    the next fork; a broken pool is dropped, and its error is raised.
+    """
+    global _pool
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
     ranges = _block_ranges(trials)
     workers = min(n_workers, len(ranges))
     if workers == 1:
         return [fn(r) for r in ranges]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, ranges, chunksize=max(1, len(ranges) // (4 * workers))))
+    if _pool is not None and _pool[0] != workers:
+        _drop_pool()
+    if _pool is None:
+        pool = ProcessPoolExecutor(max_workers=workers)
+        # a multiprocessing child joins its children before the exit hook of
+        # concurrent.futures runs, so a finalizer joins the workers; priority
+        # 11 runs it before the call queue's own (10) stops the queue's feeder
+        _pool = (workers, pool, Finalize(pool, pool.shutdown, exitpriority=11))
+    try:
+        return list(_pool[1].map(fn, ranges, chunksize=max(1, len(ranges) // (4 * workers))))
+    except BrokenProcessPool:
+        _drop_pool()
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,12 @@ def test_integer_axes_reject_fractions(tmp_path):
     ("base", "bandwidth_hz", "1e8", "bandwidth_hz must be a positive finite number, got '1e8'"),
     ("power_model", "eps_b", True, "eps_b must be a finite nonnegative number, got True"),
     ("power_model", "eps_b", "1.2", "eps_b must be a finite nonnegative number, got '1.2'"),
-    ("power_model", "P_L", False, "P_L: cannot parse power False")])
+    ("power_model", "P_L", False, "P_L: cannot parse power False"),
+    # an int too large for a float once escaped as a bare OverflowError
+    pytest.param("base", "N", 10 ** 400, "N must fit in a float, got an int of 1329 bits",
+                 id="base-N-int-too-large-for-a-float"),
+    pytest.param("base", "R", 10 ** 400, "R must fit in a float, got an int of 1329 bits",
+                 id="base-R-int-too-large-for-a-float")])
 def test_bad_config_values_name_their_key(section, key, value, detail, tmp_path, capsys):
     d = _ee_dict()
     d[section][key] = value

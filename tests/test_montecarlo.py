@@ -1,5 +1,12 @@
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,38 +230,129 @@ def test_rate_model_vs_gamma_quadrature_with_band():
     assert abs(est.mean - want) <= 3.0 * est.std_error + 0.10 * want
 
 
-def test_worker_count_is_checked_and_capped(monkeypatch):
-    requested = []
+@pytest.fixture
+def pools(monkeypatch):
+    """Worker counts of the pools the engines construct, from no cached pool on."""
+    sizes = []
 
-    class RecordingPool:
-        """Runs in this process; records the pool size it was asked for."""
-
+    class RecordingPool(mc.ProcessPoolExecutor):
         def __init__(self, max_workers):
-            requested.append(max_workers)
+            super().__init__(max_workers=max_workers)
+            sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
+    mc._drop_pool()
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
+    yield sizes
+    mc._drop_pool()
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
+def test_worker_count_is_checked_and_capped(pools):
     cfg = _cfg(p_b=0.01)
     one_block = mc.TrialPlan(trials=mc.BLOCK, master_seed=3)
     three_blocks = mc.TrialPlan(trials=_ODD_TRIALS, master_seed=3)
     serial = {p: mc.simulate_op(p, cfg) for p in (one_block, three_blocks)}
-    monkeypatch.setattr(mc, "ProcessPoolExecutor", RecordingPool)
     assert mc.simulate_op(one_block, cfg, n_workers=64) == serial[one_block]
-    assert requested == []                      # a single block runs serially
+    assert pools == []                          # a single block runs in this process
     assert mc.simulate_op(three_blocks, cfg, n_workers=64) == serial[three_blocks]
     assert mc.optimal_power_split("df", three_blocks, _rc(), grid=[0.5], n_workers=2)
-    assert requested == [3, 2, 2]               # split search: bounded and exact pass
+    assert pools == [3, 2]                      # split search: both passes on one pool
     for bad in (0, -3):
         with pytest.raises(ValueError, match=f"n_workers must be >= 1, got {bad}"):
             mc.simulate_op(one_block, cfg, n_workers=bad)
-    assert requested == [3, 2, 2]
+    assert pools == [3, 2]
+
+
+def test_consecutive_calls_share_one_pool(pools):
+    plan = mc.TrialPlan(trials=_ODD_TRIALS, master_seed=7)
+    cfg = _cfg(N=3)
+    assert mc.simulate_op(plan, cfg, n_workers=2) == mc.simulate_op(plan, cfg)
+    assert (mc.simulate_ergodic_rate_axis(plan, cfg, _POWERS, n_workers=2)
+            == mc.simulate_ergodic_rate_axis(plan, cfg, _POWERS))
+    assert pools == [2]
+
+
+def test_new_worker_count_replaces_the_pool(pools):
+    plan = mc.TrialPlan(trials=_ODD_TRIALS, master_seed=7)
+    cfg = _cfg(N=3)
+    want = mc.simulate_op(plan, cfg)
+    assert mc.simulate_op(plan, cfg, n_workers=2) == want
+    old = multiprocessing.active_children()
+    assert len(old) == 2
+    assert mc.simulate_op(plan, cfg, n_workers=3) == want
+    assert pools == [2, 3]
+    assert not any(p.is_alive() for p in old)
+    new = multiprocessing.active_children()
+    assert len(new) == 3 and not {p.pid for p in new} & {p.pid for p in old}
+
+
+_TEST_PID = os.getpid()
+
+
+def _sigkill_own_worker(blk):
+    """A block function whose worker dies on the first block."""
+    if os.getpid() == _TEST_PID:
+        raise RuntimeError("the block ran in the test process, not in a pool worker")
+    if blk[0] == 0:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return blk[0]
+
+
+def test_killed_worker_breaks_its_call_and_the_next_call_forks_a_new_pool(pools):
+    with pytest.raises(BrokenProcessPool):
+        mc._run_blocks(_sigkill_own_worker, _ODD_TRIALS, 2)
+    plan = mc.TrialPlan(trials=_ODD_TRIALS, master_seed=7)
+    cfg = _cfg(N=3)
+    assert mc.simulate_op(plan, cfg, n_workers=2) == mc.simulate_op(plan, cfg)
+    assert pools == [2, 2]
+
+
+def _run_script(body):
+    """Standard output of a fresh interpreter that runs ``body`` after a prelude.
+
+    On a timeout its whole process group is killed, left workers included.
+    """
+    code = ("import multiprocessing\n"
+            "from irislab import geometry, montecarlo\n"
+            "cfg = geometry.NetworkConfig(M=1, K=1, N=2, t1=2.0, t2=1.0, p_b=1.0)\n"
+            f"plan = montecarlo.TrialPlan(trials={_ODD_TRIALS}, master_seed=3)\n" + body)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    with subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, start_new_session=True) as proc:
+        try:
+            out, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:       # left workers keep the pipes open
+            os.killpg(proc.pid, signal.SIGKILL)
+            raise
+    assert proc.returncode == 0, err
+    return out
+
+
+def test_pool_workers_are_joined_at_interpreter_exit():
+    pids = [int(pid) for pid in _run_script(
+        "montecarlo.simulate_op(plan, cfg, n_workers=2)\n"
+        "print(*(p.pid for p in multiprocessing.active_children()))\n").split()]
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def test_forked_child_starts_its_own_pool_and_exits():
+    # the child inherits the pool but not the threads that serve it, and a
+    # multiprocessing child joins its children before the interpreter's exit hooks
+    out = _run_script(
+        "want = montecarlo.simulate_op(plan, cfg, n_workers=2)\n"
+        "ctx = multiprocessing.get_context('fork')\n"
+        "reader, writer = ctx.Pipe(duplex=False)\n"
+        "child = ctx.Process(target=lambda: writer.send(\n"
+        "    montecarlo.simulate_op(plan, cfg, n_workers=2)))\n"
+        "child.start()\n"
+        "print(reader.poll(30) and reader.recv() == want)\n"
+        "child.join(30)\n"
+        "print(child.exitcode)\n"
+        "if child.is_alive():\n"
+        "    child.kill()\n")
+    assert out.split() == ["True", "0"]
 
 
 def test_fsum_of_list_equals_fsum_of_array():
