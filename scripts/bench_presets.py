@@ -1,0 +1,163 @@
+#!/usr/bin/env python3
+"""Record the wall times of bundled presets in ``BENCH_presets.json``.
+
+    python3 scripts/bench_presets.py ergodic_vs_snr relay_compare --runs 5
+    python3 scripts/bench_presets.py ergodic_vs_snr --runs 5 --parent ../irislab-parent
+
+Every run is ``irislab run <preset>`` at shipped scale (``--smoke``: the
+CLI's reduced scale) in a fresh process, with ``PYTHONPATH`` set to a
+checkout's ``src/`` and a fresh output directory.  ``--parent DIR`` pairs
+each run of this checkout with one of the checkout at DIR, and swaps the
+order within every other pair, so drift of the host falls on both sides.
+
+Per preset, worker count and side it records the median and quartiles of
+``wall_s`` (the run time that ``irislab run`` reports), the median time of
+each series (the run JSON's ``series_wall_s``; empty for a checkout that
+does not write it), the rows, the per-point failures and the CSV SHA-256,
+which must be the same on every run.  With ``--parent``, it also records
+each pair's times, the median of the parent/change ratios and the number
+of pairs this checkout won.  The file also names each side's git commit,
+the host, and the Python, numpy and scipy versions.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from importlib import metadata
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_LINE = re.compile(r"^wrote (?P<csv>.+\.csv) and \.json: (?P<rows>\d+) rows in \S+s, "
+                   r"(?P<failures>\d+) per-point failures, sha256 (?P<sha>[0-9a-f]{64})$")
+
+
+def _commit(root: Path) -> dict:
+    """The checkout's HEAD, and whether its ``src/`` differs from it."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(root), *args], capture_output=True,
+                              text=True, check=True).stdout.strip()
+    try:
+        return {"commit": git("rev-parse", "HEAD"),
+                "src_modified": bool(git("status", "--porcelain", "--", "src"))}
+    except (OSError, subprocess.CalledProcessError):
+        return {"commit": None, "src_modified": None}
+
+
+def _host() -> dict:
+    return {"platform": platform.platform(), "machine": platform.machine(),
+            "cpus": os.cpu_count(), "python": platform.python_version(),
+            "numpy": metadata.version("numpy"), "scipy": metadata.version("scipy")}
+
+
+def run_once(root: Path, preset: str, workers: int, smoke: bool) -> dict:
+    """One ``irislab run`` of ``preset`` in a fresh process on ``root``'s sources."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    with tempfile.TemporaryDirectory() as out:
+        cmd = [sys.executable, "-m", "irislab.cli", "run", preset, "--out", out,
+               "--workers", str(workers)] + (["--smoke"] if smoke else [])
+        t0 = time.perf_counter()
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+        process_s = time.perf_counter() - t0
+        if proc.returncode != 0:
+            raise SystemExit(f"error: {' '.join(cmd[1:])} on {root} exited "
+                             f"{proc.returncode}: {proc.stderr.strip()}")
+        match = _LINE.match(proc.stdout.partition("\n")[0])
+        if match is None:
+            raise SystemExit(f"error: unexpected output of irislab run: {proc.stdout!r}")
+        csv = Path(match["csv"])
+        sha = hashlib.sha256(csv.read_bytes()).hexdigest()
+        if sha != match["sha"]:
+            raise SystemExit(f"error: {csv.name} has SHA-256 {sha}, the CLI printed {match['sha']}")
+        meta = json.loads(csv.with_suffix(".json").read_text(encoding="utf-8"))["metadata"]
+    return {"wall_s": meta["wall_time_s"], "process_s": round(process_s, 3),
+            "series_wall_s": meta.get("series_wall_s", {}), "rows": int(match["rows"]),
+            "failures": int(match["failures"]), "sha256": sha}
+
+
+def _quartiles(xs) -> dict:
+    q1, median, q3 = (statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1
+                      else (xs[0],) * 3)
+    return {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
+
+
+def summarize(runs) -> dict:
+    """Quartiles of the runs' ``wall_s``, median series times, and the output,
+    which must not change from run to run."""
+    outputs = {(r["rows"], r["failures"], r["sha256"]) for r in runs}
+    if len(outputs) != 1:
+        raise SystemExit(f"error: the output changed between runs: {sorted(outputs)}")
+    rows, failures, sha = outputs.pop()
+    series = {s: statistics.median(r["series_wall_s"][s] for r in runs)
+              for s in runs[0]["series_wall_s"]}
+    return {"wall_s": _quartiles([r["wall_s"] for r in runs]), "series_wall_s": series,
+            "rows": rows, "failures": failures, "sha256": sha, "runs": runs}
+
+
+def bench(presets, worker_counts, n_runs: int, smoke: bool, parent: Path | None) -> dict:
+    sides = {"change": ROOT} if parent is None else {"change": ROOT, "parent": parent}
+    results = []
+    for preset in presets:
+        for workers in worker_counts:
+            runs = {side: [] for side in sides}
+            for i in range(n_runs):
+                for side in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
+                    runs[side].append(run_once(sides[side], preset, workers, smoke))
+                    print(f"{preset} workers={workers} {side} run {i + 1}: "
+                          f"{runs[side][-1]['wall_s']} s", file=sys.stderr)
+            entry = {"preset": preset, "workers": workers,
+                     "sides": {side: summarize(r) for side, r in runs.items()}}
+            if parent is not None:
+                pairs = [(p["wall_s"], c["wall_s"]) for p, c in zip(runs["parent"], runs["change"])]
+                entry["pairs"] = {
+                    "parent_s": [p for p, _ in pairs], "change_s": [c for _, c in pairs],
+                    "speedup_median": statistics.median(p / c for p, c in pairs),
+                    "change_wins": sum(c < p for p, c in pairs),
+                    "same_csv": entry["sides"]["parent"]["sha256"]
+                    == entry["sides"]["change"]["sha256"]}
+            results.append(entry)
+    return {"scale": "smoke" if smoke else "shipped", "runs_per_side": n_runs,
+            "host": _host(), "checkouts": {side: _commit(root) for side, root in sides.items()},
+            "results": results}
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("presets", nargs="+", help="bundled preset names")
+    parser.add_argument("--runs", type=int, default=3, help="runs per preset, worker count "
+                                                            "and side (default 3)")
+    parser.add_argument("--workers", default="1", help="comma-separated worker counts")
+    parser.add_argument("--parent", type=Path, default=None,
+                        help="root of a second checkout to alternate with this one")
+    parser.add_argument("--smoke", action="store_true", help="run the presets at smoke scale")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_presets.json")
+    args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error("--runs must be >= 1")
+    workers = [int(w) for w in args.workers.split(",")]
+    if args.parent is not None and not (args.parent / "src" / "irislab").is_dir():
+        parser.error(f"--parent {args.parent} has no src/irislab")
+    record = bench(args.presets, workers, args.runs, args.smoke, args.parent)
+    args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    for entry in record["results"]:
+        line = f"{entry['preset']} workers={entry['workers']}:"
+        for side, s in entry["sides"].items():
+            line += f" {side} median {s['wall_s']['median']:.3f} s,"
+        if "pairs" in entry:
+            line += (f" parent/change {entry['pairs']['speedup_median']:.2f}x, change won "
+                     f"{entry['pairs']['change_wins']} of {len(entry['pairs']['change_s'])}")
+        print(line.rstrip(","))
+
+
+if __name__ == "__main__":
+    main()

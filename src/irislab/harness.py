@@ -119,7 +119,8 @@ class ExperimentSpec:
                 raise ValueError(f"unknown sweep axis {name!r}")
             vals = list(values)
             if not vals or any(isinstance(v, bool) or not isinstance(v, numbers.Real)
-                               or not math.isfinite(v) for v in vals):
+                               or not math.isfinite(_as_float(f"axis {name!r}", v))
+                               for v in vals):
                 raise ValueError(f"axis {name!r} needs finite numbers, got {vals!r}")
             if sorted(vals) != vals:
                 raise ValueError(f"axis {name!r} values must be sorted")
@@ -136,9 +137,18 @@ def _reject_unknown(section: str, d: dict, known) -> None:
         raise ValueError(f"unknown {section} key(s) {unknown}; known: {', '.join(known)}")
 
 
+def _as_float(where: str, value) -> float:
+    """``float(value)``; an int too large for a float names ``where``."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{where} must fit in a float, got an int of "
+                         f"{value.bit_length()} bits") from None
+
+
 def _plan_integer(key: str, value) -> int:
     """An integer plan entry; an integral float such as 1e6 is accepted."""
-    integral = isinstance(value, (int, float)) and float(value).is_integer()
+    integral = isinstance(value, (int, float)) and _as_float(f"plan.{key}", value).is_integer()
     if isinstance(value, bool) or not integral:
         raise ValueError(f"plan.{key} must be an integer, got {value!r}")
     return int(value)
@@ -212,7 +222,9 @@ def run_experiment(spec: ExperimentSpec, n_workers: int = 1) -> ExperimentResult
     Points that differ only in ``pb_dbm`` are evaluated together, so a Monte
     Carlo engine draws once for the whole power axis.  Per-point failures
     (for example the asymptotic series outside its convergence region) are
-    collected, not fatal.
+    collected, not fatal.  ``metadata["series_wall_s"]`` holds each series'
+    evaluation time in seconds; a value that series share within a run is
+    timed under the series that computes it first.
     """
     t0 = time.monotonic()
     names = [name for name, _ in spec.sweep]
@@ -221,11 +233,15 @@ def run_experiment(spec: ExperimentSpec, n_workers: int = 1) -> ExperimentResult
     run = _Run(spec, n_workers)
     table = _SERIES[spec.experiment]
     rows, failures = [], []
+    series_wall = dict.fromkeys(spec.outputs, 0.0)
     for group in _power_groups(names, points):
         pts = [points[i] for i in group]
         cfgs = [_apply_axes(spec.base, names, p) for p in pts]
-        for series in dict.fromkeys(spec.outputs):
-            for point, payload in zip(pts, table[series](run, cfgs)):
+        for series in series_wall:
+            t = time.monotonic()
+            payloads = table[series](run, cfgs)
+            series_wall[series] += time.monotonic() - t
+            for point, payload in zip(pts, payloads):
                 if isinstance(payload, Exception):
                     failures.append((point, series, f"{type(payload).__name__}: {payload}"))
                 else:
@@ -239,6 +255,7 @@ def run_experiment(spec: ExperimentSpec, n_workers: int = 1) -> ExperimentResult
         "trials": spec.plan.trials,
         "version": _version_string(),
         "wall_time_s": round(time.monotonic() - t0, 3),
+        "series_wall_s": {series: round(t, 6) for series, t in series_wall.items()},
     }
     return ExperimentResult(axis_names=names, rows=rows, metadata=meta, failures=failures)
 

@@ -2,10 +2,11 @@
 
 Trials are partitioned into fixed blocks of 4096; every block owns a
 counter-based RNG stream keyed by (master seed, engine tag, block index) and
-reduces with exact compensated summation.  Results are therefore identical
-for any worker count: workers only decide who computes which block.  The
-draws do not depend on the transmit power or the relay power split, so the
-engines evaluate a whole power axis or split grid on one draw per block.
+reduces to its correctly rounded sum, by error-free extraction finished by
+``math.fsum`` (``_fsum``).  Results are therefore identical for any worker
+count: workers only decide who computes which block.  The draws do not
+depend on the transmit power or the relay power split, so the engines
+evaluate a whole power axis or split grid on one draw per block.
 
 With ``n_workers > 1`` the blocks run on one process pool per process: the
 first call with more than one block forks it, later calls reuse it, and the
@@ -97,8 +98,32 @@ def _block_ranges(trials: int):
 
 
 def _fsum(vals) -> float:
-    """Correctly rounded sum of an array; ``tolist`` avoids per-element numpy scalars."""
-    return math.fsum(vals.tolist())
+    """``math.fsum(vals.tolist())``, the correctly rounded sum, by error-free extraction.
+
+    With sigma a power of two of at least 2^ceil(log2(n + 2)) max|p|,
+    ``q = (sigma + p) - sigma`` and ``p - q`` are exact, and every q is a
+    multiple of 2^-53 sigma below sigma / n in magnitude, so ``q.sum()`` is
+    exact in any order (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1),
+    2008).  ``math.fsum`` of these exact partial sums and of the nonzero
+    residuals is the correctly rounded total.  A maximum that is not finite
+    or lies outside [2^-900, 2^900] sums the list as it is, so NaN,
+    infinities and overflow behave exactly as in ``math.fsum``.  ``vals`` is
+    not modified.
+    """
+    p = np.array(vals, dtype=float)
+    parts = []
+    scale = 2.0 ** (p.size + 1).bit_length()
+    for _ in range(4):          # each round takes 53 - log2(scale) bits of every value
+        top = float(np.abs(p).max(initial=0.0))
+        if not 2.0 ** -900 <= top <= 2.0 ** 900:
+            break
+        sigma = math.ldexp(scale, math.frexp(top)[1])
+        q = (sigma + p) - sigma
+        p -= q
+        parts.append(float(q.sum()))
+    if not parts:
+        return math.fsum(p.tolist())
+    return math.fsum(parts + p[p != 0.0].tolist())
 
 
 def _reduce_blocks(parts, trials: int, binary: bool) -> Estimate:
@@ -334,8 +359,9 @@ def _relay_block(plan, cfg, scheme, splits, exact, blk):
     Per split, one aggregate per reported rate: the end-to-end rate for
     ``'af'`` and ``'df'``, both hop rates for ``'df_min_of_means'``.  With
     ``exact`` it is the correctly rounded (sum, sumsq, 0) that
-    ``_reduce_blocks`` takes; without, numpy's pairwise sum alone, whose
-    error ``_mean_interval`` bounds.
+    ``_reduce_blocks`` takes, by error-free extraction finished by
+    ``math.fsum``; without, numpy's pairwise sum alone, whose error
+    ``_mean_interval`` bounds.
     """
     g1, g2 = _relay_draws(cfg, plan.master_seed, blk)
     out = []

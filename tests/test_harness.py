@@ -165,7 +165,13 @@ def test_integer_axes_reject_fractions(tmp_path):
     pytest.param("base", "N", 10 ** 400, "N must fit in a float, got an int of 1329 bits",
                  id="base-N-int-too-large-for-a-float"),
     pytest.param("base", "R", 10 ** 400, "R must fit in a float, got an int of 1329 bits",
-                 id="base-R-int-too-large-for-a-float")])
+                 id="base-R-int-too-large-for-a-float"),
+    pytest.param("sweep", "pb_dbm", [10 ** 400],
+                 "axis 'pb_dbm' must fit in a float, got an int of 1329 bits",
+                 id="sweep-pb_dbm-int-too-large-for-a-float"),
+    pytest.param("plan", "trials", 10 ** 400,
+                 "plan.trials must fit in a float, got an int of 1329 bits",
+                 id="plan-trials-int-too-large-for-a-float")])
 def test_bad_config_values_name_their_key(section, key, value, detail, tmp_path, capsys):
     d = _ee_dict()
     d[section][key] = value
@@ -642,3 +648,22 @@ def test_every_series_entry_reports_every_point(experiment, series, tmp_path):
         harness.emit_csv(result, csv[n_workers])
     assert csv[1].read_bytes() == csv[2].read_bytes()
     assert hashlib.sha256(csv[1].read_bytes()).hexdigest() == _CSV_SHA256[experiment, series]
+
+
+def test_series_wall_times_go_to_the_json_only(tmp_path):
+    spec = replace(cli._smoke(cli._load("ergodic_vs_snr")), outputs=["montecarlo_model"])
+    spec.plan = replace(spec.plan, trials=2 * mc.BLOCK + 1)
+    result = harness.run_experiment(spec)
+    harness.emit_csv(result, tmp_path / "r.csv")
+    harness.emit_json(result, tmp_path / "r.json")
+    assert hashlib.sha256((tmp_path / "r.csv").read_bytes()).hexdigest() == \
+        _CSV_SHA256["ergodic_vs_snr", "montecarlo_model"]
+    payload = json.loads((tmp_path / "r.json").read_text())
+    assert set(payload) == {"metadata", "axis_names", "rows", "failures"}
+    assert set(payload["metadata"]) == {"experiment", "seed", "trials", "version",
+                                        "wall_time_s", "series_wall_s"}
+    # a series asked for twice is evaluated and timed once
+    spec = replace(spec, outputs=["analytical", "montecarlo_model", "analytical"])
+    times = harness.run_experiment(spec).metadata["series_wall_s"]
+    assert list(times) == ["analytical", "montecarlo_model"]
+    assert all(type(t) is float and t >= 0.0 for t in times.values())

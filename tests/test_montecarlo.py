@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from irislab import analysis as an
 from irislab import beamforming as bf
@@ -362,6 +363,57 @@ def test_fsum_of_list_equals_fsum_of_array():
         vals[::7] = -vals[::5][: len(vals[::7])]        # exact cancellations
         assert mc._fsum(vals) == math.fsum(vals)
     assert mc._fsum(np.array([1e308, 1.0, -1e308, 1e-308])) == math.fsum([1.0, 1e-308])
+
+
+def _assert_fsum_of_list(vals):
+    """``_fsum`` is ``math.fsum(vals.tolist())`` bit for bit, errors included,
+    and leaves ``vals`` as it was."""
+    vals = np.array(vals, dtype=float)
+    before = vals.tobytes()
+    try:
+        want = math.fsum(vals.tolist())
+    except (OverflowError, ValueError) as e:
+        with pytest.raises(type(e)):
+            mc._fsum(vals)
+    else:
+        assert float.hex(mc._fsum(vals)) == float.hex(want)
+    assert vals.tobytes() == before
+
+
+_ANY_FLOAT = st.one_of(st.floats(), st.floats(-1e6, 1e6), st.floats(-1e-300, 1e-300),
+                       st.integers(-1074, 1023).map(lambda k: math.ldexp(1.0, k)),
+                       st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0 ** -53, 2.0 ** 900]))
+
+
+@given(st.lists(_ANY_FLOAT, min_size=1, max_size=300), st.booleans())
+def test_fsum_matches_fsum_of_list_on_any_floats(vals, cancel):
+    _assert_fsum_of_list(vals + [-v for v in vals] if cancel else vals)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 1000, mc.BLOCK - 1, mc.BLOCK, 5000])
+def test_fsum_matches_fsum_of_list_on_random_blocks(n):
+    rng = np.random.default_rng(n)
+    rates = np.log2(1.0 + rng.gamma(2.0, 3.0, n) * 10.0 ** rng.uniform(-6.0, 3.0, n))
+    normals = rng.standard_normal(n)
+    for vals in (rates, rates * rates, normals, normals * 10.0 ** rng.integers(-30, 30, n),
+                 normals * 2.0 ** rng.integers(-1074, -1000, n), normals * 1e-300,
+                 np.concatenate([normals * 1e16, -normals * 1e16, normals])):
+        _assert_fsum_of_list(vals)
+
+
+@pytest.mark.parametrize("vals", [
+    [1.5], [-0.0], [0.0], [5e-324], [2.0 ** 900], [2.0 ** 901], [2.0 ** -900], [2.0 ** -901],
+    [-0.0, -0.0], [1e16, 1.0, -1e16], [1.0, -1.0], [-0.0, 3.0, -3.0],        # cancellations
+    [1.0, 2.0 ** -53], [1.0 + 2.0 ** -52, 2.0 ** -53], [1.0, 2.0 ** -53, 2.0 ** -106],
+    [1.0, 2.0 ** -53, -2.0 ** -106], [-1.0, -(2.0 ** -53)],                  # ties
+    [2.0 ** 900, 1.0, 2.0 ** -60],                                           # cutoffs
+    [math.nextafter(2.0 ** 900, math.inf), 1.0, -(2.0 ** 900)],
+    [2.0 ** -900, 2.0 ** -953, 2.0 ** -1074], [2.0 ** -901, 2.0 ** -1074],
+    list(2.0 ** np.arange(-890.0, 890.0, 7.0) * (-1.0) ** np.arange(255)),   # many rounds
+    [1e308, 1e308], [math.inf, -math.inf],            # OverflowError, ValueError
+    [math.inf, 1.0], [math.nan, 1.0]])
+def test_fsum_matches_fsum_of_list_on_edge_cases(vals):
+    _assert_fsum_of_list(vals)
 
 
 # a trial count that is not a multiple of BLOCK: two full blocks and one trial

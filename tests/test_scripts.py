@@ -1,5 +1,6 @@
 """The script, run as a user runs it: a subprocess with PYTHONPATH=src."""
 
+import json
 import os
 import subprocess
 import sys
@@ -24,3 +25,24 @@ def test_diversity_slope_prints_the_exact_slope():
     lines = _script("diversity_slope.py", "--elements", "1")
     assert len(lines) == 1 and lines[0].startswith("N=1: exact slope  2.000")
 
+
+def test_bench_presets_records_the_digest_that_irislab_run_prints(tmp_path):
+    out = tmp_path / "BENCH_presets.json"
+    _script("bench_presets.py", "throughput_surface", "--smoke", "--runs", "1",
+            "--parent", str(ROOT), "--out", str(out))
+    record = json.loads(out.read_text())
+    assert record["scale"] == "smoke" and set(record["checkouts"]) == {"change", "parent"}
+    assert {"python", "numpy", "scipy"} <= set(record["host"])
+    [entry] = record["results"]
+    assert (entry["preset"], entry["workers"]) == ("throughput_surface", 1)
+    change = entry["sides"]["change"]
+    assert (change["rows"], change["failures"]) == (9, 0)
+    assert set(change["series_wall_s"]) == {"analytical"}
+    assert change["wall_s"]["q1"] <= change["wall_s"]["median"] <= change["wall_s"]["q3"]
+    assert entry["pairs"]["same_csv"] and len(entry["pairs"]["change_s"]) == 1
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-m", "irislab.cli", "run", "throughput_surface",
+                           "--smoke", "--out", str(tmp_path / "run")], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0].endswith(f" sha256 {change['sha256']}")
