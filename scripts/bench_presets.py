@@ -13,11 +13,12 @@ order within every other pair, so drift of the host falls on both sides.
 Per preset, worker count and side it records the median and quartiles of
 ``wall_s`` (the run time that ``irislab run`` reports), the median time of
 each series (the run JSON's ``series_wall_s``; empty for a checkout that
-does not write it), the rows, the per-point failures and the CSV SHA-256,
-which must be the same on every run.  With ``--parent``, it also records
-each pair's times, the median of the parent/change ratios and the number
-of pairs this checkout won.  The file also names each side's git commit,
-the host, and the Python, numpy and scipy versions.
+does not write it), the trials (the run JSON's ``trials``), the rows, the
+per-point failures and the CSV SHA-256; all but the times must be the same
+on every run.  With ``--parent``, it also records each pair's times, the
+median of the parent/change ratios and the number of pairs this checkout
+won.  The file also names each side's git commit, the host, and the
+Python, numpy and scipy versions.
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ def run_once(root: Path, preset: str, workers: int, smoke: bool) -> dict:
             raise SystemExit(f"error: {csv.name} has SHA-256 {sha}, the CLI printed {match['sha']}")
         meta = json.loads(csv.with_suffix(".json").read_text(encoding="utf-8"))["metadata"]
     return {"wall_s": meta["wall_time_s"], "process_s": round(process_s, 3),
-            "series_wall_s": meta.get("series_wall_s", {}), "rows": int(match["rows"]),
-            "failures": int(match["failures"]), "sha256": sha}
+            "series_wall_s": meta.get("series_wall_s", {}), "trials": meta["trials"],
+            "rows": int(match["rows"]), "failures": int(match["failures"]), "sha256": sha}
 
 
 def _quartiles(xs) -> dict:
@@ -91,16 +92,16 @@ def _quartiles(xs) -> dict:
 
 
 def summarize(runs) -> dict:
-    """Quartiles of the runs' ``wall_s``, median series times, and the output,
-    which must not change from run to run."""
-    outputs = {(r["rows"], r["failures"], r["sha256"]) for r in runs}
+    """Quartiles of the runs' ``wall_s``, median series times, and the trials
+    and output, which must not change from run to run."""
+    outputs = {(r["trials"], r["rows"], r["failures"], r["sha256"]) for r in runs}
     if len(outputs) != 1:
         raise SystemExit(f"error: the output changed between runs: {sorted(outputs)}")
-    rows, failures, sha = outputs.pop()
+    trials, rows, failures, sha = outputs.pop()
     series = {s: statistics.median(r["series_wall_s"][s] for r in runs)
               for s in runs[0]["series_wall_s"]}
     return {"wall_s": _quartiles([r["wall_s"] for r in runs]), "series_wall_s": series,
-            "rows": rows, "failures": failures, "sha256": sha, "runs": runs}
+            "trials": trials, "rows": rows, "failures": failures, "sha256": sha, "runs": runs}
 
 
 def bench(presets, worker_counts, n_runs: int, smoke: bool, parent: Path | None) -> dict:

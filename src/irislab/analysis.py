@@ -28,7 +28,7 @@ import numpy as np
 from scipy import integrate
 from scipy import special as sp
 
-from .geometry import NetworkConfig
+from .geometry import NetworkConfig, as_float
 from .specfun import ConvergenceError, hyp2f2, meijer_g_3123
 
 __all__ = [
@@ -237,6 +237,12 @@ def product_sum_cdf(x, t1: float, t2: float, n: int):
 # Outage probability
 # ---------------------------------------------------------------------------
 
+def _outage_threshold(cfg: NetworkConfig) -> float:
+    """eps_m Q sigma2 / (p_b C0), eps_m = 2^R_m - 1: the channel gain, before the
+    path loss of the distances, below which the link is in outage."""
+    return (2.0 ** cfg.R_m - 1.0) * cfg.Q * cfg.sigma2 / (cfg.p_b * cfg.ref_atten_lin)
+
+
 def _tail_model(cfg: NetworkConfig):
     """Tail-model stats of ``cfg`` and the threshold scale b of the radial integral.
 
@@ -245,9 +251,7 @@ def _tail_model(cfg: NetworkConfig):
     the bare textbook constant.
     """
     stats = high_snr_stats(cfg.t1, cfg.t2, cfg.N)
-    eps_m = 2.0 ** cfg.R_m - 1.0
-    delta_m = eps_m * cfg.Q * cfg.sigma2 / (cfg.p_b * cfg.ref_atten_lin)
-    return stats, stats.rate * delta_m * cfg.d1 ** cfg.alpha
+    return stats, stats.rate * _outage_threshold(cfg) * cfg.d1 ** cfg.alpha
 
 
 def _ln_phi(s: HighSnrChannelStats, cfg: NetworkConfig) -> float:
@@ -352,8 +356,7 @@ def op_gamma_approx(cfg: NetworkConfig) -> float:
     rule out the tail-model closed form.
     """
     approx = gamma_approx(cfg)
-    eps_m = 2.0 ** cfg.R_m - 1.0
-    delta = eps_m * cfg.Q * cfg.sigma2 / (cfg.p_b * cfg.ref_atten_lin) / approx.scale
+    delta = _outage_threshold(cfg) / approx.scale
 
     def f(r):
         return sp.gammainc(approx.shape, delta * (cfg.d1 * r) ** cfg.alpha) * r
@@ -503,7 +506,8 @@ class PowerModel:
 
     def __post_init__(self) -> None:
         for name, v in vars(self).items():
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 0.0 <= v < math.inf:
+            if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                    or not 0.0 <= as_float(name, v) < math.inf):
                 raise ValueError(f"{name} must be a finite nonnegative number, got {v!r}")
 
 

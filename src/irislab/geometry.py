@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 __all__ = [
+    "as_float",
     "NetworkConfig",
     "ChannelRealization",
     "stream",
@@ -27,6 +28,15 @@ __all__ = [
     "sample_nakagami_power",
     "draw_channel",
 ]
+
+
+def as_float(name: str, value) -> float:
+    """``float(value)`` of a config number; an int too large for a float names ``name``."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must fit in a float, got an int of "
+                         f"{value.bit_length()} bits") from None
 
 
 @dataclass
@@ -54,12 +64,7 @@ class NetworkConfig:
                 raise ValueError(f"{name} must be a number, got {value!r}")
             if name in ("M", "K", "N") and not isinstance(value, (int, numbers.Integral)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:
-                raise ValueError(f"{name} must fit in a float, got an int of "
-                                 f"{value.bit_length()} bits") from None
-            if not finite:
+            if not math.isfinite(as_float(name, value)):
                 raise ValueError(f"{name} must be finite, got {value}")
         if not (self.N >= self.K >= self.M >= 1):
             raise ValueError(f"need N >= K >= M >= 1, got N={self.N} K={self.K} M={self.M}")
@@ -117,67 +122,49 @@ _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL = 4
 
 
-def _uint32_words(n: int) -> list:
-    """Little-endian 32-bit words of a non-negative int, as SeedSequence splits it."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError(f"seed words must be non-negative integers, got {n}")
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
+def _n_words(n) -> int:
+    """How many 32-bit words SeedSequence splits a non-negative int into."""
+    return max(1, -(-operator.index(n).bit_length() // 32))
 
 
 def philox_keys(master_seed: int, key_prefix, counters) -> np.ndarray:
     """Philox keys of ``stream(master_seed, *key_prefix, t)`` for every t in ``counters``.
 
     Row i is that stream's ``bit_generator.state["state"]["key"]``, an
-    (n, 2) uint64 stack.  The key is a pure function of the stream address:
-    SeedSequence hashes the 32-bit words of the seed (padded to the pool
-    size) and of the spawn key.  Only the counter's word differs between
-    rows and it comes last, so the shared words are mixed once in Python
-    ints and the counter column in numpy uint32 arithmetic, which wraps
-    like the C code.  Counters must lie in [0, 2**32): one word each.
+    (n, 2) uint64 stack.  SeedSequence hashes the 32-bit words of the seed
+    (zero-padded to its 4-word pool) and then those of the spawn key into
+    the pool, one ``hashmix`` call per word and pool slot.  The counter is
+    the last spawn-key word, so numpy hashes the seed and the prefix once:
+    ``SeedSequence(master_seed, spawn_key=key_prefix).pool``, after
+    ``4 * (max(4, seed words) + prefix words)`` calls.  Only the counter
+    column is mixed here, in numpy uint32 arithmetic, which wraps like the
+    C code, and then expanded as ``generate_state(2, np.uint64)`` does.
+    Counters must lie in [0, 2**32): one word each.
     """
     t = np.asarray(counters)
     if t.ndim != 1 or (t.size and t.dtype.kind not in "iu"):
         raise ValueError("counters must be a 1-d sequence of integers")
     if t.size and (t.min() < 0 or t.max() > _MASK32):
         raise ValueError("counters must lie in [0, 2**32)")
-    run = _uint32_words(master_seed)
-    entropy = run + [0] * (_POOL - len(run))
-    entropy += [w for k in key_prefix for w in _uint32_words(k)]
-    entropy.append(t.astype(np.uint32))
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
+    prefix = tuple(key_prefix)
+    pool = np.random.SeedSequence(master_seed, spawn_key=prefix).pool.tolist()
+    calls = 4 * (max(4, _n_words(master_seed)) + sum(map(_n_words, prefix)))
+    const, word = _INIT_A * pow(_MULT_A, calls, 1 << 32) & _MASK32, t.astype(np.uint32)
+    state = []
+    for p in pool:                      # mix(pool[i], hashmix(counter)) for each slot
+        h = word ^ const
         const = const * _MULT_A & _MASK32
-        value = value * const & _MASK32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        r = (_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * hashmix(y) & _MASK32) & _MASK32
-        return r ^ r >> 16
-
-    pool = [hashmix(w) for w in entropy[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], pool[src])
-    for word in entropy[_POOL:]:
-        pool = [mix(p, word) for p in pool]
-    const, state = _INIT_B, []
-    for word in pool:                   # generate_state(2, np.uint64)
-        word = word ^ const
+        h = h * const
+        r = (_MIX_MULT_L * p & _MASK32) - _MIX_MULT_R * (h ^ h >> 16)
+        state.append(r ^ r >> 16)
+    const = _INIT_B
+    for i, w in enumerate(state):       # generate_state(2, np.uint64)
+        w = w ^ const
         const = const * _MULT_B & _MASK32
-        word = word * const & _MASK32
-        state.append((word ^ word >> 16).astype(np.uint64))
+        w = w * const
+        state[i] = (w ^ w >> 16).astype(np.uint64)
     return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 from . import analysis as an
 from . import montecarlo as mc
-from .geometry import NetworkConfig
+from .geometry import NetworkConfig, as_float
 
 __all__ = [
     "ExperimentSpec",
@@ -52,15 +52,23 @@ _AXIS_FIELDS = {
 }
 
 
+def _dbm_watts(dbm: float) -> float:
+    """dBm -> W; a power too large for a float raises ``OverflowError``."""
+    return 1e-3 * 10.0 ** (dbm / 10.0)
+
+
 def parse_power(value) -> float:
     """Power in watts from a number (already watts) or a suffixed string."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        return as_float("power", value)
     s = str(value).strip().lower().replace(" ", "")
-    if s.endswith("dbm"):
-        return 1e-3 * 10.0 ** (float(s[:-3]) / 10.0)
-    if s.endswith("dbw"):
-        return 10.0 ** (float(s[:-3]) / 10.0)
+    try:
+        if s.endswith("dbm"):
+            return _dbm_watts(float(s[:-3]))
+        if s.endswith("dbw"):
+            return 10.0 ** (float(s[:-3]) / 10.0)
+    except OverflowError:
+        raise ValueError(f"power {value!r} does not fit in a float") from None
     if s.endswith("w"):
         return float(s[:-1])
     raise ValueError(f"cannot parse power {value!r} (use W, dBm or dBW)")
@@ -69,7 +77,7 @@ def parse_power(value) -> float:
 def noise_power_watts(bandwidth_hz: float) -> float:
     """Thermal noise power: -174 + 10 log10(D) dBm."""
     if (isinstance(bandwidth_hz, bool) or not isinstance(bandwidth_hz, numbers.Real)
-            or not 0.0 < bandwidth_hz < math.inf):
+            or not 0.0 < as_float("bandwidth_hz", bandwidth_hz) < math.inf):
         raise ValueError(f"bandwidth_hz must be a positive finite number, got {bandwidth_hz!r}")
     return 1e-3 * 10.0 ** ((-174.0 + 10.0 * math.log10(bandwidth_hz)) / 10.0)
 
@@ -119,7 +127,7 @@ class ExperimentSpec:
                 raise ValueError(f"unknown sweep axis {name!r}")
             vals = list(values)
             if not vals or any(isinstance(v, bool) or not isinstance(v, numbers.Real)
-                               or not math.isfinite(_as_float(f"axis {name!r}", v))
+                               or not math.isfinite(as_float(f"axis {name!r}", v))
                                for v in vals):
                 raise ValueError(f"axis {name!r} needs finite numbers, got {vals!r}")
             if sorted(vals) != vals:
@@ -127,6 +135,14 @@ class ExperimentSpec:
             if _AXIS_FIELDS.get(name) in ("M", "K", "N") and any(
                     not float(v).is_integer() for v in vals):
                 raise ValueError(f"axis {name!r} needs integer values")
+        names = [name for name, _ in self.sweep]
+        for point in itertools.product(*(values for _, values in self.sweep)):
+            try:
+                _apply_axes(self.base, names, point)
+            except (ValueError, OverflowError) as e:
+                detail = "p_b does not fit in a float" if isinstance(e, OverflowError) else e
+                where = ", ".join(f"{n}={v!r}" for n, v in zip(names, point))
+                raise ValueError(f"sweep point ({where}): {detail}") from None
         if self.experiment == "ee_sweep" and self.power_model is None:
             raise ValueError("ee_sweep needs a power_model section")
 
@@ -137,18 +153,9 @@ def _reject_unknown(section: str, d: dict, known) -> None:
         raise ValueError(f"unknown {section} key(s) {unknown}; known: {', '.join(known)}")
 
 
-def _as_float(where: str, value) -> float:
-    """``float(value)``; an int too large for a float names ``where``."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{where} must fit in a float, got an int of "
-                         f"{value.bit_length()} bits") from None
-
-
 def _plan_integer(key: str, value) -> int:
     """An integer plan entry; an integral float such as 1e6 is accepted."""
-    integral = isinstance(value, (int, float)) and _as_float(f"plan.{key}", value).is_integer()
+    integral = isinstance(value, (int, float)) and as_float(f"plan.{key}", value).is_integer()
     if isinstance(value, bool) or not integral:
         raise ValueError(f"plan.{key} must be an integer, got {value!r}")
     return int(value)
@@ -206,7 +213,7 @@ def _apply_axes(base: NetworkConfig, names, values):
     for name, value in zip(names, values):
         fld = _AXIS_FIELDS[name]
         if fld == "p_b":
-            kw["p_b"] = 1e-3 * 10.0 ** (float(value) / 10.0)
+            kw["p_b"] = _dbm_watts(float(value))
         elif fld in ("M", "K", "N"):
             kw[fld] = int(value)
         else:

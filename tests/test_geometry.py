@@ -171,10 +171,11 @@ def test_reproducibility_same_stream_key():
     assert not np.array_equal(a.H, c.H)
 
 
-_KEY_SEEDS = (0, 3, 2 ** 32 - 1, 2 ** 32 + 5, 2 ** 70 + 3, 2 ** 130 + 7)
+_KEY_SEEDS = (0, 3, 2 ** 32 - 1, 2 ** 32 + 5, 2 ** 70 + 3, 2 ** 130 + 7, np.uint64(2 ** 63 + 9))
 
 
-@pytest.mark.parametrize("prefix", [(), (11,), (13,), (14,)])
+# multi-word prefixes and a numpy-int seed: a miscounted hash call would show here
+@pytest.mark.parametrize("prefix", [(), (11,), (13,), (14,), (2 ** 40,), (13, 2 ** 33)])
 @pytest.mark.parametrize("seed", _KEY_SEEDS)
 def test_philox_keys_equal_seed_sequence(seed, prefix):
     counters = list(range(3000)) + [2 ** 32 - 1]

@@ -171,7 +171,29 @@ def test_integer_axes_reject_fractions(tmp_path):
                  id="sweep-pb_dbm-int-too-large-for-a-float"),
     pytest.param("plan", "trials", 10 ** 400,
                  "plan.trials must fit in a float, got an int of 1329 bits",
-                 id="plan-trials-int-too-large-for-a-float")])
+                 id="plan-trials-int-too-large-for-a-float"),
+    *(pytest.param(section, key, 10 ** 400, f"{key}: power must fit in a float, got an int "
+                   "of 1329 bits", id=f"{section}-{key}-int-too-large-for-a-float")
+      for section, key in (("base", "p_b"), ("base", "sigma2"), ("power_model", "P_Bs"),
+                           ("power_model", "P_U"), ("power_model", "P_L"))),
+    pytest.param("base", "p_b", "4000dBm", "p_b: power '4000dBm' does not fit in a float",
+                 id="base-p_b-dbm-too-large-for-a-float"),
+    pytest.param("base", "bandwidth_hz", 10 ** 400,
+                 "bandwidth_hz must fit in a float, got an int of 1329 bits",
+                 id="base-bandwidth_hz-int-too-large-for-a-float"),
+    # accepted once, after which every power_w and ee point failed
+    pytest.param("power_model", "eps_b", 10 ** 400,
+                 "eps_b must fit in a float, got an int of 1329 bits",
+                 id="power_model-eps_b-int-too-large-for-a-float"),
+    # every sweep point is checked when the spec is read, not mid-run
+    pytest.param("sweep", "t1", [0.3], "sweep point (n_elements=10, t1=0.3): fading "
+                 "parameters must be >= 0.5", id="sweep-t1-below-one-half"),
+    pytest.param("sweep", "n_elements", [0], "sweep point (n_elements=0): need N >= K >= M",
+                 id="sweep-n_elements-zero"),
+    pytest.param("sweep", "m_antennas", [1, 11], "sweep point (n_elements=10, m_antennas=11): "
+                 "need N >= K >= M >= 1, got N=10 K=11 M=11", id="sweep-m_antennas-above-N"),
+    pytest.param("sweep", "pb_dbm", [4000], "sweep point (n_elements=10, pb_dbm=4000): p_b "
+                 "does not fit in a float", id="sweep-pb_dbm-power-too-large-for-a-float")])
 def test_bad_config_values_name_their_key(section, key, value, detail, tmp_path, capsys):
     d = _ee_dict()
     d[section][key] = value
@@ -179,8 +201,10 @@ def test_bad_config_values_name_their_key(section, key, value, detail, tmp_path,
         harness.spec_from_dict(d)
     path = tmp_path / "c.json"
     path.write_text(json.dumps(d))
-    assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 2
+    # every target loads before any runs, so the preset before the bad config writes nothing
+    assert cli.main(["run", "throughput_surface", str(path), "--out", str(tmp_path)]) == 2
     assert json.loads(capsys.readouterr().err)["detail"].startswith(detail)
+    assert not (tmp_path / "throughput_surface.csv").exists()
 
 
 def test_integral_float_counts_run_like_integers():

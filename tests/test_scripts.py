@@ -36,7 +36,7 @@ def test_bench_presets_records_the_digest_that_irislab_run_prints(tmp_path):
     [entry] = record["results"]
     assert (entry["preset"], entry["workers"]) == ("throughput_surface", 1)
     change = entry["sides"]["change"]
-    assert (change["rows"], change["failures"]) == (9, 0)
+    assert (change["trials"], change["rows"], change["failures"]) == (1000, 9, 0)
     assert set(change["series_wall_s"]) == {"analytical"}
     assert change["wall_s"]["q1"] <= change["wall_s"]["median"] <= change["wall_s"]["q3"]
     assert entry["pairs"]["same_csv"] and len(entry["pairs"]["change_s"]) == 1
