@@ -461,7 +461,8 @@ def ergodic_rate_meijer(approx: GammaApprox, cfg: NetworkConfig) -> float:
     """
     a = approx.shape
     if a >= 170.0:
-        raise ValueError(f"shape {a:.1f} overflows the linear-domain assembly")
+        raise ValueError(f"shape {a:.1f} (N={cfg.N}, t1={cfg.t1}, t2={cfg.t2}, Q={cfg.Q}) "
+                         "overflows the linear-domain assembly")
     c = rate_snr_scale(approx, cfg)
     d2 = 2.0 / cfg.alpha
     R, r0 = cfg.R, cfg.r0

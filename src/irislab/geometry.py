@@ -77,6 +77,15 @@ class NetworkConfig:
         for name in ("d1", "p_b", "sigma2"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        # every closed form computes with float(N), exact only up to 2**53
+        if self.N > 2 ** 53:
+            raise ValueError(f"N must be at most 2**53, got {self.N}")
+        for name in ("R", "d1"):    # a finite float power overflows by raising
+            try:
+                float(getattr(self, name)) ** float(self.alpha)
+            except OverflowError:
+                raise ValueError(f"alpha must keep {name} ** alpha finite, got alpha={self.alpha} "
+                                 f"and {name}={getattr(self, name)}") from None
 
     @property
     def Q(self) -> int:

@@ -11,6 +11,7 @@ is hopeless in double precision.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -189,40 +190,78 @@ def _exp_real(x, y):
         return np.exp(complex(x, y)).real
 
 
-@functools.lru_cache(maxsize=2)
-def _contour_nodes(a1, b3):
-    """Node t -> the contour integrand's z-free loggamma sum, as (re, im).
+# Nodes a table keeps at most; one batch of rate points sees about 1,200 a line.
+_TABLE_NODES = 8192
 
-    The line and the loggamma sum at a node depend on (a1, b3) only, so every
-    z evaluated with them reuses the sums of the nodes seen before.  A rate
-    evaluates two families, so two tables stay alive; a node's entry is the
-    number it would be recomputed as, so values never depend on the cache.
+
+@functools.lru_cache(maxsize=2)
+def _contour_line(a1):
+    """Node t -> the b3-free loggamma terms of the contour integrand for a1.
+
+    On the family, min(a1, 0, b3) = 0, so the line Re s = c0 = (a1 - 1)/2 and
+    four of the five loggamma terms at s = c0 + i t depend on a1 alone.  An
+    entry is (lg(a1 - s) + lg(0 - s), lg(1 - a1 + s), lg(1 - s)), as Python
+    complex numbers.  A rate evaluates the lines a1 = 0 and a1 = 2/alpha.
     """
     return {}
 
 
-def _meijer_contour(bs, a1, a2, z):
-    """Mellin-Barnes integral along a vertical line, evaluated by quadrature.
+@functools.lru_cache(maxsize=2)
+def _contour_heads(a1, b3):
+    """Node t -> the contour integrand's z-free loggamma sum, as (re, im).
+
+    The sum at a node depends on (a1, b3) only, so every z evaluated with them
+    reuses the sums of the nodes seen before.  A new table starts from every
+    node its line holds, with one array call of ``loggamma(b3 - s)``: scipy's
+    loggamma is a ufunc that runs the same loop on an array as on a scalar,
+    and numpy adds complex numbers component by component, so each entry is
+    the number the scalar path forms.  A rate evaluates two families, so two
+    tables stay alive; an entry is the number it would be recomputed as, so
+    values never depend on the cache.
+    """
+    line = _contour_line(a1)
+    if not line:
+        return {}
+    ts = list(line)
+    s = np.empty(len(ts), complex)
+    s.real, s.imag = 0.5 * (a1 - 1.0), ts
+    terms = itertools.chain.from_iterable(line.values())
+    ab, d, e = np.fromiter(terms, complex, 3 * len(ts)).reshape(-1, 3).T
+    h = ((ab + sp.loggamma(b3 - s)) + d) - e
+    return dict(zip(ts, zip(h.real.tolist(), h.imag.tolist())))
+
+
+def _meijer_contour(a1, b3, z):
+    """G(z | a1, 1; a1, 0, b3) as a Mellin-Barnes integral along a vertical
+    line, evaluated by quadrature.
 
     The integrand decays like exp(-3*pi*|t|/2), so a finite window loses
     nothing, and conjugate symmetry halves the work.  With s = c0 + i t,
     Re(s ln z) = c0 ln z and Im(s ln z) = t ln z, so the integrand is
     ``_exp_real`` of the same two sums numpy's complex arithmetic forms, and
-    its value is unchanged.
+    its value is unchanged.  A node new to the line adds its b3-free terms to
+    the line's table.
     """
-    c0 = 0.5 * ((a1 - 1.0) + min(bs))
+    bs, a2 = (a1, 0.0, b3), 1.0
+    c0 = 0.5 * (a1 - 1.0)
     lnz = math.log(z)
     c0lnz = c0 * lnz
-    heads = _contour_nodes(a1, bs[2])
+    line, heads = _contour_line(a1), _contour_heads(a1, b3)
 
     def f(t):
         head = heads.get(t)
         if head is None:
             s = complex(c0, t)
-            h = (sp.loggamma(bs[0] - s) + sp.loggamma(bs[1] - s)
-                 + sp.loggamma(bs[2] - s) + sp.loggamma(1.0 - a1 + s)
-                 - sp.loggamma(a2 - s))
-            head = heads[t] = (float(h.real), float(h.imag))
+            terms = line.get(t)
+            if terms is None:
+                terms = (complex(sp.loggamma(a1 - s) + sp.loggamma(0.0 - s)),
+                         complex(sp.loggamma(1.0 - a1 + s)), complex(sp.loggamma(a2 - s)))
+                if len(line) < _TABLE_NODES:
+                    line[t] = terms
+            h = ((terms[0] + sp.loggamma(b3 - s)) + terms[1]) - terms[2]
+            head = (float(h.real), float(h.imag))
+            if len(heads) < _TABLE_NODES:
+                heads[t] = head
         return _exp_real(head[0] + c0lnz, head[1] + t * lnz)
 
     scale = abs(f(0.0)) + 1e-300
@@ -303,5 +342,5 @@ def meijer_g_3123(a1: float, b3: float, z: float) -> EvalResult:
     slater = _meijer_slater(bs, a1, a2, z) if _slater_applicable(bs, z) else None
     if slater is not None:
         return EvalResult(*slater, method="slater")
-    value, err = _meijer_contour(bs, a1, a2, z)
+    value, err = _meijer_contour(a1, b3, z)
     return EvalResult(value, err, 0, method="contour")

@@ -445,7 +445,8 @@ def test_ergodic_rate_meijer_matches_quadrature():
 
 
 def _cold_rate(cfg):
-    sf._contour_nodes.cache_clear()
+    sf._contour_line.cache_clear()
+    sf._contour_heads.cache_clear()
     return an.ergodic_rate_meijer(an.gamma_approx(cfg), cfg)
 
 
@@ -456,9 +457,17 @@ def test_ergodic_rate_meijer_shared_nodes_over_a_power_axis():
              for pb in (-10.0, 0.0, 10.0, 20.0, 30.0)] for t1, n in ((2.0, 4), (1.5, 8))]
     for cfgs in (axes[0] + axes[1], [c for pair in zip(*axes) for c in pair]):
         want = [_cold_rate(cfg) for cfg in cfgs]
-        sf._contour_nodes.cache_clear()
+        sf._contour_line.cache_clear()
+        sf._contour_heads.cache_clear()
         assert [an.ergodic_rate_meijer(an.gamma_approx(c), c) for c in cfgs] == want
-        assert sf._contour_nodes.cache_info().hits > 0
+        assert sf._contour_heads.cache_info().hits > 0
+
+
+def test_ergodic_rate_meijer_names_the_config_behind_a_shape_past_the_cap():
+    cfg = _cfg(N=400, t1=5.0)
+    with pytest.raises(ValueError, match=r"^shape 285\.7 \(N=400, t1=5\.0, t2=1\.0, Q=1\) "
+                                         r"overflows the linear-domain assembly$"):
+        an.ergodic_rate_meijer(an.gamma_approx(cfg), cfg)
 
 
 def test_ergodic_rate_meijer_degenerate_annulus():

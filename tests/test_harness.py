@@ -193,7 +193,14 @@ def test_integer_axes_reject_fractions(tmp_path):
     pytest.param("sweep", "m_antennas", [1, 11], "sweep point (n_elements=10, m_antennas=11): "
                  "need N >= K >= M >= 1, got N=10 K=11 M=11", id="sweep-m_antennas-above-N"),
     pytest.param("sweep", "pb_dbm", [4000], "sweep point (n_elements=10, pb_dbm=4000): p_b "
-                 "does not fit in a float", id="sweep-pb_dbm-power-too-large-for-a-float")])
+                 "does not fit in a float", id="sweep-pb_dbm-power-too-large-for-a-float"),
+    # accepted once, after which every closed-form point failed with a bare
+    # OverflowError, or with a Gamma shape of 7e29 that named no config value
+    pytest.param("base", "alpha", 1e300, "alpha must keep R ** alpha finite, got alpha=1e+300 "
+                 "and R=100.0", id="base-alpha-overflows-R-to-the-alpha"),
+    pytest.param("sweep", "n_elements", [1e30], "sweep point (n_elements=1e+30): N must be at "
+                 "most 2**53, got 1000000000000000019884624838656",
+                 id="sweep-n_elements-above-2-to-the-53")])
 def test_bad_config_values_name_their_key(section, key, value, detail, tmp_path, capsys):
     d = _ee_dict()
     d[section][key] = value

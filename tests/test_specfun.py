@@ -1,9 +1,12 @@
 import math
 import warnings
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from irislab import specfun as sf
@@ -140,7 +143,7 @@ def test_meijer_dual_path_self_consistency():
     for a in (4.3, 7.77, 12.9):
         slater = sf.meijer_g_3123(d2, a + d2, 0.5)
         assert slater.method == "slater"
-        contour, _ = sf._meijer_contour((d2, 0.0, a + d2), d2, 1.0, 0.5)
+        contour, _ = sf._meijer_contour(d2, a + d2, 0.5)
         assert slater.value == pytest.approx(contour, rel=1e-6)
 
 
@@ -187,7 +190,7 @@ def test_meijer_slater_guard_does_not_overflow():
         for z, value in want.items():
             got = sf.meijer_g_3123(d2, 169.5 + d2, z)
             assert (got.method, got.value) == ("slater", value)
-            contour, _ = sf._meijer_contour((d2, 0.0, 169.5 + d2), d2, 1.0, z)
+            contour, _ = sf._meijer_contour(d2, 169.5 + d2, z)
             assert got.value == pytest.approx(contour, rel=1e-12)
 
 
@@ -199,38 +202,135 @@ _RATE_PARAMS = [(0.0, 4.0), (0.0, 4.3), (2.0 / 3.0, 4.0 + 2.0 / 3.0),
 _ZS = (45.0, 0.5, 1e-3, 20.0, 300.0, 0.5)       # both sides of the Slater limit z = 30
 
 
+def _clear_contour_tables():
+    sf._contour_line.cache_clear()
+    sf._contour_heads.cache_clear()
+
+
 def _cold(params, z):
-    sf._contour_nodes.cache_clear()
+    _clear_contour_tables()
     return sf.meijer_g_3123(*params, z)
-
-
-def _contour(a1, b3, z):
-    return sf._meijer_contour((a1, 0.0, b3), a1, 1.0, z)
 
 
 def test_meijer_shared_nodes_give_the_fresh_results():
     for params in _RATE_PARAMS:
-        for evaluate in (sf.meijer_g_3123, _contour):
+        for evaluate in (sf.meijer_g_3123, sf._meijer_contour):
             cold = []
             for z in _ZS:
-                sf._contour_nodes.cache_clear()
+                _clear_contour_tables()
                 cold.append(evaluate(*params, z))
-            sf._contour_nodes.cache_clear()
+            _clear_contour_tables()
             warm = [evaluate(*params, z) for z in _ZS]
             assert warm == cold
             # both reached the contour at some z, so later z reused nodes
-            assert sf._contour_nodes.cache_info().hits > 0
+            assert sf._contour_heads.cache_info().hits > 0
 
 
 def test_meijer_nodes_shared_by_interleaved_parameter_sets():
     # pairs of the sets differ only in b3, or only in a1: a pair keeps both its
     # tables in the two-table cache, four sets evict each other's at every call
+    # and build each new table from its line, which no set evicts
     for sets in (_RATE_PARAMS[:2], _RATE_PARAMS[::2], _RATE_PARAMS):
         cold = [_cold(params, z) for z in _ZS for params in sets]
-        sf._contour_nodes.cache_clear()
+        _clear_contour_tables()
         warm = [sf.meijer_g_3123(*params, z) for z in _ZS for params in sets]
         assert warm == cold
-        assert (sf._contour_nodes.cache_info().hits > 0) == (len(sets) == 2)
+        assert (sf._contour_heads.cache_info().hits > 0) == (len(sets) == 2)
+        assert sf._contour_line.cache_info().misses == len({a1 for a1, _ in sets})
+
+
+def _five_term_head(a1, b3, t):
+    """The contour integrand's loggamma sum at node t, one scalar call per term."""
+    bs, a2 = (a1, 0.0, b3), 1.0
+    s = complex(0.5 * ((a1 - 1.0) + min(bs)), t)
+    h = (special.loggamma(bs[0] - s) + special.loggamma(bs[1] - s)
+         + special.loggamma(bs[2] - s) + special.loggamma(1.0 - a1 + s)
+         - special.loggamma(a2 - s))
+    return float(h.real).hex(), float(h.imag).hex()
+
+
+def _visit_nodes(a1, b3, ts):
+    """Run the contour integrand of (a1, b3) at exactly the nodes ts."""
+    def quad(f, lo, hi, **kw):
+        for t in ts:
+            f(t)
+        return 0.0, 0.0, {}
+    with mock.patch.object(sf.integrate, "quad", quad):
+        sf._meijer_contour(a1, b3, 1.0)
+
+
+_LINES = st.sampled_from([0.0, 2.0 / 2.5, 2.0 / 3.0, 2.0 / 4.0])
+
+
+@given(a1=_LINES, data=st.data(),
+       ts=st.lists(st.floats(0.0, 48.0), max_size=40).map(
+           lambda ts: [0.0, 5e-324, 1e-300, 1e-12, 48.0, *ts]))
+def test_contour_table_fill_equals_the_scalar_five_term_head(a1, data, ts):
+    # the first b3 visits every node on the scalar path, the second starts its
+    # table from the line with one array loggamma; both equal the five terms
+    b3s = data.draw(st.lists(st.floats(a1, 169.0, exclude_min=True),
+                             min_size=2, max_size=2, unique=True))
+    _clear_contour_tables()
+    _visit_nodes(a1, b3s[0], ts)
+    assert len(sf._contour_line(a1)) == len(set(ts))
+    for b3 in b3s:
+        heads = sf._contour_heads(a1, b3)
+        assert {t: (x.hex(), y.hex()) for t, (x, y) in heads.items()} == {
+            t: _five_term_head(a1, b3, t) for t in ts}
+
+
+_ORDER_CASES = [(a1, b3, z) for a1, b3 in _RATE_PARAMS + [(0.8, 3.8), (0.0, 169.0)]
+                for z in (1e-3, 0.5, 45.0)]
+
+
+def test_meijer_results_do_not_depend_on_the_call_order():
+    want = [_cold(case[:2], case[2]) for case in _ORDER_CASES]
+    assert "contour" in {r.method for r in want}
+    rng = np.random.default_rng(20261019)
+    for clear in (True, False):
+        for _ in range(3):
+            order = rng.permutation(len(_ORDER_CASES))
+            got = [None] * len(order)
+            for i in order:
+                a1, b3, z = _ORDER_CASES[i]
+                if clear:
+                    _clear_contour_tables()
+                got[i] = sf.meijer_g_3123(a1, b3, z)
+            assert got == want
+
+
+def test_new_b3_reuses_the_loggamma_terms_of_its_line(monkeypatch):
+    calls = []
+
+    class _Special:
+        def __getattr__(self, name):
+            return getattr(special, name)
+
+        def loggamma(self, x):
+            calls.append(np.ndim(x))
+            return special.loggamma(x)
+
+    monkeypatch.setattr(sf, "sp", _Special())
+    _clear_contour_tables()
+    sf._meijer_contour(0.0, 4.0, 0.5)
+    seen = set(sf._contour_line(0.0))
+    assert calls == [0] * 5 * len(seen)
+    calls.clear()
+    sf._meijer_contour(0.0, 4.3, 0.5)
+    new = set(sf._contour_line(0.0)) - seen
+    visited = set(sf._contour_heads(0.0, 4.3))
+    # one array call for the nodes of the line, five scalar calls per new node
+    assert calls == [1] + [0] * 5 * len(new)
+    assert new <= visited and 5 * len(new) < len(visited) / 4
+
+
+def test_contour_tables_stop_growing_at_their_bound(monkeypatch):
+    want = [_cold(params, z) for params in _RATE_PARAMS[:2] for z in _ZS]
+    monkeypatch.setattr(sf, "_TABLE_NODES", 50)
+    _clear_contour_tables()
+    assert [sf.meijer_g_3123(*params, z) for params in _RATE_PARAMS[:2] for z in _ZS] == want
+    assert len(sf._contour_line(0.0)) == 50
+    assert len(sf._contour_heads(*_RATE_PARAMS[1])) <= 50
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +449,11 @@ def test_meijer_contour_near_the_shape_cap_keeps_values_and_names_overflow(shape
             warnings.simplefilter("error", RuntimeWarning)
             if want is None:
                 with pytest.raises(sf.ConvergenceError) as err:
-                    sf._meijer_contour(bs, d2, 1.0, z)
+                    sf._meijer_contour(d2, shape + d2, z)
                 assert str(err.value).startswith("contour integral overflows (")
                 assert f"bs={bs}, a1={d2}, a2=1.0, z={z}" in str(err.value)
             else:
-                assert sf._meijer_contour(bs, d2, 1.0, z) == want
+                assert sf._meijer_contour(d2, shape + d2, z) == want
 
 
 # shape 169 at z = 2e-8: the integrand peaks at 1.5e308 and QUADPACK flags its
