@@ -345,21 +345,31 @@ def op_quadrature(cfg: NetworkConfig) -> float:
 
 
 def op_asymptotic(cfg: NetworkConfig, n_max: int = 30) -> float:
-    """High-SNR series expansion of the closed form, valid for b R^alpha < 1."""
+    """High-SNR series expansion of the closed form, valid for b R^alpha < 1.
+
+    Sums the terms n = 0 .. ``n_max``; the logarithms no term changes are
+    taken once, before the loop.
+    """
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
     stats, b = _tail_model(cfg)
+    if b <= 0.0:
+        return 0.0
     R, r0, alpha = cfg.R, cfg.r0, cfg.alpha
     ln_phi = _ln_phi(stats, cfg)
     y = b * R ** alpha
     if y >= 1.0:
         raise ValueError(f"asymptotic series requires b R^alpha < 1, got {y}")
     a, d = stats.a, 2.0 / alpha
+    ln_head = ln_phi - math.log(a * (alpha * a + 2.0))
+    ln_b, ln_R = math.log(b), math.log(R)
+    ln_ratio = math.log(r0) - ln_R
     total = 0.0
     for n in range(n_max + 1):
         coef = a * (a + d) / ((a + n) * (a + d + n))
         expo = alpha * a + alpha * n + 2.0
-        ln_mag = (ln_phi - math.log(a * (alpha * a + 2.0)) + math.log(coef)
-                  - math.lgamma(n + 1.0) + (a + n) * math.log(b)
-                  + expo * math.log(R) + math.log1p(-math.exp(expo * (math.log(r0) - math.log(R)))))
+        ln_mag = (ln_head + math.log(coef) - math.lgamma(n + 1.0) + (a + n) * ln_b
+                  + expo * ln_R + math.log1p(-math.exp(expo * ln_ratio)))
         total += (-1.0) ** n * math.exp(ln_mag)
     return total
 

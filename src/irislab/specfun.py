@@ -90,38 +90,36 @@ class EvalResult:
 
 
 def _hyp_series(num, den, z, rtol, max_terms):
-    """Balanced hypergeometric power series (as many numerator parameters as
-    denominator ones) with compensated summation.
+    """2F2 power series (``hyp2f2`` is its one caller) with compensated
+    summation; ``num`` and ``den`` are the two numerator and the two
+    denominator parameters.
 
     Returns (sum, tail_bound, terms, max_partial).  The tail bound comes from
     a geometric majorant of the term ratio once the ratio is provably < 3/4
-    and shrinking, so it is rigorous rather than heuristic.
+    and shrinking, so it is rigorous rather than heuristic.  The term ratio
+    and the majorant are each one expression, evaluated left to right as
+    z / (k + 1), times each numerator factor, divided by each denominator
+    factor, in parameter order; that order fixes the bits of every term.
     """
+    (p1, p2), (q1, q2) = num, den
     total = 1.0
     comp = 0.0
     term = 1.0
     max_partial = 1.0
-    k_safe = 2.0 * abs(z) + sum(abs(p) for p in num) + sum(abs(p) for p in den) + 10.0
+    k_safe = 2.0 * abs(z) + (abs(p1) + abs(p2)) + (abs(q1) + abs(q2)) + 10.0
     for k in range(max_terms):
-        ratio = z / (k + 1.0)
-        for p in num:
-            ratio *= p + k
-        for q in den:
-            ratio /= q + k
-        term *= ratio
+        term *= z / (k + 1.0) * (p1 + k) * (p2 + k) / (q1 + k) / (q2 + k)
         if term == 0.0:  # terminating series (nonpositive-integer numerator)
             return total, 0.0, k + 1, max_partial
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        max_partial = max(max_partial, abs(total))
+        if abs(total) > max_partial:
+            max_partial = abs(total)
         if k >= k_safe:
-            nxt = abs(z) / (k + 2.0)
-            for p in num:
-                nxt *= abs(p + k + 1.0)
-            for q in den:
-                nxt /= abs(q + k + 1.0)
+            nxt = (abs(z) / (k + 2.0) * abs(p1 + k + 1.0) * abs(p2 + k + 1.0)
+                   / abs(q1 + k + 1.0) / abs(q2 + k + 1.0))
             # the ratio of a balanced series falls like |z|/k; the (1 + 6/k)
             # slack covers the approach from above
             rhat = nxt * (1.0 + 6.0 / (k + 1.0))
@@ -264,18 +262,19 @@ def _meijer_contour(a1, b3, z):
     The integrand decays like exp(-3*pi*|t|/2), so a finite window loses
     nothing, and conjugate symmetry halves the work.  With s = c0 + i t,
     Re(s ln z) = c0 ln z and Im(s ln z) = t ln z, so the integrand is
-    ``_exp_real`` of the same two sums numpy's complex arithmetic forms, and
-    its value is unchanged.  A node new to the line adds its b3-free terms to
-    the line's table.
+    ``_exp_real`` of the same two sums numpy's complex arithmetic forms (its
+    unscaled branch written in place), and its value is unchanged.  A node
+    new to the line adds its b3-free terms to the line's table.
     """
     bs, a2 = (a1, 0.0, b3), 1.0
     c0 = 0.5 * (a1 - 1.0)
     lnz = math.log(z)
     c0lnz = c0 * lnz
     line, heads = _contour_line(a1), _contour_heads(a1, b3)
+    get, exp, cos = heads.get, math.exp, math.cos
 
     def f(t):
-        head = heads.get(t)
+        head = get(t)
         if head is None:
             s = complex(c0, t)
             terms = line.get(t)
@@ -288,7 +287,11 @@ def _meijer_contour(a1, b3, z):
             head = (float(h.real), float(h.imag))
             if len(heads) < _TABLE_NODES:
                 heads[t] = head
-        return _exp_real(head[0] + c0lnz, head[1] + t * lnz)
+        hr, hi = head
+        x = hr + c0lnz
+        if x <= _CEXP_UNSCALED_MAX:  # _exp_real's unscaled branch, without the call
+            return exp(x) * cos(hi + t * lnz)
+        return _exp_real(x, hi + t * lnz)
 
     scale = abs(f(0.0)) + 1e-300
     val, err, _, *flagged = integrate.quad(f, 0.0, 48.0, limit=4000, epsabs=scale * 1e-14,

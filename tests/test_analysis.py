@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from irislab import analysis as an
@@ -175,6 +177,49 @@ def test_op_asymptotic_converges_to_closed_form():
     assert asy == pytest.approx(cf, rel=1e-6)
     with pytest.raises(ValueError):
         an.op_asymptotic(_cfg(p_b=1e-6))
+
+
+def _op_asymptotic_per_term_logs(cfg, n_max):
+    """The high-SNR series with every logarithm taken inside its term: the
+    reference for the bits of ``op_asymptotic``, which takes them once."""
+    stats, b = an._tail_model(cfg)
+    R, r0, alpha = cfg.R, cfg.r0, cfg.alpha
+    ln_phi = an._ln_phi(stats, cfg)
+    a, d = stats.a, 2.0 / alpha
+    total = 0.0
+    for n in range(n_max + 1):
+        coef = a * (a + d) / ((a + n) * (a + d + n))
+        expo = alpha * a + alpha * n + 2.0
+        ln_mag = (ln_phi - math.log(a * (alpha * a + 2.0)) + math.log(coef)
+                  - math.lgamma(n + 1.0) + (a + n) * math.log(b)
+                  + expo * math.log(R) + math.log1p(-math.exp(expo * (math.log(r0) - math.log(R)))))
+        total += (-1.0) ** n * math.exp(ln_mag)
+    return total
+
+
+@given(N=st.integers(1, 64), ts=st.floats(0.5, 4.0), gap=st.floats(0.05, 3.0),
+       swap=st.booleans(), alpha=st.floats(2.1, 4.5), R=st.floats(2.0, 500.0),
+       r0_share=st.floats(1e-3, 0.9), y=st.floats(1e-9, 0.99), n_max=st.integers(0, 40))
+def test_op_asymptotic_equals_the_per_term_logarithms_bit_for_bit(
+        N, ts, gap, swap, alpha, R, r0_share, y, n_max):
+    t1, t2 = (ts + gap, ts) if swap else (ts, ts + gap)
+    cfg = _cfg(N=N, t1=t1, t2=t2, alpha=alpha, R=R, r0=r0_share * R)
+    # b falls as 1 / p_b: choose the power that puts b R^alpha near y
+    cfg = _cfg(N=N, t1=t1, t2=t2, alpha=alpha, R=R, r0=r0_share * R,
+               p_b=an._tail_model(cfg)[1] * R ** alpha / y)
+    got = an.op_asymptotic(cfg, n_max)
+    assert got.hex() == _op_asymptotic_per_term_logs(cfg, n_max).hex()
+
+
+def test_op_asymptotic_is_zero_where_the_threshold_scale_underflows():
+    cfg = _cfg(p_b=1e300, sigma2=5e-324)
+    assert an._tail_model(cfg)[1] == 0.0
+    assert an.op_asymptotic(cfg) == an.op_closed_form(cfg) == 0.0
+
+
+def test_op_asymptotic_rejects_a_negative_term_count():
+    with pytest.raises(ValueError, match="n_max"):
+        an.op_asymptotic(_cfg(p_b=30.0), n_max=-1)
 
 
 def test_op_asymptotic_slope_matches_order():

@@ -93,6 +93,92 @@ def test_hyp_series_term_cap_raises():
         sf._hyp_series((1.0, 2.0), (2.0, 3.0), 40.0, 1e-12, 10)
 
 
+def _hyp_series_generic(num, den, z, rtol, max_terms):
+    """The series as a loop over any number of parameters: the reference for
+    the bits of ``_hyp_series``, which unrolls it for two and two."""
+    total = 1.0
+    comp = 0.0
+    term = 1.0
+    max_partial = 1.0
+    k_safe = 2.0 * abs(z) + sum(abs(p) for p in num) + sum(abs(p) for p in den) + 10.0
+    for k in range(max_terms):
+        ratio = z / (k + 1.0)
+        for p in num:
+            ratio *= p + k
+        for q in den:
+            ratio /= q + k
+        term *= ratio
+        if term == 0.0:
+            return total, 0.0, k + 1, max_partial
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        max_partial = max(max_partial, abs(total))
+        if k >= k_safe:
+            nxt = abs(z) / (k + 2.0)
+            for p in num:
+                nxt *= abs(p + k + 1.0)
+            for q in den:
+                nxt /= abs(q + k + 1.0)
+            rhat = nxt * (1.0 + 6.0 / (k + 1.0))
+            if rhat < 1.0 - 1e-6:
+                tail = abs(term) * rhat / (1.0 - rhat)
+                if tail <= rtol * max(abs(total), 1e-300):
+                    return total, tail, k + 1, max_partial
+    raise sf.ConvergenceError(f"hypergeometric series exceeded {max_terms} terms (z={z})")
+
+
+def _series_bits(series, num, den, z, rtol=1e-12, max_terms=4000):
+    """(sum, tail, terms, max_partial) with the floats as hex, or the error."""
+    try:
+        total, tail, terms, max_partial = series(num, den, z, rtol, max_terms)
+    except sf.ConvergenceError as exc:
+        return "ConvergenceError", str(exc)
+    return total.hex(), tail.hex(), terms, max_partial.hex()
+
+
+_NUM = st.floats(-6.0, 12.0)
+# hyp2f2 rejects nonpositive-integer denominators before the series; near
+# them the first terms overflow, and both loops give the same NaN run
+_DEN = st.floats(-5.9, 14.0).filter(lambda q: q >= 1e-3 or abs(q - round(q)) > 1e-3)
+_Z = st.floats(-8.0, 30.0)
+
+
+@given(num=st.tuples(_NUM, _NUM), den=st.tuples(_DEN, _DEN), z=_Z,
+       rtol=st.sampled_from([1e-12, 1e-13]))
+def test_hyp_series_equals_the_generic_loop_bit_for_bit(num, den, z, rtol):
+    # a series that does not terminate can only return through the tail
+    # bound, which starts at k >= k_safe
+    got = _series_bits(sf._hyp_series, num, den, z, rtol)
+    assert got == _series_bits(_hyp_series_generic, num, den, z, rtol)
+    if got[0] != "ConvergenceError" and got[1] != (0.0).hex():
+        assert got[2] - 1 >= 2.0 * abs(z) + sum(map(abs, num)) + sum(map(abs, den)) + 10.0
+
+
+@given(m=st.integers(0, 12), p2=_NUM, den=st.tuples(_DEN, _DEN), z=_Z, swap=st.booleans())
+def test_terminating_hyp_series_equals_the_generic_loop_bit_for_bit(m, p2, den, z, swap):
+    num = (p2, -float(m)) if swap else (-float(m), p2)
+    got = _series_bits(sf._hyp_series, num, den, z)
+    assert got == _series_bits(_hyp_series_generic, num, den, z)
+    if z != 0.0:
+        assert got[1] == (0.0).hex() and got[2] <= m + 1
+
+
+@given(num=st.tuples(st.floats(0.1, 12.0),
+                    st.one_of(st.integers(-6, 12).map(float), st.floats(0.1, 12.0))),
+       den=st.tuples(_DEN, _DEN), z=st.floats(10.0, 30.0), max_terms=st.integers(1, 30))
+def test_hyp_series_stops_at_the_term_cap_like_the_generic_loop(num, den, z, max_terms):
+    # k_safe >= 2 z + 10 >= 30 here, so the tail bound is never tried; only a
+    # nonpositive-integer numerator can end the series before the cap
+    got = _series_bits(sf._hyp_series, num, den, z, max_terms=max_terms)
+    assert got == _series_bits(_hyp_series_generic, num, den, z, max_terms=max_terms)
+    p2 = num[1]
+    if not (p2 <= 0.0 and p2.is_integer() and -p2 < max_terms):
+        assert got == ("ConvergenceError",
+                       f"hypergeometric series exceeded {max_terms} terms (z={z})")
+
+
 def test_eval_result_rejects_nonfinite():
     with pytest.raises(sf.ConvergenceError):
         sf.EvalResult(float("nan"), 0.0, 1)
@@ -375,6 +461,56 @@ def test_exp_real_switches_to_numpy_just_above_709(monkeypatch):
         assert np.isinf(np.exp(complex(710.0, math.pi / 2)).imag)
     assert sf._exp_real(710.0, math.pi / 2) == 1.3679272698459398e+292
     assert sf._exp_real(800.0, 0.3) == math.inf
+
+
+def _contour_integrand(a1, b3, z):
+    """The integrand ``_meijer_contour`` hands to quad for (a1, b3) at z."""
+    handed = []
+
+    def quad(f, lo, hi, **kw):
+        handed.append(f)
+        return 0.0, 0.0, {}
+    with mock.patch.object(sf.integrate, "quad", quad):
+        sf._meijer_contour(a1, b3, z)
+    return handed[0]
+
+
+@given(a1=_LINES, z=st.floats(1e-6, 300.0), data=st.data())
+def test_contour_integrand_equals_numpy_complex_exp_on_both_sides_of_709(a1, z, data):
+    # exp(x) cos(y) is returned in place at x <= 709; above it _exp_real runs
+    _clear_contour_tables()
+    b3 = a1 + 3.5
+    f = _contour_integrand(a1, b3, z)
+    heads = sf._contour_heads(a1, b3)
+    lnz = math.log(z)
+    c0lnz = 0.5 * (a1 - 1.0) * lnz
+    edge = 709.0 - c0lnz
+    steps = [-4, 4] + data.draw(st.lists(st.integers(-4, 4), max_size=6))
+    offsets = data.draw(st.lists(st.floats(-60.0, 40.0), max_size=6))
+    hit, miss = data.draw(st.lists(st.floats(0.0, 48.0), min_size=2, max_size=2, unique=True))
+    scaled = []
+
+    def exp_real(x, y):
+        scaled.append(x)
+        return real_exp_real(x, y)
+    real_exp_real = sf._exp_real
+    sides = []
+    try:
+        with mock.patch.object(sf, "_exp_real", exp_real), np.errstate(over="ignore"):
+            for h0 in [edge + k * math.ulp(edge) for k in steps] + [edge + o for o in offsets]:
+                heads[hit] = (h0, data.draw(st.floats(-400.0, 400.0)))
+                x, y = h0 + c0lnz, heads[hit][1] + hit * lnz
+                assert f(hit).hex() == np.exp(complex(x, y)).real.hex()
+                sides.append(x <= 709.0)
+            heads.pop(miss, None)
+            got = f(miss)          # a node new to the table: its head is computed first
+            x, y = heads[miss][0] + c0lnz, heads[miss][1] + miss * lnz
+            assert got.hex() == np.exp(complex(x, y)).real.hex()
+            sides.append(x <= 709.0)
+    finally:
+        _clear_contour_tables()    # the planted heads are not loggamma sums
+    assert sides[:2] == [True, False]
+    assert len(scaled) == sides.count(False)
 
 
 _Z_NEAR_CAP = (1e-30, 1e-20, 1e-10, 1e-5, 1.0, 31.0, 50.0)
