@@ -488,15 +488,10 @@ def test_contour_integrand_equals_numpy_complex_exp_on_both_sides_of_709(a1, z, 
     steps = [-4, 4] + data.draw(st.lists(st.integers(-4, 4), max_size=6))
     offsets = data.draw(st.lists(st.floats(-60.0, 40.0), max_size=6))
     hit, miss = data.draw(st.lists(st.floats(0.0, 48.0), min_size=2, max_size=2, unique=True))
-    scaled = []
-
-    def exp_real(x, y):
-        scaled.append(x)
-        return real_exp_real(x, y)
-    real_exp_real = sf._exp_real
     sides = []
     try:
-        with mock.patch.object(sf, "_exp_real", exp_real), np.errstate(over="ignore"):
+        with (mock.patch.object(sf, "_exp_real", wraps=sf._exp_real) as scaled,
+              np.errstate(over="ignore")):
             for h0 in [edge + k * math.ulp(edge) for k in steps] + [edge + o for o in offsets]:
                 heads[hit] = (h0, data.draw(st.floats(-400.0, 400.0)))
                 x, y = h0 + c0lnz, heads[hit][1] + hit * lnz
@@ -510,7 +505,7 @@ def test_contour_integrand_equals_numpy_complex_exp_on_both_sides_of_709(a1, z, 
     finally:
         _clear_contour_tables()    # the planted heads are not loggamma sums
     assert sides[:2] == [True, False]
-    assert len(scaled) == sides.count(False)
+    assert scaled.call_count == sides.count(False)
 
 
 _Z_NEAR_CAP = (1e-30, 1e-20, 1e-10, 1e-5, 1.0, 31.0, 50.0)
