@@ -84,8 +84,11 @@ def _specs(args) -> list:
             spec.plan = replace(spec.plan, trials=args.trials)
         if args.seed is not None:
             spec.plan = replace(spec.plan, master_seed=args.seed)
-        if args.series:
-            spec = replace(spec, outputs=[s.strip() for s in args.series.split(",") if s.strip()])
+        if args.series is not None:
+            outputs = [s.strip() for s in args.series.split(",") if s.strip()]
+            if not outputs:
+                raise ValueError(f"--series {args.series!r} names no series")
+            spec = replace(spec, outputs=outputs)
         if args.smoke:
             spec = _smoke(spec)
         if spec.experiment in owner:

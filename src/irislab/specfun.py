@@ -153,9 +153,10 @@ def _hyp2f2_gamma_repr(p: float, q: float, z: float) -> EvalResult:
     and each sub-series is gamma(s, y)/y**s with y = -z.  Exact, stable for
     any y, and immune to the alternating-series cancellation.
     """
+    from scipy.special.cython_special import gammainc  # see analysis.op_gamma_approx
     y = -z
-    lp = math.lgamma(p) + math.log(sp.gammainc(p, y)) - p * math.log(y)
-    lq = math.lgamma(q) + math.log(sp.gammainc(q, y)) - q * math.log(y)
+    lp = math.lgamma(p) + math.log(gammainc(p, y)) - p * math.log(y)
+    lq = math.lgamma(q) + math.log(gammainc(q, y)) - q * math.log(y)
     # gamma(s,y)/y^s is strictly decreasing in s, so lq < lp and the log1p
     # form keeps full precision even when the two terms nearly cancel.
     value = (p * q / (q - p)) * math.exp(lp) * (-math.expm1(lq - lp))
@@ -218,16 +219,34 @@ def _exp_real(x, y):
 _TABLE_NODES = 8192
 
 
-@functools.lru_cache(maxsize=2)
-def _contour_line(a1):
+class _Line(dict):
     """Node t -> the b3-free loggamma terms of the contour integrand for a1.
 
     On the family, min(a1, 0, b3) = 0, so the line Re s = c0 = (a1 - 1)/2 and
     four of the five loggamma terms at s = c0 + i t depend on a1 alone.  An
     entry is (lg(a1 - s) + lg(0 - s), lg(1 - a1 + s), lg(1 - s)), as Python
-    complex numbers.  A rate evaluates the lines a1 = 0 and a1 = 2/alpha.
+    complex numbers.  ``arrays`` holds the same nodes as arrays, in the
+    dict's order.
     """
-    return {}
+
+    def __init__(self, a1):
+        super().__init__()
+        self.c0, self._arrays = 0.5 * (a1 - 1.0), (0, None)
+
+    def arrays(self):
+        """(s, ab, d, e) over every node, rebuilt only when the line has grown."""
+        n, arrays = self._arrays
+        if n != len(self):
+            s = np.empty(len(self), complex)
+            s.real, s.imag = self.c0, list(self)
+            terms = itertools.chain.from_iterable(self.values())
+            arrays = (s, *np.fromiter(terms, complex, 3 * len(s)).reshape(-1, 3).T.copy())
+            self._arrays = len(s), arrays
+        return arrays
+
+
+# The line of a1; a rate evaluates two, a1 = 0 and a1 = 2/alpha.
+_contour_line = functools.lru_cache(maxsize=2)(_Line)
 
 
 @functools.lru_cache(maxsize=2)
@@ -236,23 +255,19 @@ def _contour_heads(a1, b3):
 
     The sum at a node depends on (a1, b3) only, so every z evaluated with them
     reuses the sums of the nodes seen before.  A new table starts from every
-    node its line holds, with one array call of ``loggamma(b3 - s)``: scipy's
-    loggamma is a ufunc that runs the same loop on an array as on a scalar,
-    and numpy adds complex numbers component by component, so each entry is
-    the number the scalar path forms.  A rate evaluates two families, so two
-    tables stay alive; an entry is the number it would be recomputed as, so
-    values never depend on the cache.
+    node its line holds, with the line's arrays and one array call of
+    ``loggamma(b3 - s)``: scipy's loggamma is a ufunc that runs the same loop
+    on an array as on a scalar, and numpy adds complex numbers component by
+    component, so each entry is the number the scalar path forms.  A rate
+    evaluates two families, so two tables stay alive; an entry is the number
+    it would be recomputed as, so values never depend on the cache.
     """
     line = _contour_line(a1)
     if not line:
         return {}
-    ts = list(line)
-    s = np.empty(len(ts), complex)
-    s.real, s.imag = 0.5 * (a1 - 1.0), ts
-    terms = itertools.chain.from_iterable(line.values())
-    ab, d, e = np.fromiter(terms, complex, 3 * len(ts)).reshape(-1, 3).T
+    s, ab, d, e = line.arrays()
     h = ((ab + sp.loggamma(b3 - s)) + d) - e
-    return dict(zip(ts, zip(h.real.tolist(), h.imag.tolist())))
+    return dict(zip(line, zip(h.real.tolist(), h.imag.tolist())))
 
 
 def _meijer_contour(a1, b3, z):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from irislab import analysis as an
+from irislab import cli, harness
 from irislab import geometry as geo
 from irislab import specfun as sf
 
@@ -262,6 +264,28 @@ def test_op_special_case():
         p2 = an.op_special_case(e2, n, 1.0, 1.0, 3.0)
         slope = (math.log(p1) - math.log(p2)) / (math.log(1 / e2) - math.log(1 / e1))
         assert slope == pytest.approx(n, rel=1e-12)
+
+
+def _op_gamma_approx_on_the_ufunc(cfg):
+    """``op_gamma_approx`` with its integrand on the ``gammainc`` ufunc."""
+    approx = an.gamma_approx(cfg)
+    delta = an._outage_threshold(cfg) / approx.scale
+
+    def f(r):
+        return special.gammainc(approx.shape, delta * (cfg.d1 * r) ** cfg.alpha) * r
+
+    val, _ = integrate.quad(f, cfg.r0, cfg.R, limit=400, epsabs=0.0, epsrel=1e-10)
+    return 2.0 * val / (cfg.R ** 2 - cfg.r0 ** 2)
+
+
+def test_op_gamma_approx_equals_its_ufunc_form_over_the_fading_sweep_grid():
+    spec = cli._load("op_fading_sweep")
+    names = [name for name, _ in spec.sweep]
+    points = list(itertools.product(*(values for _, values in spec.sweep)))
+    assert len(points) == 63
+    for point in points:
+        cfg = harness._apply_axes(spec.base, names, point)
+        assert an.op_gamma_approx(cfg).hex() == _op_gamma_approx_on_the_ufunc(cfg).hex()
 
 
 def test_op_gamma_approx_equal_fading():

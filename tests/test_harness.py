@@ -444,7 +444,11 @@ def test_cli_runs_several_targets_with_one_digest_each(tmp_path, capsys):
     (["ee_sweep", "exp.json"], "ValueError",
      "targets 'ee_sweep' and 'exp.json' would both write ee_sweep.csv"),
     (["ee_sweep", "--workers", "0"], "ValueError", "--workers must be >= 1, got 0"),
-], ids=["unknown_target", "same_output_file", "no_workers"])
+    (["ee_sweep", "--series", ","], "ValueError", "--series ',' names no series"),
+    (["ee_sweep", "--series", " "], "ValueError", "--series ' ' names no series"),
+    (["ee_sweep", "--series", ""], "ValueError", "--series '' names no series"),
+], ids=["unknown_target", "same_output_file", "no_workers", "series_comma", "series_blank",
+        "series_empty"])
 def test_cli_checks_every_target_before_any_run(targets, error, detail, tmp_path, monkeypatch,
                                                 capsys):
     monkeypatch.chdir(tmp_path)
@@ -790,7 +794,9 @@ print(json.dumps({"digests": digests, "loaded": loaded}))
     ("op_vs_snr", ["montecarlo_model"], []),
     ("op_vs_snr", ["analytical"], ["scipy.special"]),
     ("ergodic_vs_snr", ["analytical"], ["scipy.special", "scipy.integrate", "scipy.optimize"]),
-], ids=["relay_series", "relay_cli", "op_montecarlo", "op_analytical", "ergodic_analytical"])
+    ("op_fading_sweep", ["analytical"], ["scipy.special", "scipy.integrate", "scipy.optimize"]),
+], ids=["relay_series", "relay_cli", "op_montecarlo", "op_analytical", "ergodic_analytical",
+        "fading_analytical"])
 def test_scipy_loads_only_for_the_closed_forms(experiment, outputs, loaded):
     env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, experiment, *outputs], env=env,

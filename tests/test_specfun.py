@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate, special
+from scipy.special import cython_special
 
 from irislab import specfun as sf
 
@@ -66,6 +67,44 @@ def test_hyp2f2_switches_method_for_large_negative_z():
     r = sf.hyp2f2(3.0, 3.6, 4.0, 4.6, -120.0)
     assert r.method == "gamma_repr"
     assert r.value > 0.0
+
+
+# op_gamma_approx and the 2F2 gamma path call scipy's scalar gammainc in
+# place of the ufunc: the same routine, so the same bits
+_ARGS_A = st.floats(1e-3, 2e3)
+_ARGS_X = st.one_of(st.floats(0.0, 1e5), st.floats(0.0, 2.0 ** -1022, exclude_max=True))
+
+
+@given(a=_ARGS_A, x=_ARGS_X)
+def test_scalar_gammainc_equals_the_ufunc_bit_for_bit(a, x):
+    assert cython_special.gammainc(a, x).hex() == float(special.gammainc(a, x)).hex()
+
+
+@pytest.mark.parametrize("a,x", [
+    (1.0, 0.0), (2.5, math.inf), (2.5, math.nan), (math.nan, 1.0), (2.5, 5e-324),
+    (1e-3, 5e-324), (2e3, 2.0 ** -1030), (170.0, 0.0), (170.0, 1.0), (170.0, 170.0),
+    (170.0, 1e5), (170.0, math.inf),
+])
+def test_scalar_gammainc_equals_the_ufunc_at_the_edges(a, x):
+    assert cython_special.gammainc(a, x).hex() == float(special.gammainc(a, x)).hex()
+
+
+def test_scalar_gammainc_equals_the_ufunc_on_random_pairs():
+    # the ufunc runs the same loop on an array as on a scalar
+    rng = np.random.default_rng(20261019)
+    n = 150_000
+    a = np.exp(rng.uniform(math.log(1e-3), math.log(2e3), 2 * n))
+    x = np.concatenate([np.exp(rng.uniform(math.log(1e-300), math.log(1e5), n)),
+                        a[n:] * np.exp(rng.uniform(-1.0, 1.0, n))])     # around x = a
+    got = np.array([cython_special.gammainc(*ax) for ax in zip(a.tolist(), x.tolist())])
+    assert np.array_equal(got.view(np.uint64), special.gammainc(a, x).view(np.uint64))
+
+
+def test_hyp2f2_gamma_repr_equals_its_ufunc_form(monkeypatch):
+    cases = [(3.0, 3.6, -120.0), (1.5, 2.0 + 2.0 / 3.0, -9.0), (0.5, 0.9, -1e4), (2.0, 170.0, -8.5)]
+    got = [sf._hyp2f2_gamma_repr(*case).value for case in cases]
+    monkeypatch.setattr(cython_special, "gammainc", special.gammainc)
+    assert [v.hex() for v in got] == [sf._hyp2f2_gamma_repr(*c).value.hex() for c in cases]
 
 
 def test_hyp2f2_error_bound_is_honest():
@@ -417,6 +456,31 @@ def test_contour_tables_stop_growing_at_their_bound(monkeypatch):
     assert [sf.meijer_g_3123(*params, z) for params in _RATE_PARAMS[:2] for z in _ZS] == want
     assert len(sf._contour_line(0.0)) == 50
     assert len(sf._contour_heads(*_RATE_PARAMS[1])) <= 50
+
+
+def test_line_arrays_are_rebuilt_only_after_the_line_grew(monkeypatch):
+    # a b3 new to an unchanged line starts from the line's arrays as they are;
+    # a line that gained nodes rebuilds them once, in the order of its nodes
+    fromiter = mock.Mock(wraps=np.fromiter)
+    monkeypatch.setattr(sf.np, "fromiter", fromiter)
+    rng = np.random.default_rng(23)
+    first, more = rng.uniform(0.0, 48.0, 30).tolist(), rng.uniform(0.0, 48.0, 20).tolist()
+    a1 = 2.0 / 3.0
+    _clear_contour_tables()
+    _visit_nodes(a1, a1 + 4.0, first)
+    line = sf._contour_line(a1)
+    assert set(line) == {0.0, *first}      # t = 0 sets the quadrature's scale
+    for b3 in (a1 + 4.3, a1 + 4.6):
+        sf._contour_heads(a1, b3)
+    assert fromiter.call_count == 1
+    _visit_nodes(a1, a1 + 4.6, more)
+    assert set(line) == {0.0, *first, *more} and fromiter.call_count == 1
+    for b3 in (a1 + 4.9, a1 + 5.2):
+        heads = sf._contour_heads(a1, b3)
+        assert list(heads) == list(line)
+        assert {t: (x.hex(), y.hex()) for t, (x, y) in heads.items()} == {
+            t: _five_term_head(a1, b3, t) for t in line}
+    assert fromiter.call_count == 2
 
 
 # ---------------------------------------------------------------------------
