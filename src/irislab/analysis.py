@@ -401,9 +401,10 @@ def op_gamma_approx(cfg: NetworkConfig) -> float:
     Used for the fading-sweep figure family, where equal fading parameters
     rule out the tail-model closed form.  The integrand calls scipy's scalar
     ``cython_special.gammainc``, the routine the ``gammainc`` ufunc loops
-    over: the same bits at a fifth of the ufunc's per-call cost.  It is
-    imported here, at first use, as a lazy import of it would load
-    ``scipy.special`` at once; the oracle ``op_quadrature`` keeps the ufunc.
+    over: the same bits without the ufunc's dispatch, which costs several
+    times the routine on one scalar.  It is imported here, at first use, as
+    a lazy import of it would load ``scipy.special`` at once; the oracle
+    ``op_quadrature`` keeps the ufunc.
     """
     from scipy.special.cython_special import gammainc
     approx = gamma_approx(cfg)
