@@ -31,17 +31,13 @@ def _load(target: str) -> harness.ExperimentSpec:
     )
 
 
-def _smoke(spec: harness.ExperimentSpec) -> harness.ExperimentSpec:
-    """Reduced preset: 1000 trials, at most 3 points per axis."""
-    sweep = []
-    for name, values in spec.sweep:
-        vals = list(values)
-        if len(vals) > 3:
-            vals = [vals[0], vals[len(vals) // 2], vals[-1]]
-        sweep.append((name, vals))
-    spec.sweep = sweep
-    spec.plan = replace(spec.plan, trials=min(spec.plan.trials, 1000))
-    return spec
+def _smoke(spec: harness.ExperimentSpec, **changes) -> harness.ExperimentSpec:
+    """Reduced ``replace(spec, **changes)``: at most 1000 trials and 3 points per axis."""
+    plan = changes.pop("plan", spec.plan)
+    sweep = [(name, vals if len(vals) <= 3 else (vals[0], vals[len(vals) // 2], vals[-1]))
+             for name, vals in spec.sweep]
+    return replace(spec, sweep=sweep, plan=replace(plan, trials=min(plan.trials, 1000)),
+                   **changes)
 
 
 def numpy_dispatch() -> dict:
@@ -80,17 +76,19 @@ def _specs(args) -> list:
     specs, owner = [], {}
     for target in args.targets:
         spec = _load(target)
+        changes = {"plan": spec.plan}
         if args.trials is not None:
-            spec.plan = replace(spec.plan, trials=args.trials)
+            changes["plan"] = replace(changes["plan"], trials=args.trials)
         if args.seed is not None:
-            spec.plan = replace(spec.plan, master_seed=args.seed)
+            changes["plan"] = replace(changes["plan"], master_seed=args.seed)
         if args.series is not None:
             outputs = [s.strip() for s in args.series.split(",") if s.strip()]
             if not outputs:
                 raise ValueError(f"--series {args.series!r} names no series")
-            spec = replace(spec, outputs=outputs)
-        if args.smoke:
-            spec = _smoke(spec)
+            if len(set(outputs)) < len(outputs):
+                raise ValueError(f"--series {args.series!r} names a series more than once")
+            changes["outputs"] = outputs
+        spec = (_smoke if args.smoke else replace)(spec, **changes)
         if spec.experiment in owner:
             raise ValueError(f"targets {owner[spec.experiment]!r} and {target!r} would both "
                              f"write {spec.experiment}.csv")

@@ -104,47 +104,66 @@ def config_from_dict(d: dict) -> NetworkConfig:
     return NetworkConfig(**d)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
+    """Frozen, so the configs its checks build stay valid; ``dataclasses.replace``
+    checks and builds anew."""
+
     experiment: str
-    sweep: list                      # ordered [(axis_name, [values]), ...]
+    sweep: tuple                     # ((axis_name, (values, ...)), ...), crossed in order
     base: NetworkConfig
     plan: mc.TrialPlan
-    outputs: list = field(default_factory=list)
+    outputs: tuple = ()
     power_model: "an.PowerModel | None" = None
+    # per power group (the points that differ only in pb_dbm): (float points, configs)
+    groups: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.experiment not in _SERIES:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if not self.outputs:
-            self.outputs = list(_DEFAULT_OUTPUTS[self.experiment])
-        unknown = [s for s in self.outputs if s not in _SERIES[self.experiment]]
+        if not isinstance(self.outputs, (list, tuple)):
+            raise ValueError(f"outputs must be a list of series names, got {self.outputs!r}")
+        outputs = tuple(self.outputs or _DEFAULT_OUTPUTS[self.experiment])
+        unknown = [s for s in outputs if s not in _SERIES[self.experiment]]
         if unknown:
             raise ValueError(f"unknown series {unknown} for {self.experiment}; "
                              f"known: {', '.join(_SERIES[self.experiment])}")
+        repeated = sorted({s for s in outputs if outputs.count(s) > 1})
+        if repeated:
+            raise ValueError(f"outputs name series {repeated} more than once")
         for name, values in self.sweep:
             if name not in _AXIS_FIELDS:
                 raise ValueError(f"unknown sweep axis {name!r}")
+            if not isinstance(values, (list, tuple)):
+                raise ValueError(f"axis {name!r} needs a list of values, got {values!r}")
             vals = list(values)
             if not vals or any(isinstance(v, bool) or not isinstance(v, numbers.Real)
                                or not math.isfinite(as_float(f"axis {name!r}", v))
                                for v in vals):
                 raise ValueError(f"axis {name!r} needs finite numbers, got {vals!r}")
-            if sorted(vals) != vals:
-                raise ValueError(f"axis {name!r} values must be sorted")
+            if any(float(a) >= float(b) for a, b in zip(vals, vals[1:])):
+                raise ValueError(f"axis {name!r} values must be strictly increasing, got {vals!r}")
             if _AXIS_FIELDS.get(name) in ("M", "K", "N") and any(
                     not float(v).is_integer() for v in vals):
                 raise ValueError(f"axis {name!r} needs integer values")
-        names = [name for name, _ in self.sweep]
-        for point in itertools.product(*(values for _, values in self.sweep)):
+        sweep = tuple((name, tuple(values)) for name, values in self.sweep)
+        names = [name for name, _ in sweep]
+        k = names.index("pb_dbm") if "pb_dbm" in names else len(names)
+        groups = {}
+        for point in itertools.product(*(values for _, values in sweep)):
             try:
-                _apply_axes(self.base, names, point)
+                cfg = _apply_axes(self.base, names, point)
             except (ValueError, OverflowError) as e:
                 detail = "p_b does not fit in a float" if isinstance(e, OverflowError) else e
                 where = ", ".join(f"{n}={v!r}" for n, v in zip(names, point))
                 raise ValueError(f"sweep point ({where}): {detail}") from None
+            fpoint = tuple(float(v) for v in point)
+            groups.setdefault(fpoint[:k] + fpoint[k + 1:], []).append((fpoint, cfg))
         if self.experiment == "ee_sweep" and self.power_model is None:
             raise ValueError("ee_sweep needs a power_model section")
+        object.__setattr__(self, "sweep", sweep)
+        object.__setattr__(self, "outputs", outputs)
+        object.__setattr__(self, "groups", tuple(tuple(zip(*g)) for g in groups.values()))
 
 
 def _reject_unknown(section: str, d: dict, known) -> None:
@@ -164,6 +183,11 @@ def _plan_integer(key: str, value) -> int:
 def spec_from_dict(d: dict) -> ExperimentSpec:
     _reject_unknown("top-level", d, ("experiment", "sweep", "base", "plan", "outputs",
                                      "power_model"))
+    missing = [k for k in ("experiment", "sweep", "base") if k not in d]
+    if missing:
+        raise ValueError(f"missing top-level key(s) {missing}")
+    if not isinstance(d["sweep"], dict):
+        raise ValueError(f"sweep must map axis names to value lists, got {d['sweep']!r}")
     base = config_from_dict(d["base"])
     plan_d = dict(d.get("plan", {}))
     _reject_unknown("plan", plan_d, ("trials", "master_seed"))
@@ -173,7 +197,6 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
         trials=_plan_integer("trials", plan_d.get("trials", 100000)),
         master_seed=_plan_integer("master_seed", plan_d["master_seed"]),
     )
-    sweep = [(name, list(values)) for name, values in d["sweep"].items()]
     pm = None
     if "power_model" in d:
         pd = dict(d["power_model"])
@@ -186,10 +209,10 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
         )
     return ExperimentSpec(
         experiment=d["experiment"],
-        sweep=sweep,
+        sweep=tuple(d["sweep"].items()),
         base=base,
         plan=plan,
-        outputs=list(d.get("outputs", [])),
+        outputs=d.get("outputs", ()),
         power_model=pm,
     )
 
@@ -226,29 +249,24 @@ def _apply_axes(base: NetworkConfig, names, values):
 def run_experiment(spec: ExperimentSpec, n_workers: int = 1) -> ExperimentResult:
     """Evaluate every requested series at every sweep point.
 
-    Points that differ only in ``pb_dbm`` are evaluated together, so a Monte
-    Carlo engine draws once for the whole power axis.  Per-point failures
+    The spec's power groups are evaluated one at a time, so a Monte Carlo
+    engine draws once for the whole power axis.  Per-point failures
     (for example the asymptotic series outside its convergence region) are
     collected, not fatal.  ``metadata["series_wall_s"]`` holds each series'
     evaluation time in seconds; a value that series share within a run is
     timed under the series that computes it first.
     """
     t0 = time.monotonic()
-    names = [name for name, _ in spec.sweep]
-    points = [tuple(float(v) for v in point)
-              for point in itertools.product(*(values for _, values in spec.sweep))]
     run = _Run(spec, n_workers)
     table = _SERIES[spec.experiment]
     rows, failures = [], []
     series_wall = dict.fromkeys(spec.outputs, 0.0)
-    for group in _power_groups(names, points):
-        pts = [points[i] for i in group]
-        cfgs = [_apply_axes(spec.base, names, p) for p in pts]
+    for points, cfgs in spec.groups:
         for series in series_wall:
             t = time.monotonic()
             payloads = table[series](run, cfgs)
             series_wall[series] += time.monotonic() - t
-            for point, payload in zip(pts, payloads):
+            for point, payload in zip(points, payloads):
                 if isinstance(payload, Exception):
                     failures.append((point, series, f"{type(payload).__name__}: {payload}"))
                 else:
@@ -264,16 +282,7 @@ def run_experiment(spec: ExperimentSpec, n_workers: int = 1) -> ExperimentResult
         "wall_time_s": round(time.monotonic() - t0, 3),
         "series_wall_s": {series: round(t, 6) for series, t in series_wall.items()},
     }
-    return ExperimentResult(axis_names=names, rows=rows, metadata=meta, failures=failures)
-
-
-def _power_groups(names, points):
-    """Indices of the points that differ only in pb_dbm, one list per group."""
-    k = names.index("pb_dbm") if "pb_dbm" in names else len(names)
-    groups = {}
-    for i, point in enumerate(points):
-        groups.setdefault(point[:k] + point[k + 1:], []).append(i)
-    return groups.values()
+    return ExperimentResult([name for name, _ in spec.sweep], rows, meta, failures)
 
 
 def _version_string() -> str:

@@ -148,8 +148,20 @@ def test_integer_axes_reject_fractions(tmp_path):
     assert harness.spec_from_dict(d).plan == TrialPlan(trials=1000000, master_seed=7)
 
 
+_MISSING = object()
+
 
 @pytest.mark.parametrize("section,key,value,detail", [
+    *(pytest.param(None, key, _MISSING, f"missing top-level key(s) ['{key}']", id=f"no-{key}")
+      for key in ("experiment", "sweep", "base")),
+    pytest.param("sweep", "pb_dbm", 5, "axis 'pb_dbm' needs a list of values, got 5",
+                 id="sweep-pb_dbm-not-a-list"),
+    pytest.param("sweep", "pb_dbm", [0, 0], "axis 'pb_dbm' values must be strictly increasing, "
+                 "got [0, 0]", id="sweep-pb_dbm-repeated"),
+    pytest.param(None, "outputs", "ee", "outputs must be a list of series names, got 'ee'",
+                 id="outputs-a-string"),
+    pytest.param(None, "outputs", ["ee", "power_w", "ee"],
+                 "outputs name series ['ee'] more than once", id="outputs-repeated"),
     ("base", "N", 2.5, "N must be an integer, got 2.5"),
     ("base", "K", 1.5, "K must be an integer, got 1.5"),
     ("base", "N", True, "N must be a number, got True"),
@@ -206,7 +218,10 @@ def test_integer_axes_reject_fractions(tmp_path):
                  id="sweep-n_elements-above-2-to-the-53")])
 def test_bad_config_values_name_their_key(section, key, value, detail, tmp_path, capsys):
     d = _ee_dict()
-    d[section][key] = value
+    if value is _MISSING:
+        del (d[section] if section else d)[key]
+    else:
+        (d[section] if section else d)[key] = value
     with pytest.raises(ValueError, match=key):
         harness.spec_from_dict(d)
     path = tmp_path / "c.json"
@@ -258,10 +273,10 @@ def test_link_series_one_engine_call_per_power_group(monkeypatch):
         return real(plan, cfg, powers, **kw)
 
     monkeypatch.setattr(mc, "simulate_op_axis", counting)
-    spec = replace(cli._load("op_vs_snr"), outputs=["montecarlo_link"])
-    spec.base = replace(spec.base, M=2, K=3, N=6)
-    spec.plan = replace(spec.plan, trials=50)
-    spec.sweep = [("n_elements", [5, 6]), ("pb_dbm", [0, 10, 20])]
+    spec = cli._load("op_vs_snr")
+    spec = replace(spec, outputs=["montecarlo_link"], base=replace(spec.base, M=2, K=3, N=6),
+                   plan=replace(spec.plan, trials=50),
+                   sweep=[("n_elements", [5, 6]), ("pb_dbm", [0, 10, 20])])
     result = harness.run_experiment(spec)
     assert calls == [("link_level", 5, 3), ("link_level", 6, 3)]
     # N = 5 < MK = 6 has no passive weights: every point of its group fails
@@ -269,6 +284,62 @@ def test_link_series_one_engine_call_per_power_group(monkeypatch):
     assert [axes for axes, _, _ in result.failures] == [(5.0, p) for p in (0.0, 10.0, 20.0)]
     assert all(msg.startswith("ValueError: link level needs N >= M*K")
                for _, _, msg in result.failures)
+
+
+def _counting_config_builds(monkeypatch):
+    built = []
+    real = NetworkConfig.__post_init__
+    monkeypatch.setattr(NetworkConfig, "__post_init__",
+                        lambda self: built.append(self) or real(self))
+    return built
+
+
+def test_spec_builds_each_point_once():
+    d = {**_ee_dict(), "experiment": "throughput_surface", "outputs": ["analytical"],
+         "sweep": {"m_antennas": [1, 2], "n_elements": [10, 20], "pb_dbm": [0, 10, 20]}}
+    with pytest.MonkeyPatch.context() as mp:
+        built = _counting_config_builds(mp)
+        spec = harness.spec_from_dict(d)
+    points = [tuple(map(float, p)) for p in itertools.product([1, 2], [10, 20], [0, 10, 20])]
+    assert len(built) == 1 + len(points)         # the base, then each point once
+    assert [p for pts, _ in spec.groups for p in pts] == points
+    # one group per (m_antennas, n_elements), its points in power order
+    assert [pts for pts, _ in spec.groups] == [tuple(points[i:i + 3]) for i in range(0, 12, 3)]
+    for pts, cfgs in spec.groups:
+        assert [(c.M, c.K, c.N, c.p_b) for c in cfgs] == [
+            (int(m), int(m), int(n), 1e-3 * 10.0 ** (pb / 10.0)) for m, n, pb in pts]
+
+
+@pytest.mark.parametrize("make", [
+    _mini_spec, lambda: cli._load("throughput_surface"),
+    lambda: cli._smoke(cli._load("relay_compare"), plan=TrialPlan(trials=500, master_seed=3))],
+    ids=["op_vs_snr", "throughput_surface", "relay_compare"])
+def test_run_experiment_builds_no_config(make, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("a config was built during the run")
+
+    spec = make()
+    monkeypatch.setattr(harness, "_apply_axes", no_build)
+    built = _counting_config_builds(monkeypatch)
+    result = harness.run_experiment(spec)
+    assert built == []
+    assert len(result.rows) + len(result.failures) == (
+        math.prod(len(v) for _, v in spec.sweep) * len(spec.outputs))
+
+
+def test_spec_is_frozen_and_smoke_leaves_it_unchanged():
+    spec = cli._load("op_vs_snr")
+    for name, value in (("sweep", [("pb_dbm", [0, 10])]), ("plan", TrialPlan(10, 1)),
+                        ("base", NetworkConfig()), ("outputs", ["analytical"]),
+                        ("groups", ())):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(spec, name, value)
+    before = (spec.sweep, spec.plan, spec.outputs, spec.groups)
+    smoke = cli._smoke(spec)
+    assert (spec.sweep, spec.plan, spec.outputs, spec.groups) == before
+    assert smoke.sweep == (("n_elements", (1, 2, 3)), ("pb_dbm", (-10, 6, 20)))
+    assert smoke.plan == replace(spec.plan, trials=1000)
+    assert sum(len(pts) for pts, _ in smoke.groups) == 9
 
 
 def test_run_experiment_rows_and_failures():
@@ -346,7 +417,7 @@ def test_preset_csv_bytes_do_not_depend_on_workers(name, tmp_path):
     csv = {}
     for n_workers in (1, 2):
         spec = cli._smoke(cli._load(name))
-        spec.plan = replace(spec.plan, trials=2 * mc.BLOCK + 1)
+        spec = replace(spec, plan=replace(spec.plan, trials=2 * mc.BLOCK + 1))
         csv[n_workers] = tmp_path / f"{n_workers}.csv"
         harness.emit_csv(harness.run_experiment(spec, n_workers=n_workers), csv[n_workers])
     assert csv[1].read_bytes() == csv[2].read_bytes()
@@ -362,8 +433,8 @@ def test_relay_series_computed_once_per_relay_config(monkeypatch):
 
     monkeypatch.setattr(mc, "optimal_power_split", counting)
     spec = cli._load("relay_compare")
-    spec.plan = replace(spec.plan, trials=1000)
-    spec.sweep = [("pb_dbm", [20, 30]), ("n_elements", [1, 2, 5])]
+    spec = replace(spec, plan=replace(spec.plan, trials=1000),
+                   sweep=[("pb_dbm", [20, 30]), ("n_elements", [1, 2, 5])])
     result = harness.run_experiment(spec)
     assert len(calls) == 2 * 3          # per budget: af, df, df min-of-means
     assert len(set(calls)) == 2
@@ -379,8 +450,8 @@ def test_irs_model_engine_error_fails_its_points(monkeypatch):
         raise RuntimeError("forced")
 
     monkeypatch.setattr(mc, "simulate_ergodic_rate_axis", broken)
-    spec = replace(cli._load("relay_compare"), outputs=["irs_model"])
-    spec.sweep = [("n_elements", [2]), ("pb_dbm", [20, 30])]
+    spec = replace(cli._load("relay_compare"), outputs=["irs_model"],
+                   sweep=[("n_elements", [2]), ("pb_dbm", [20, 30])])
     result = harness.run_experiment(spec)
     assert result.rows == []
     assert result.failures == [((2.0, p), "irs_model", "RuntimeError: forced")
@@ -396,8 +467,8 @@ def test_relay_engine_error_fails_its_points(monkeypatch):
 
     monkeypatch.setattr(mc, "optimal_power_split", broken)
     spec = cli._load("relay_compare")
-    spec.plan = replace(spec.plan, trials=1000)
-    spec.sweep = [("n_elements", [1, 2]), ("pb_dbm", [20, 30])]
+    spec = replace(spec, plan=replace(spec.plan, trials=1000),
+                   sweep=[("n_elements", [1, 2]), ("pb_dbm", [20, 30])])
     result = harness.run_experiment(spec)
     relays = ("af_optimal", "df_min_of_means", "df_optimal")
     points = [(n, p) for n in (1.0, 2.0) for p in (20.0, 30.0)]
@@ -447,8 +518,10 @@ def test_cli_runs_several_targets_with_one_digest_each(tmp_path, capsys):
     (["ee_sweep", "--series", ","], "ValueError", "--series ',' names no series"),
     (["ee_sweep", "--series", " "], "ValueError", "--series ' ' names no series"),
     (["ee_sweep", "--series", ""], "ValueError", "--series '' names no series"),
+    (["ee_sweep", "--series", "ee,power_w,ee"], "ValueError",
+     "--series 'ee,power_w,ee' names a series more than once"),
 ], ids=["unknown_target", "same_output_file", "no_workers", "series_comma", "series_blank",
-        "series_empty"])
+        "series_empty", "series_repeated"])
 def test_cli_checks_every_target_before_any_run(targets, error, detail, tmp_path, monkeypatch,
                                                 capsys):
     monkeypatch.chdir(tmp_path)
@@ -492,6 +565,22 @@ def test_cli_series_subset(tmp_path):
     lines = (tmp_path / "op_vs_snr.csv").read_text().splitlines()
     assert len(lines) == 2 and ",analytical," in lines[1]
     assert cli.main(["run", str(p), "--series", "bogus", "--out", str(tmp_path)]) == 2
+
+
+def test_cli_overrides_build_the_points_once(monkeypatch):
+    def points(spec):
+        return math.prod(len(v) for _, v in spec.sweep)
+
+    full = cli._load("throughput_surface")
+    calls = []
+    real = harness._apply_axes
+    monkeypatch.setattr(harness, "_apply_axes", lambda *a: calls.append(a[2]) or real(*a))
+    args = cli.build_parser().parse_args(["run", "throughput_surface", "--smoke", "--trials",
+                                          "5", "--seed", "2", "--series", "analytical"])
+    [spec] = cli._specs(args)
+    # the preset's points when it is read, then the smoke points in one replace
+    assert len(calls) == points(full) + points(spec) and points(spec) < points(full)
+    assert (spec.plan, spec.outputs) == (TrialPlan(trials=5, master_seed=2), ("analytical",))
 
 
 def test_cli_seed_and_trials_override(tmp_path):
@@ -704,10 +793,10 @@ def _pinned_sha256(experiment, series):
 def test_every_series_entry_reports_every_point(experiment, series, tmp_path):
     # every preset is named after its experiment
     spec = replace(cli._smoke(cli._load(experiment)), outputs=[series])
-    spec.plan = replace(spec.plan, trials=2 * mc.BLOCK + 1)
+    spec = replace(spec, plan=replace(spec.plan, trials=2 * mc.BLOCK + 1))
     if series == "montecarlo_link":         # about 4k trials/s: two points, one block
-        spec.sweep = [(n, v[:2] if n == "pb_dbm" else v[:1]) for n, v in spec.sweep]
-        spec.plan = replace(spec.plan, trials=300)
+        spec = replace(spec, sweep=[(n, v[:2] if n == "pb_dbm" else v[:1]) for n, v in spec.sweep],
+                       plan=replace(spec.plan, trials=300))
     points = list(itertools.product(*(map(float, v) for _, v in spec.sweep)))
     csv = {}
     for n_workers in (1, 2):
@@ -723,7 +812,7 @@ def test_every_series_entry_reports_every_point(experiment, series, tmp_path):
 
 def test_series_wall_times_go_to_the_json_only(tmp_path):
     spec = replace(cli._smoke(cli._load("ergodic_vs_snr")), outputs=["montecarlo_model"])
-    spec.plan = replace(spec.plan, trials=2 * mc.BLOCK + 1)
+    spec = replace(spec, plan=replace(spec.plan, trials=2 * mc.BLOCK + 1))
     result = harness.run_experiment(spec)
     harness.emit_csv(result, tmp_path / "r.csv")
     harness.emit_json(result, tmp_path / "r.json")
@@ -733,8 +822,10 @@ def test_series_wall_times_go_to_the_json_only(tmp_path):
     assert set(payload) == {"metadata", "axis_names", "rows", "failures"}
     assert set(payload["metadata"]) == {"experiment", "seed", "trials", "version",
                                         "wall_time_s", "series_wall_s"}
-    # a series asked for twice is evaluated and timed once
-    spec = replace(spec, outputs=["analytical", "montecarlo_model", "analytical"])
+    # a series asked for twice is rejected: its rows would collapse into one per point
+    with pytest.raises(ValueError, match=r"outputs name series \['analytical'\] more than once"):
+        replace(spec, outputs=["analytical", "montecarlo_model", "analytical"])
+    spec = replace(spec, outputs=["analytical", "montecarlo_model"])
     times = harness.run_experiment(spec).metadata["series_wall_s"]
     assert list(times) == ["analytical", "montecarlo_model"]
     assert all(type(t) is float and t >= 0.0 for t in times.values())
@@ -776,7 +867,7 @@ digests = {}
 with tempfile.TemporaryDirectory() as out:
     for series in outputs:
         spec = replace(cli._smoke(cli._load(experiment)), outputs=[series])
-        spec.plan = replace(spec.plan, trials=2 * mc.BLOCK + 1)
+        spec = replace(spec, plan=replace(spec.plan, trials=2 * mc.BLOCK + 1))
         harness.emit_csv(harness.run_experiment(spec), Path(out) / "s.csv")
         digests[series] = hashlib.sha256((Path(out) / "s.csv").read_bytes()).hexdigest()
     if not outputs:
