@@ -13,7 +13,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from . import analysis as an
 from . import montecarlo as mc
@@ -90,9 +90,22 @@ def _watts(key: str, value) -> float:
         raise ValueError(f"{key}: {e}") from None
 
 
+def _section(name: str, d, known, required=()) -> dict:
+    """A copy of config section ``name``, a mapping of known keys holding the required ones."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{name} section must map keys to values, got {d!r}")
+    unknown = [k for k in d if k not in known]
+    if unknown:
+        raise ValueError(f"unknown {name} key(s) {unknown}; known: {', '.join(known)}")
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise ValueError(f"missing {name} key(s) {missing}")
+    return dict(d)
+
+
 def config_from_dict(d: dict) -> NetworkConfig:
     """The base scenario; an integral float M, K or N (4.0) becomes an int."""
-    d = dict(d)
+    d = _section("base", d, (*(f.name for f in fields(NetworkConfig)), "bandwidth_hz"))
     if "p_b" in d:
         d["p_b"] = _watts("p_b", d["p_b"])
     noise = noise_power_watts(d.pop("bandwidth_hz", 1e8))
@@ -119,7 +132,7 @@ class ExperimentSpec:
     groups: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.experiment not in _SERIES:
+        if not isinstance(self.experiment, str) or self.experiment not in _SERIES:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if not isinstance(self.outputs, (list, tuple)):
             raise ValueError(f"outputs must be a list of series names, got {self.outputs!r}")
@@ -148,6 +161,9 @@ class ExperimentSpec:
                 raise ValueError(f"axis {name!r} needs integer values")
         sweep = tuple((name, tuple(values)) for name, values in self.sweep)
         names = [name for name, _ in sweep]
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            raise ValueError(f"sweep names axes {repeated} more than once")
         k = names.index("pb_dbm") if "pb_dbm" in names else len(names)
         groups = {}
         for point in itertools.product(*(values for _, values in sweep)):
@@ -166,12 +182,6 @@ class ExperimentSpec:
         object.__setattr__(self, "groups", tuple(tuple(zip(*g)) for g in groups.values()))
 
 
-def _reject_unknown(section: str, d: dict, known) -> None:
-    unknown = [k for k in d if k not in known]
-    if unknown:
-        raise ValueError(f"unknown {section} key(s) {unknown}; known: {', '.join(known)}")
-
-
 def _plan_integer(key: str, value) -> int:
     """An integer plan entry; an integral float such as 1e6 is accepted."""
     integral = isinstance(value, (int, float)) and as_float(f"plan.{key}", value).is_integer()
@@ -181,16 +191,12 @@ def _plan_integer(key: str, value) -> int:
 
 
 def spec_from_dict(d: dict) -> ExperimentSpec:
-    _reject_unknown("top-level", d, ("experiment", "sweep", "base", "plan", "outputs",
-                                     "power_model"))
-    missing = [k for k in ("experiment", "sweep", "base") if k not in d]
-    if missing:
-        raise ValueError(f"missing top-level key(s) {missing}")
+    d = _section("top-level", d, ("experiment", "sweep", "base", "plan", "outputs",
+                                  "power_model"), required=("experiment", "sweep", "base"))
     if not isinstance(d["sweep"], dict):
         raise ValueError(f"sweep must map axis names to value lists, got {d['sweep']!r}")
     base = config_from_dict(d["base"])
-    plan_d = dict(d.get("plan", {}))
-    _reject_unknown("plan", plan_d, ("trials", "master_seed"))
+    plan_d = _section("plan", d.get("plan", {}), ("trials", "master_seed"))
     if "master_seed" not in plan_d:
         raise ValueError("plan.master_seed is required: runs must be reproducible")
     plan = mc.TrialPlan(
@@ -199,8 +205,8 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
     )
     pm = None
     if "power_model" in d:
-        pd = dict(d["power_model"])
-        _reject_unknown("power_model", pd, ("P_Bs", "eps_b", "P_U", "P_L"))
+        keys = ("P_Bs", "eps_b", "P_U", "P_L")
+        pd = _section("power_model", d["power_model"], keys, required=keys)
         pm = an.PowerModel(
             P_Bs=_watts("P_Bs", pd["P_Bs"]),
             eps_b=pd["eps_b"],

@@ -201,21 +201,7 @@ def hyp2f2(a1: float, a2: float, b1: float, b2: float, z: float) -> EvalResult:
 # 1023*ln 2 = 709.09, numpy's own cexp above 710.48).
 _CEXP_UNSCALED_MAX = 709.0
 
-
-def _exp_real(x, y):
-    """Re exp(x + iy), bit for bit what ``np.exp(complex(x, y)).real`` gives.
-
-    Where numpy would rescale, its own expression runs, with its overflow
-    warning silenced: the real part can stay finite there while the
-    imaginary part overflows, and an infinite one is the caller's to report.
-    """
-    if x <= _CEXP_UNSCALED_MAX:
-        return math.exp(x) * math.cos(y)
-    with np.errstate(over="ignore"):
-        return np.exp(complex(x, y)).real
-
-
-# Nodes a table keeps at most; one batch of rate points sees about 1,200 a line.
+# Nodes a line keeps at most; one batch of rate points sees about 1,200 a line.
 _TABLE_NODES = 8192
 
 
@@ -226,12 +212,14 @@ class _Line(dict):
     four of the five loggamma terms at s = c0 + i t depend on a1 alone.  An
     entry is (lg(a1 - s) + lg(0 - s), lg(1 - a1 + s), lg(1 - s)), as Python
     complex numbers.  ``arrays`` holds the same nodes as arrays, in the
-    dict's order.
+    dict's order, and ``heads`` the full loggamma sum of every node for the
+    line's current ``b3``.
     """
 
     def __init__(self, a1):
         super().__init__()
-        self.c0, self._arrays = 0.5 * (a1 - 1.0), (0, None)
+        self.c0, self._arrays = 0.5 * (a1 - 1.0), (None, None)
+        self.b3, self.heads = None, {}
 
     def arrays(self):
         """(s, ab, d, e) over every node, rebuilt only when the line has grown."""
@@ -244,30 +232,24 @@ class _Line(dict):
             self._arrays = len(s), arrays
         return arrays
 
+    def heads_of(self, b3):
+        """Node t -> the integrand's z-free loggamma sum for b3, as (re, im).
+
+        A new b3 refills the table from the line's arrays with one array call
+        of ``loggamma(b3 - s)``: scipy's loggamma is a ufunc that runs the
+        same loop on an array as on a scalar, and numpy adds complex numbers
+        component by component, so each entry is the number the scalar path
+        forms, and no value depends on what the line holds.
+        """
+        if b3 != self.b3:
+            s, ab, d, e = self.arrays()
+            h = ((ab + sp.loggamma(b3 - s)) + d) - e
+            self.b3, self.heads = b3, dict(zip(self, zip(h.real.tolist(), h.imag.tolist())))
+        return self.heads
+
 
 # The line of a1; a rate evaluates two, a1 = 0 and a1 = 2/alpha.
 _contour_line = functools.lru_cache(maxsize=2)(_Line)
-
-
-@functools.lru_cache(maxsize=2)
-def _contour_heads(a1, b3):
-    """Node t -> the contour integrand's z-free loggamma sum, as (re, im).
-
-    The sum at a node depends on (a1, b3) only, so every z evaluated with them
-    reuses the sums of the nodes seen before.  A new table starts from every
-    node its line holds, with the line's arrays and one array call of
-    ``loggamma(b3 - s)``: scipy's loggamma is a ufunc that runs the same loop
-    on an array as on a scalar, and numpy adds complex numbers component by
-    component, so each entry is the number the scalar path forms.  A rate
-    evaluates two families, so two tables stay alive; an entry is the number
-    it would be recomputed as, so values never depend on the cache.
-    """
-    line = _contour_line(a1)
-    if not line:
-        return {}
-    s, ab, d, e = line.arrays()
-    h = ((ab + sp.loggamma(b3 - s)) + d) - e
-    return dict(zip(line, zip(h.real.tolist(), h.imag.tolist())))
 
 
 def _meijer_contour(a1, b3, z):
@@ -276,37 +258,35 @@ def _meijer_contour(a1, b3, z):
 
     The integrand decays like exp(-3*pi*|t|/2), so a finite window loses
     nothing, and conjugate symmetry halves the work.  With s = c0 + i t,
-    Re(s ln z) = c0 ln z and Im(s ln z) = t ln z, so the integrand is
-    ``_exp_real`` of the same two sums numpy's complex arithmetic forms (its
-    unscaled branch written in place), and its value is unchanged.  A node
-    new to the line adds its b3-free terms to the line's table.
+    Re(s ln z) = c0 ln z and Im(s ln z) = t ln z, so the integrand is numpy's
+    Re exp of the sums its complex arithmetic forms: exp(x) cos(y) in place
+    where numpy does not rescale.  A node new to the line pays the five
+    scalar loggamma terms and joins the line and its heads.
     """
     bs, a2 = (a1, 0.0, b3), 1.0
     c0 = 0.5 * (a1 - 1.0)
     lnz = math.log(z)
     c0lnz = c0 * lnz
-    line, heads = _contour_line(a1), _contour_heads(a1, b3)
+    line = _contour_line(a1)
+    heads = line.heads_of(b3)     # every z with this (a1, b3) reuses the sums
     get, exp, cos = heads.get, math.exp, math.cos
 
     def f(t):
         head = get(t)
         if head is None:
             s = complex(c0, t)
-            terms = line.get(t)
-            if terms is None:
-                terms = (complex(sp.loggamma(a1 - s) + sp.loggamma(0.0 - s)),
-                         complex(sp.loggamma(1.0 - a1 + s)), complex(sp.loggamma(a2 - s)))
-                if len(line) < _TABLE_NODES:
-                    line[t] = terms
+            terms = (complex(sp.loggamma(a1 - s) + sp.loggamma(0.0 - s)),
+                     complex(sp.loggamma(1.0 - a1 + s)), complex(sp.loggamma(a2 - s)))
             h = ((terms[0] + sp.loggamma(b3 - s)) + terms[1]) - terms[2]
             head = (float(h.real), float(h.imag))
-            if len(heads) < _TABLE_NODES:
-                heads[t] = head
+            if len(line) < _TABLE_NODES:
+                line[t], heads[t] = terms, head
         hr, hi = head
         x = hr + c0lnz
-        if x <= _CEXP_UNSCALED_MAX:  # _exp_real's unscaled branch, without the call
+        if x <= _CEXP_UNSCALED_MAX:
             return exp(x) * cos(hi + t * lnz)
-        return _exp_real(x, hi + t * lnz)
+        with np.errstate(over="ignore"):  # Re may be finite where Im overflows
+            return np.exp(complex(x, hi + t * lnz)).real
 
     scale = abs(f(0.0)) + 1e-300
     val, err, _, *flagged = integrate.quad(f, 0.0, 48.0, limit=4000, epsabs=scale * 1e-14,

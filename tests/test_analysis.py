@@ -554,21 +554,36 @@ def test_ergodic_rate_meijer_matches_quadrature():
 
 def _cold_rate(cfg):
     sf._contour_line.cache_clear()
-    sf._contour_heads.cache_clear()
     return an.ergodic_rate_meijer(an.gamma_approx(cfg), cfg)
 
 
-def test_ergodic_rate_meijer_shared_nodes_over_a_power_axis():
-    # integer shape (contour fallback) and non-integer shape (Slater below z = 30),
-    # one power axis after the other, then the two interleaved point by point
+def test_ergodic_rate_meijer_shared_nodes_over_a_power_axis(contour_traffic):
+    # integer shape (contour fallback) and non-integer shape (Slater below z = 30)
     axes = [[_cfg(N=n, t1=t1, p_b=1e-3 * 10 ** (pb / 10.0))
              for pb in (-10.0, 0.0, 10.0, 20.0, 30.0)] for t1, n in ((2.0, 4), (1.5, 8))]
-    for cfgs in (axes[0] + axes[1], [c for pair in zip(*axes) for c in pair]):
+    # one axis after the other, then the two interleaved point by point; of
+    # 30 contour terms, a line refills its heads only when its b3 changes
+    for cfgs, fills in ((axes[0] + axes[1], 3), ([c for pair in zip(*axes) for c in pair], 11)):
         want = [_cold_rate(cfg) for cfg in cfgs]
         sf._contour_line.cache_clear()
-        sf._contour_heads.cache_clear()
+        contour_traffic.clear()
         assert [an.ergodic_rate_meijer(an.gamma_approx(c), c) for c in cfgs] == want
-        assert sf._contour_heads.cache_info().hits > 0
+        assert len(contour_traffic.contours) == 30
+        assert contour_traffic.fills == contour_traffic.switches == fills
+
+
+def test_ergodic_vs_snr_fills_each_line_once_per_b3(contour_traffic):
+    # the analytical series over two t1, a power axis each: a rate's two lines
+    # keep the heads of its shape, so each fills once per t1 and not per point
+    spec = harness.spec_from_dict({
+        "experiment": "ergodic_vs_snr", "sweep": {"t1": [1.0, 2.0], "pb_dbm": [0, 10, 20, 30]},
+        "base": {"N": 4, "t2": 1.0}, "plan": {"master_seed": 1}, "outputs": ["analytical"]})
+    sf._contour_line.cache_clear()
+    contour_traffic.clear()
+    result = harness.run_experiment(spec)
+    assert len(result.rows) == 8 and result.failures == []
+    assert len(contour_traffic.contours) == 32        # each term takes the contour
+    assert contour_traffic.fills == contour_traffic.switches == 4
 
 
 def test_ergodic_rate_meijer_names_the_config_behind_a_shape_past_the_cap():

@@ -78,7 +78,7 @@ def _ee_dict():
 
 @pytest.mark.parametrize("section,key,value", [
     (None, "ouputs", "ee"), ("plan", "trails", 300), ("plan", "fidelity", "link_level"),
-    ("power_model", "P_X", "1W")])
+    ("power_model", "P_X", "1W"), ("base", "bandwith_hz", 1e6)])
 def test_spec_rejects_unknown_keys(section, key, value, tmp_path):
     d = _ee_dict()
     (d[section] if section else d)[key] = value
@@ -148,12 +148,28 @@ def test_integer_axes_reject_fractions(tmp_path):
     assert harness.spec_from_dict(d).plan == TrialPlan(trials=1000000, master_seed=7)
 
 
+def test_sweep_rejects_an_axis_named_twice():
+    # every config once took the last axis's value, under rows that carried both
+    spec = cli._load("op_vs_snr")
+    with pytest.raises(ValueError, match=r"^sweep names axes \['pb_dbm'\] more than once$"):
+        replace(spec, sweep=[("pb_dbm", [0, 10]), ("pb_dbm", [20])])
+    with pytest.raises(ValueError, match=r"\['n_elements', 'pb_dbm'\]"):
+        replace(spec, sweep=[("pb_dbm", [0]), ("n_elements", [2]), ("pb_dbm", [20]),
+                             ("n_elements", [4])])
+
+
 _MISSING = object()
 
 
 @pytest.mark.parametrize("section,key,value,detail", [
     *(pytest.param(None, key, _MISSING, f"missing top-level key(s) ['{key}']", id=f"no-{key}")
       for key in ("experiment", "sweep", "base")),
+    # a section of the wrong type once escaped as a TypeError naming no key
+    *(pytest.param(None, key, 5, f"{key} section must map keys to values, got 5",
+                   id=f"{key}-not-a-mapping") for key in ("base", "plan", "power_model")),
+    pytest.param(None, "experiment", ["x"], "unknown experiment ['x']", id="experiment-a-list"),
+    pytest.param("power_model", "eps_b", _MISSING, "missing power_model key(s) ['eps_b']",
+                 id="no-power_model-eps_b"),
     pytest.param("sweep", "pb_dbm", 5, "axis 'pb_dbm' needs a list of values, got 5",
                  id="sweep-pb_dbm-not-a-list"),
     pytest.param("sweep", "pb_dbm", [0, 0], "axis 'pb_dbm' values must be strictly increasing, "

@@ -329,7 +329,6 @@ _ZS = (45.0, 0.5, 1e-3, 20.0, 300.0, 0.5)       # both sides of the Slater limit
 
 def _clear_contour_tables():
     sf._contour_line.cache_clear()
-    sf._contour_heads.cache_clear()
 
 
 def _cold(params, z):
@@ -337,30 +336,35 @@ def _cold(params, z):
     return sf.meijer_g_3123(*params, z)
 
 
-def test_meijer_shared_nodes_give_the_fresh_results():
+def test_meijer_shared_nodes_give_the_fresh_results(contour_traffic):
     for params in _RATE_PARAMS:
         for evaluate in (sf.meijer_g_3123, sf._meijer_contour):
             cold = []
             for z in _ZS:
                 _clear_contour_tables()
                 cold.append(evaluate(*params, z))
+            cold_terms = contour_traffic.loggamma.count(0)
+            contour_traffic.clear()
             _clear_contour_tables()
             warm = [evaluate(*params, z) for z in _ZS]
             assert warm == cold
-            # both reached the contour at some z, so later z reused nodes
-            assert sf._contour_heads.cache_info().hits > 0
+            # both reached the contour at some z: a repeated (a1, b3) fills
+            # nothing after the first, and later z reused its nodes
+            assert contour_traffic.fills == 1
+            assert contour_traffic.loggamma.count(0) < cold_terms
 
 
-def test_meijer_nodes_shared_by_interleaved_parameter_sets():
-    # pairs of the sets differ only in b3, or only in a1: a pair keeps both its
-    # tables in the two-table cache, four sets evict each other's at every call
-    # and build each new table from its line, which no set evicts
-    for sets in (_RATE_PARAMS[:2], _RATE_PARAMS[::2], _RATE_PARAMS):
+def test_meijer_nodes_shared_by_interleaved_parameter_sets(contour_traffic):
+    # a line keeps the heads of one b3: sets that differ only in a1 keep
+    # theirs, sets on one line refill its heads at each switch of b3 (the
+    # last set reaches the contour at z = 45, 20 and 300 only)
+    for sets, fills in ((_RATE_PARAMS[:2], 12), (_RATE_PARAMS[::2], 2), (_RATE_PARAMS, 19)):
         cold = [_cold(params, z) for z in _ZS for params in sets]
         _clear_contour_tables()
+        contour_traffic.clear()
         warm = [sf.meijer_g_3123(*params, z) for z in _ZS for params in sets]
         assert warm == cold
-        assert (sf._contour_heads.cache_info().hits > 0) == (len(sets) == 2)
+        assert contour_traffic.fills == contour_traffic.switches == fills
         assert sf._contour_line.cache_info().misses == len({a1 for a1, _ in sets})
 
 
@@ -372,6 +376,10 @@ def _five_term_head(a1, b3, t):
          + special.loggamma(bs[2] - s) + special.loggamma(1.0 - a1 + s)
          - special.loggamma(a2 - s))
     return float(h.real).hex(), float(h.imag).hex()
+
+
+def _hex_heads(heads):
+    return {t: (x.hex(), y.hex()) for t, (x, y) in heads.items()}
 
 
 def _visit_nodes(a1, b3, ts):
@@ -391,17 +399,16 @@ _LINES = st.sampled_from([0.0, 2.0 / 2.5, 2.0 / 3.0, 2.0 / 4.0])
        ts=st.lists(st.floats(0.0, 48.0), max_size=40).map(
            lambda ts: [0.0, 5e-324, 1e-300, 1e-12, 48.0, *ts]))
 def test_contour_table_fill_equals_the_scalar_five_term_head(a1, data, ts):
-    # the first b3 visits every node on the scalar path, the second starts its
-    # table from the line with one array loggamma; both equal the five terms
+    # the first b3 visits every node on the scalar path, the second refills
+    # the heads from the line with one array loggamma; both equal the five terms
     b3s = data.draw(st.lists(st.floats(a1, 169.0, exclude_min=True),
                              min_size=2, max_size=2, unique=True))
     _clear_contour_tables()
     _visit_nodes(a1, b3s[0], ts)
-    assert len(sf._contour_line(a1)) == len(set(ts))
+    line = sf._contour_line(a1)
+    assert len(line) == len(set(ts))
     for b3 in b3s:
-        heads = sf._contour_heads(a1, b3)
-        assert {t: (x.hex(), y.hex()) for t, (x, y) in heads.items()} == {
-            t: _five_term_head(a1, b3, t) for t in ts}
+        assert _hex_heads(line.heads_of(b3)) == {t: _five_term_head(a1, b3, t) for t in ts}
 
 
 _ORDER_CASES = [(a1, b3, z) for a1, b3 in _RATE_PARAMS + [(0.8, 3.8), (0.0, 169.0)]
@@ -424,29 +431,24 @@ def test_meijer_results_do_not_depend_on_the_call_order():
             assert got == want
 
 
-def test_new_b3_reuses_the_loggamma_terms_of_its_line(monkeypatch):
-    calls = []
-
-    class _Special:
-        def __getattr__(self, name):
-            return getattr(special, name)
-
-        def loggamma(self, x):
-            calls.append(np.ndim(x))
-            return special.loggamma(x)
-
-    monkeypatch.setattr(sf, "sp", _Special())
+def test_new_b3_reuses_the_loggamma_terms_of_its_line(contour_traffic):
+    # a new b3 fills its heads with one array call (the first, on an empty
+    # line, too); only a node new to the line pays the five scalar calls
+    calls = contour_traffic.loggamma
     _clear_contour_tables()
     sf._meijer_contour(0.0, 4.0, 0.5)
-    seen = set(sf._contour_line(0.0))
-    assert calls == [0] * 5 * len(seen)
+    line = sf._contour_line(0.0)
+    seen = set(line)
+    assert calls == [1] + [0] * 5 * len(seen)
     calls.clear()
     sf._meijer_contour(0.0, 4.3, 0.5)
-    new = set(sf._contour_line(0.0)) - seen
-    visited = set(sf._contour_heads(0.0, 4.3))
-    # one array call for the nodes of the line, five scalar calls per new node
+    new = set(line) - seen
     assert calls == [1] + [0] * 5 * len(new)
-    assert new <= visited and 5 * len(new) < len(visited) / 4
+    assert list(line.heads) == list(line) and 5 * len(new) < len(line) / 4
+    calls.clear()
+    before = len(line)
+    sf._meijer_contour(0.0, 4.3, 20.0)         # a repeated (a1, b3) fills nothing
+    assert calls == [0] * 5 * (len(line) - before)
 
 
 def test_contour_tables_stop_growing_at_their_bound(monkeypatch):
@@ -454,12 +456,12 @@ def test_contour_tables_stop_growing_at_their_bound(monkeypatch):
     monkeypatch.setattr(sf, "_TABLE_NODES", 50)
     _clear_contour_tables()
     assert [sf.meijer_g_3123(*params, z) for params in _RATE_PARAMS[:2] for z in _ZS] == want
-    assert len(sf._contour_line(0.0)) == 50
-    assert len(sf._contour_heads(*_RATE_PARAMS[1])) <= 50
+    line = sf._contour_line(0.0)
+    assert len(line) == 50 and list(line.heads) == list(line)
 
 
 def test_line_arrays_are_rebuilt_only_after_the_line_grew(monkeypatch):
-    # a b3 new to an unchanged line starts from the line's arrays as they are;
+    # a b3 new to an unchanged line fills from the line's arrays as they are;
     # a line that gained nodes rebuilds them once, in the order of its nodes
     fromiter = mock.Mock(wraps=np.fromiter)
     monkeypatch.setattr(sf.np, "fromiter", fromiter)
@@ -470,16 +472,16 @@ def test_line_arrays_are_rebuilt_only_after_the_line_grew(monkeypatch):
     _visit_nodes(a1, a1 + 4.0, first)
     line = sf._contour_line(a1)
     assert set(line) == {0.0, *first}      # t = 0 sets the quadrature's scale
+    fromiter.reset_mock()                  # the empty line's arrays, for the first b3
     for b3 in (a1 + 4.3, a1 + 4.6):
-        sf._contour_heads(a1, b3)
+        line.heads_of(b3)
     assert fromiter.call_count == 1
     _visit_nodes(a1, a1 + 4.6, more)
     assert set(line) == {0.0, *first, *more} and fromiter.call_count == 1
     for b3 in (a1 + 4.9, a1 + 5.2):
-        heads = sf._contour_heads(a1, b3)
+        heads = line.heads_of(b3)
         assert list(heads) == list(line)
-        assert {t: (x.hex(), y.hex()) for t, (x, y) in heads.items()} == {
-            t: _five_term_head(a1, b3, t) for t in line}
+        assert _hex_heads(heads) == {t: _five_term_head(a1, b3, t) for t in line}
     assert fromiter.call_count == 2
 
 
@@ -487,44 +489,37 @@ def test_line_arrays_are_rebuilt_only_after_the_line_grew(monkeypatch):
 # Contour integrand in real arithmetic
 # ---------------------------------------------------------------------------
 
-def test_exp_real_equals_numpy_complex_exp_bit_for_bit():
+class _Spy:
+    """``module`` with its function ``name`` recording each call's first argument."""
+
+    def __init__(self, module, name):
+        self.calls, self._module, self._name = [], module, name
+
+    def __getattr__(self, attr):
+        value = getattr(self._module, attr)
+        if attr != self._name:
+            return value
+
+        def spy(x, *args, **kw):
+            self.calls.append(x)
+            return value(x, *args, **kw)
+        return spy
+
+
+def test_unscaled_exp_cos_equals_numpy_complex_exp_bit_for_bit():
+    # the contour integrand's value at x <= 709, where numpy does not rescale
     rng = np.random.default_rng(20261018)
     n = 200_000
     x = rng.uniform(-745.0, 709.0, n)
     y = rng.uniform(-400.0, 400.0, n)
     y[: n // 10] *= 1e-303                # |y| < 1e-300
     y[n // 10: n // 5] *= 1e-320          # subnormal y
-    x[-n // 20:] = rng.uniform(709.0, 745.0, n // 20)   # numpy's rescaled range
+    x[-n // 20:] = rng.uniform(700.0, 709.0, n // 20)   # up to numpy's rescaled range
+    x[-1] = 709.0
     xs, ys = x.tolist(), y.tolist()
-    with np.errstate(over="ignore"):
-        ref = [np.exp(complex(a, b)).real for a, b in zip(xs, ys)]
-    got = [sf._exp_real(a, b) for a, b in zip(xs, ys)]
+    ref = [np.exp(complex(a, b)).real for a, b in zip(xs, ys)]
+    got = [math.exp(a) * math.cos(b) for a, b in zip(xs, ys)]
     assert [(a, b) for a, b, g, r in zip(xs, ys, got, ref) if g != r] == []
-
-
-def test_exp_real_switches_to_numpy_just_above_709(monkeypatch):
-    real_exp = []
-
-    class _Math:
-        def __getattr__(self, name):
-            return getattr(math, name)
-
-        def exp(self, x):
-            real_exp.append(x)
-            return math.exp(x)
-
-    monkeypatch.setattr(sf, "math", _Math())
-    above = math.nextafter(709.0, math.inf)
-    for x, y in [(709.0, 0.3), (709.0, -2.0), (above, 0.3), (above, -2.0)]:
-        with np.errstate(over="ignore"):
-            assert sf._exp_real(x, y) == np.exp(complex(x, y)).real
-    assert real_exp == [709.0, 709.0]
-    # numpy's rescaled range: a finite real part beside an infinite imaginary
-    # one, and an infinite real part, both without a warning
-    with np.errstate(over="ignore"):
-        assert np.isinf(np.exp(complex(710.0, math.pi / 2)).imag)
-    assert sf._exp_real(710.0, math.pi / 2) == 1.3679272698459398e+292
-    assert sf._exp_real(800.0, 0.3) == math.inf
 
 
 def _contour_integrand(a1, b3, z):
@@ -539,23 +534,47 @@ def _contour_integrand(a1, b3, z):
     return handed[0]
 
 
+def test_contour_integrand_switches_to_numpy_just_above_709(monkeypatch):
+    # at z = 1 a node's (x, y) is its head, planted here next to the line
+    real_exp = _Spy(math, "exp")
+    monkeypatch.setattr(sf, "math", real_exp)
+    _clear_contour_tables()
+    try:
+        f = _contour_integrand(0.0, 4.0, 1.0)
+        heads = sf._contour_line(0.0).heads
+        real_exp.calls.clear()
+        above = math.nextafter(709.0, math.inf)
+        for t, (x, y) in enumerate([(709.0, 0.3), (709.0, -2.0), (above, 0.3), (above, -2.0)]):
+            heads[t + 1.0] = (x, y)
+            with np.errstate(over="ignore"):
+                assert f(t + 1.0) == np.exp(complex(x, y)).real
+        assert real_exp.calls == [709.0, 709.0]
+        # numpy's rescaled range: a finite real part beside an infinite imaginary
+        # one, and an infinite real part, both without a warning
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.exp(complex(710.0, math.pi / 2)).imag)
+        heads[5.0], heads[6.0] = (710.0, math.pi / 2), (800.0, 0.3)
+        assert (f(5.0), f(6.0)) == (1.3679272698459398e+292, math.inf)
+    finally:
+        _clear_contour_tables()    # the planted heads are not loggamma sums
+
+
 @given(a1=_LINES, z=st.floats(1e-6, 300.0), data=st.data())
 def test_contour_integrand_equals_numpy_complex_exp_on_both_sides_of_709(a1, z, data):
-    # exp(x) cos(y) is returned in place at x <= 709; above it _exp_real runs
+    # exp(x) cos(y) is returned in place at x <= 709; above it numpy's exp runs
     _clear_contour_tables()
     b3 = a1 + 3.5
     f = _contour_integrand(a1, b3, z)
-    heads = sf._contour_heads(a1, b3)
+    heads = sf._contour_line(a1).heads
     lnz = math.log(z)
     c0lnz = 0.5 * (a1 - 1.0) * lnz
     edge = 709.0 - c0lnz
     steps = [-4, 4] + data.draw(st.lists(st.integers(-4, 4), max_size=6))
     offsets = data.draw(st.lists(st.floats(-60.0, 40.0), max_size=6))
     hit, miss = data.draw(st.lists(st.floats(0.0, 48.0), min_size=2, max_size=2, unique=True))
-    sides = []
+    sides, scaled = [], _Spy(np, "exp")
     try:
-        with (mock.patch.object(sf, "_exp_real", wraps=sf._exp_real) as scaled,
-              np.errstate(over="ignore")):
+        with mock.patch.object(sf, "np", scaled), np.errstate(over="ignore"):
             for h0 in [edge + k * math.ulp(edge) for k in steps] + [edge + o for o in offsets]:
                 heads[hit] = (h0, data.draw(st.floats(-400.0, 400.0)))
                 x, y = h0 + c0lnz, heads[hit][1] + hit * lnz
@@ -569,7 +588,7 @@ def test_contour_integrand_equals_numpy_complex_exp_on_both_sides_of_709(a1, z, 
     finally:
         _clear_contour_tables()    # the planted heads are not loggamma sums
     assert sides[:2] == [True, False]
-    assert scaled.call_count == sides.count(False)
+    assert len(scaled.calls) == sides.count(False)
 
 
 _Z_NEAR_CAP = (1e-30, 1e-20, 1e-10, 1e-5, 1.0, 31.0, 50.0)
