@@ -11,8 +11,10 @@ each run of this checkout with one of the checkout at DIR, and swaps the
 order within every other pair, so drift of the host falls on both sides.
 
 Per preset, worker count and side it records the median and quartiles of
-``wall_s`` (the run time that ``irislab run`` reports) and of ``process_s``
-(the whole process, imports included), the median time of
+``wall_s`` (the run time that ``irislab run`` reports), of ``process_s``
+(the whole process, imports included) and of ``peak_rss_mb`` (that
+process's high-water RSS, or its largest reaped child's, such as a pool
+worker, if larger; read from ``os.wait4`` for each run), the median time of
 each series (the run JSON's ``series_wall_s``; empty for a checkout that
 does not write it), the trials (the run JSON's ``trials``), the rows, the
 per-point failures and the CSV SHA-256; all but the times must be the same
@@ -72,22 +74,28 @@ def run_once(root: Path, preset: str, workers: int, smoke: bool) -> dict:
     with tempfile.TemporaryDirectory() as out:
         cmd = [sys.executable, "-m", "irislab.cli", "run", preset, "--out", out,
                "--workers", str(workers)] + (["--smoke"] if smoke else [])
-        t0 = time.perf_counter()
-        proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
-        process_s = time.perf_counter() - t0
+        stdout, stderr = Path(out) / "stdout.txt", Path(out) / "stderr.txt"
+        with stdout.open("w") as fo, stderr.open("w") as fe:
+            t0 = time.perf_counter()
+            proc = subprocess.Popen(cmd, env=env, stdout=fo, stderr=fe)
+            # reaped here, so the usage is this process's own, not RUSAGE_CHILDREN's maximum
+            _, status, usage = os.wait4(proc.pid, 0)
+            process_s = time.perf_counter() - t0
+        proc.returncode = os.waitstatus_to_exitcode(status)
         if proc.returncode != 0:
             raise SystemExit(f"error: {' '.join(cmd[1:])} on {root} exited "
-                             f"{proc.returncode}: {proc.stderr.strip()}")
-        match = _LINE.match(proc.stdout.partition("\n")[0])
+                             f"{proc.returncode}: {stderr.read_text().strip()}")
+        first = stdout.read_text().partition("\n")[0]
+        match = _LINE.match(first)
         if match is None:
-            raise SystemExit(f"error: unexpected output of irislab run: {proc.stdout!r}")
+            raise SystemExit(f"error: unexpected output of irislab run: {first!r}")
         csv = Path(match["csv"])
         sha = hashlib.sha256(csv.read_bytes()).hexdigest()
         if sha != match["sha"]:
             raise SystemExit(f"error: {csv.name} has SHA-256 {sha}, the CLI printed {match['sha']}")
         meta = json.loads(csv.with_suffix(".json").read_text(encoding="utf-8"))["metadata"]
     return {"wall_s": meta["wall_time_s"], "process_s": round(process_s, 3),
-            "series_wall_s": meta.get("series_wall_s", {}), "trials": meta["trials"],
+            "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 2), "series_wall_s": meta.get("series_wall_s", {}), "trials": meta["trials"],
             "rows": int(match["rows"]), "failures": int(match["failures"]), "sha256": sha}
 
 
@@ -98,7 +106,7 @@ def _quartiles(xs) -> dict:
 
 
 def summarize(runs) -> dict:
-    """Quartiles of the runs' ``wall_s`` and ``process_s``, median series times,
+    """Quartiles of the runs' ``wall_s``, ``process_s`` and ``peak_rss_mb``, median series times,
     and the trials and output, which must not change from run to run."""
     outputs = {(r["trials"], r["rows"], r["failures"], r["sha256"]) for r in runs}
     if len(outputs) != 1:
@@ -107,7 +115,8 @@ def summarize(runs) -> dict:
     series = {s: statistics.median(r["series_wall_s"][s] for r in runs)
               for s in runs[0]["series_wall_s"]}
     return {"wall_s": _quartiles([r["wall_s"] for r in runs]),
-            "process_s": _quartiles([r["process_s"] for r in runs]), "series_wall_s": series,
+            "process_s": _quartiles([r["process_s"] for r in runs]),
+            "peak_rss_mb": _quartiles([r["peak_rss_mb"] for r in runs]), "series_wall_s": series,
             "trials": trials, "rows": rows, "failures": failures, "sha256": sha, "runs": runs}
 
 
@@ -166,7 +175,8 @@ def main(argv=None) -> None:
         line = f"{entry['preset']} workers={entry['workers']}:"
         for side, s in entry["sides"].items():
             line += (f" {side} median {s['wall_s']['median']:.3f} s"
-                     f" (process {s['process_s']['median']:.3f} s),")
+                     f" (process {s['process_s']['median']:.3f} s,"
+                     f" peak RSS {s['peak_rss_mb']['median']:.1f} MB),")
         if "pairs" in entry:
             for name, p in (("wall", entry["pairs"]), ("process", entry["pairs"]["process_s"])):
                 line += (f" {name} parent/change {p['speedup_median']:.2f}x, change won "

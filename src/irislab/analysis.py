@@ -5,7 +5,9 @@ probability (closed form, quadrature reference, asymptotic series, and the
 exact outage of the same model by Laplace inversion), diversity order, the
 Gamma approximation of the post-combining gain, ergodic rate by nested
 quadrature and by Meijer-G closed form, high-SNR slope, and the SE / power /
-EE bookkeeping.
+EE bookkeeping.  Every quadrature runs on ``specfun.quadpack``, QUADPACK
+without the ``scipy.integrate`` package; where QUADPACK flags its own
+estimate the routine raises ``ConvergenceError`` naming itself and the config.
 
 Two conventions differ from the way the source formulas are usually printed,
 both forced by the oracles:
@@ -27,9 +29,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import NetworkConfig, as_float
-from .specfun import ConvergenceError, hyp2f2, lazy_module, meijer_g_3123
+from .specfun import ConvergenceError, hyp2f2, lazy_module, meijer_g_3123, quadpack
 
-integrate = lazy_module("scipy.integrate")
 sp = lazy_module("scipy.special")
 
 __all__ = [
@@ -290,6 +291,29 @@ def _tail_model(cfg: NetworkConfig):
     return stats, stats.rate * _outage_threshold(cfg) * cfg.d1 ** cfg.alpha
 
 
+_QUADPACK_FLAGS = {
+    1: "the subdivision limit was reached",
+    2: "roundoff error was detected",
+    3: "the integrand is extremely bad at some points",
+    4: "roundoff error was detected in the extrapolation table",
+    5: "the integral is probably divergent or slowly convergent",
+    6: "the input is invalid",
+}
+
+
+def _quad(routine: str, cfg: NetworkConfig, f, a, b, *, epsabs, epsrel, limit, points=None):
+    """QUADPACK's integral of f over [a, b], or ``ConvergenceError`` naming
+    ``routine`` and the config when QUADPACK flags its own estimate."""
+    val, err, ier = quadpack(f, a, b, epsabs, epsrel, limit, points)
+    if ier:
+        raise ConvergenceError(
+            f"{routine}: QUADPACK flag {ier}, {_QUADPACK_FLAGS.get(ier, 'unknown')} "
+            f"(value {val!r}, error {err!r}; N={cfg.N}, t1={cfg.t1}, t2={cfg.t2}, "
+            f"alpha={cfg.alpha}, p_b={cfg.p_b})"
+        )
+    return val
+
+
 def _ln_phi(s: HighSnrChannelStats, cfg: NetworkConfig) -> float:
     """ln of the density prefactor, safe for orders where Gamma(a) overflows."""
     return (math.log(2.0) + s.n * math.log(s.m_tilde)
@@ -339,8 +363,8 @@ def op_quadrature(cfg: NetworkConfig) -> float:
     r_star = (stats.a / b) ** (1.0 / alpha)
     if r0 < r_star < R:
         pts.append(r_star)
-    val, _ = integrate.quad(f, r0, R, points=pts or None, limit=400,
-                            epsabs=0.0, epsrel=1e-11)
+    val = _quad("op_quadrature", cfg, f, r0, R, points=pts or None, limit=400,
+                epsabs=0.0, epsrel=1e-11)
     return scale * val
 
 
@@ -391,7 +415,7 @@ def op_exact(cfg: NetworkConfig) -> float:
     def f(r):
         return product_sum_cdf(scale * r ** cfg.alpha, stats.t_s, stats.t_l, stats.n) * r
 
-    val, _ = integrate.quad(f, cfg.r0, cfg.R, limit=400, epsabs=0.0, epsrel=1e-10)
+    val = _quad("op_exact", cfg, f, cfg.r0, cfg.R, limit=400, epsabs=0.0, epsrel=1e-10)
     return 2.0 * val / (cfg.R ** 2 - cfg.r0 ** 2)
 
 
@@ -413,7 +437,7 @@ def op_gamma_approx(cfg: NetworkConfig) -> float:
     def f(r):
         return gammainc(approx.shape, delta * (cfg.d1 * r) ** cfg.alpha) * r
 
-    val, _ = integrate.quad(f, cfg.r0, cfg.R, limit=400, epsabs=0.0, epsrel=1e-10)
+    val = _quad("op_gamma_approx", cfg, f, cfg.r0, cfg.R, limit=400, epsabs=0.0, epsrel=1e-10)
     return 2.0 * val / (cfg.R ** 2 - cfg.r0 ** 2)
 
 
@@ -481,8 +505,8 @@ def ergodic_rate_quadrature(approx: GammaApprox, cfg: NetworkConfig) -> float:
             return sp.gammaincc(a, c * x * r ** alpha) * r
         r_star = (a / (c * x)) ** (1.0 / alpha)
         pts = [r_star] if r0 < r_star < R else None
-        val, _ = integrate.quad(f, r0, R, points=pts, limit=200,
-                                epsabs=half_area * 1e-13, epsrel=1e-10)
+        val = _quad("ergodic_rate_quadrature (radial)", cfg, f, r0, R, points=pts,
+                    limit=200, epsabs=half_area * 1e-13, epsrel=1e-10)
         return val / half_area
 
     x_lo = 1e-10
@@ -495,9 +519,8 @@ def ergodic_rate_quadrature(approx: GammaApprox, cfg: NetworkConfig) -> float:
     u_lo, u_hi = math.log(x_lo), math.log(x_hi)
     pts = sorted(u for u in (math.log(a / (c * R ** alpha)), math.log(a / (c * r0 ** alpha)))
                  if u_lo < u < u_hi)
-    val, _ = integrate.quad(integrand, u_lo, u_hi, points=pts or None,
-                            limit=400, epsabs=1e-6 * math.log(2.0) / 10.0,
-                            epsrel=1e-9)
+    val = _quad("ergodic_rate_quadrature", cfg, integrand, u_lo, u_hi, points=pts or None,
+                limit=400, epsabs=1e-6 * math.log(2.0) / 10.0, epsrel=1e-9)
     # below x_lo the survival function is 1 to O(x_lo); add that sliver back
     return (val + math.log1p(x_lo)) / math.log(2.0)
 

@@ -144,6 +144,10 @@ class ExperimentSpec:
         repeated = sorted({s for s in outputs if outputs.count(s) > 1})
         if repeated:
             raise ValueError(f"outputs name series {repeated} more than once")
+        if not isinstance(self.sweep, (list, tuple)) or not all(
+                isinstance(axis, (list, tuple)) and len(axis) == 2 and isinstance(axis[0], str)
+                for axis in self.sweep):
+            raise ValueError(f"sweep must be a list of (axis name, values) pairs, got {self.sweep!r}")
         for name, values in self.sweep:
             if name not in _AXIS_FIELDS:
                 raise ValueError(f"unknown sweep axis {name!r}")

@@ -6,14 +6,21 @@ precision series or quadrature of an integral representation), so the
 implementations stay deliberately simple: plain power series with
 rigorous tail bounds, plus two escape hatches for the regimes where a series
 is hopeless in double precision.
+
+Every QUADPACK integral of the package, here and in ``analysis``, goes
+through ``quadpack``, which loads scipy's compiled extension alone: the
+``scipy.integrate`` package, and the ``scipy.optimize`` it imports, load
+only on the contour's rare flagged path.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
 import importlib.util
 import itertools
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -45,12 +52,64 @@ def lazy_module(name: str):
 integrate = lazy_module("scipy.integrate")
 sp = lazy_module("scipy.special")
 
+
+@functools.cache
+def _quadpack():
+    """scipy's compiled QUADPACK extension, ``scipy.integrate._quadpack``.
+
+    Loaded from its file without running ``scipy/integrate/__init__.py``,
+    which also imports ``scipy.optimize``, ``scipy.sparse.linalg``,
+    ``scipy.fft`` and ``scipy.spatial``.  scipy's directory comes from the
+    top-level spec, since ``find_spec("scipy.integrate")`` would load the
+    lazy package above.  An extension already in ``sys.modules`` is used as
+    it is; a new one is registered there and bound on the package, as the
+    import system binds a submodule, so a later ``import scipy.integrate``
+    shares it.
+    """
+    name = "scipy.integrate._quadpack"
+    if name not in sys.modules:
+        scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        finder = importlib.machinery.FileFinder(
+            os.path.join(scipy_dir, "integrate"),
+            (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+        spec = finder.find_spec(name)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+        integrate._quadpack = module
+    return sys.modules[name]
+
+
+def quadpack(f, a, b, epsabs, epsrel, limit, points=None):
+    """(value, error estimate, ier) of QUADPACK's integral of f over [a, b].
+
+    The compiled QAGS routine, or QAGP with break ``points``, called with
+    the arguments ``scipy.integrate.quad`` passes for finite limits and no
+    weight, so every value is the one ``quad`` returns, reversed limits and
+    an empty interval included.  ``ier`` is QUADPACK's flag, 0 when it
+    trusts its estimate; where ``quad`` turns a flag into an
+    ``IntegrationWarning``, callers here act on it.
+    """
+    if a == b:
+        return 0.0, 0.0, 0
+    if b < a:
+        val, err, ier = quadpack(f, b, a, epsabs, epsrel, limit, points)
+        return -val, err, ier
+    if points is None:
+        return _quadpack()._qagse(f, a, b, (), 0, epsabs, epsrel, limit)
+    # as quad does: sorted, without repeats, strictly inside, two trailing zeros
+    pts = np.unique(points)
+    pts = np.concatenate((pts[(a < pts) & (pts < b)], (0.0, 0.0)))
+    return _quadpack()._qagpe(f, a, b, pts, (), 0, epsabs, epsrel, limit)
+
+
 __all__ = [
     "ConvergenceError",
     "ParameterPatternError",
     "EvalResult",
     "hyp2f2",
     "meijer_g_3123",
+    "quadpack",
 ]
 
 # Alternating 2F2 series lose roughly 0.87*|z| decimal digits to cancellation,
@@ -289,13 +348,12 @@ def _meijer_contour(a1, b3, z):
             return np.exp(complex(x, hi + t * lnz)).real
 
     scale = abs(f(0.0)) + 1e-300
-    val, err, _, *flagged = integrate.quad(f, 0.0, 48.0, limit=4000, epsabs=scale * 1e-14,
-                                           epsrel=1e-12, full_output=1)
+    val, err, ier = quadpack(f, 0.0, 48.0, scale * 1e-14, 1e-12, 4000)
     if not math.isfinite(val):
         raise ConvergenceError(
             f"contour integral overflows ({val!r}): bs={bs}, a1={a1}, a2={a2}, z={z}"
         )
-    if flagged:
+    if ier:
         # QUADPACK doubts its estimate (near the top of the double range its
         # error arithmetic saturates).  The value stands only under a bound
         # that also covers scipy's other adaptive integrator, run on the

@@ -1,5 +1,7 @@
 import itertools
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -416,6 +418,99 @@ def test_op_exact_raises_where_the_inversion_fails():
     # N = 64 at -30 dBm once gave -2.0e39 beside an IntegrationWarning
     with pytest.raises(sf.ConvergenceError, match=r"\(t1=1.0, t2=2.0, n=64\)"):
         an.op_exact(_pb_dbm(64, -30.0))
+
+
+# the text scipy.integrate.quad returns with full_output for each QUADPACK flag
+_QUAD_FLAG_TEXT = {1: "The maximum number of subdivisions", 2: "The occurrence of roundoff error"}
+
+
+def _quadpack_calls(run):
+    """(args, keywords, result) of every ``quadpack`` call that ``run()`` makes."""
+    calls, real = [], sf.quadpack
+
+    def recording(f, a, b, epsabs, epsrel, limit, points=None):
+        out = real(f, a, b, epsabs, epsrel, limit, points)
+        calls.append(((f, a, b), dict(epsabs=epsabs, epsrel=epsrel, limit=limit, points=points),
+                      out))
+        return out
+    with mock.patch.object(sf, "quadpack", recording), \
+            mock.patch.object(an, "quadpack", recording):
+        try:
+            run()
+        except sf.ConvergenceError:
+            pass
+    return calls
+
+
+def _assert_quads_bits(args, kw, out):
+    """``quadpack(*args, **kw)`` returned ``out``: quad's value and error to the
+    bit, and the flag behind quad's message."""
+    val, err, ier = out
+    ref, ref_err, _, *msg = integrate.quad(*args, full_output=1, **kw)
+    assert (val.hex(), err.hex()) == (ref.hex(), ref_err.hex())
+    assert msg == ([] if ier == 0 else [mock.ANY])
+    if ier:
+        assert msg[0].startswith(_QUAD_FLAG_TEXT[ier])
+
+
+_RATE_CFG = _cfg(N=4, p_b=1e-2)
+_QUADPACK_SITES = {
+    "meijer_contour": lambda: sf._meijer_contour(0.0, 4.0, 1.0),
+    "op_quadrature": lambda: an.op_quadrature(_cfg(p_b=1e-4)),
+    "op_exact": lambda: an.op_exact(_cfg(p_b=1e-2)),
+    "op_gamma_approx": lambda: an.op_gamma_approx(_cfg(p_b=1e-2)),
+    "ergodic_rate_quadrature": lambda: an.ergodic_rate_quadrature(an.gamma_approx(_RATE_CFG),
+                                                                  _RATE_CFG),
+    "op_exact_flagged": lambda: an.op_exact(geo.NetworkConfig(N=128, t1=1.09, t2=2.02,
+                                                              alpha=3.32, p_b=1e-2)),
+}
+
+
+@pytest.mark.parametrize("site", _QUADPACK_SITES)
+def test_quadpack_returns_the_bits_of_scipy_quad(site):
+    # the entry point calls quad's own compiled routine with quad's arguments:
+    # every value and error estimate is quad's to the bit, and its flag is the
+    # one behind quad's message
+    calls = _quadpack_calls(_QUADPACK_SITES[site])
+    assert calls
+    if site in ("op_quadrature", "ergodic_rate_quadrature"):
+        assert any(kw["points"] is not None for _, kw, _ in calls)
+    flags = [ier for _, _, (_, _, ier) in calls if ier]
+    assert flags == ([1] if site == "op_exact_flagged" else [])
+    for args, kw, out in calls:
+        _assert_quads_bits(args, kw, out)
+
+
+@pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 0.0), (0.5, 0.5)])
+@pytest.mark.parametrize("points", [None, [0.7, 0.3, 0.7, -1.0, 2.0, 0.0, 1.0, 0.5]])
+@pytest.mark.parametrize("limit", [50, 10])
+def test_quadpack_takes_quads_limits_and_break_points(a, b, points, limit):
+    # break points sorted, without repeats (a repeat would take one of the
+    # `limit` subintervals, which shows at 10) and only those strictly inside;
+    # reversed limits change the sign, an empty interval gives zero
+    def f(x):
+        return math.sqrt(abs(x - 0.3)) + math.floor(4.0 * x)
+    kw = dict(epsabs=1e-12, epsrel=1e-10, limit=limit, points=points)
+    _assert_quads_bits((f, a, b), kw, sf.quadpack(f, a, b, **kw))
+
+
+
+@pytest.mark.parametrize("kw,flag", [
+    # once 1.9e-322 beside a lost "maximum number of subdivisions (400)" warning
+    (dict(N=128, t1=1.09, t2=2.02, alpha=3.32, p_b=1e-2), "flag 1, the subdivision limit"),
+    # once 4.96e-319 beside a lost "roundoff error is detected" warning
+    (dict(N=96, t1=3.63, t2=2.34, alpha=2.92, p_b=1e-3), "flag 2, roundoff error"),
+], ids=["subdivision-limit", "roundoff"])
+def test_op_exact_raises_where_quadpack_flags_its_estimate(kw, flag):
+    cfg = geo.NetworkConfig(**kw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")     # a warning cannot stand in for the error
+        with pytest.raises(sf.ConvergenceError) as err:
+            an.op_exact(cfg)
+    msg = str(err.value)
+    assert msg.startswith(f"op_exact: QUADPACK {flag}")
+    assert (f"N={cfg.N}, t1={cfg.t1}, t2={cfg.t2}, alpha={cfg.alpha}, p_b={cfg.p_b})"
+            in msg)
 
 
 def test_op_exact_single_element_against_swapped_integral():

@@ -158,6 +158,18 @@ def test_sweep_rejects_an_axis_named_twice():
                              ("n_elements", [4])])
 
 
+@pytest.mark.parametrize("sweep", [
+    "pb_dbm",                     # once: not enough values to unpack
+    [(["x"], [1])],               # once: unhashable type: 'list'
+    [("pb_dbm",)],
+], ids=["a-string", "a-list-as-name", "a-name-without-values"])
+def test_sweep_of_the_wrong_shape_names_the_sweep(sweep):
+    # only the Python API reaches these; a config file's sweep is always an object
+    spec = cli._load("op_vs_snr")
+    with pytest.raises(ValueError, match=r"^sweep must be a list of \(axis name, values\) pairs"):
+        replace(spec, sweep=sweep)
+
+
 _MISSING = object()
 
 
@@ -900,8 +912,8 @@ print(json.dumps({"digests": digests, "loaded": loaded}))
     ("relay_compare", [], []),
     ("op_vs_snr", ["montecarlo_model"], []),
     ("op_vs_snr", ["analytical"], ["scipy.special"]),
-    ("ergodic_vs_snr", ["analytical"], ["scipy.special", "scipy.integrate", "scipy.optimize"]),
-    ("op_fading_sweep", ["analytical"], ["scipy.special", "scipy.integrate", "scipy.optimize"]),
+    ("ergodic_vs_snr", ["analytical"], ["scipy.special"]),
+    ("op_fading_sweep", ["analytical"], ["scipy.special"]),
 ], ids=["relay_series", "relay_cli", "op_montecarlo", "op_analytical", "ergodic_analytical",
         "fading_analytical"])
 def test_scipy_loads_only_for_the_closed_forms(experiment, outputs, loaded):
@@ -932,5 +944,31 @@ def test_scipy_loads_only_for_the_closed_forms(experiment, outputs, loaded):
 def test_lazy_module(code):
     env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", "import sys, types\n" + code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("code", [
+    # scipy.integrate imported first: the entry point calls its extension
+    "import scipy.integrate\nfrom irislab import specfun as sf\n"
+    "assert sf.quadpack(math.exp, 0.0, 1.0, 0.0, 1e-12, 50)[0] == scipy.integrate.quad("
+    "math.exp, 0.0, 1.0, epsabs=0.0, epsrel=1e-12)[0]\n"
+    "assert sf._quadpack() is scipy.integrate._quadpack is sys.modules[QP]",
+    # the entry point first, without the package or scipy.optimize; then the
+    # package loads around the same extension and its quad works
+    "from irislab import specfun as sf\n"
+    "val = sf.quadpack(math.exp, 0.0, 1.0, 0.0, 1e-12, 50)[0]\n"
+    "assert [n for n in ('scipy.integrate', 'scipy.optimize')\n"
+    "        if type(sys.modules.get(n)) is types.ModuleType] == []\n"
+    "import scipy.integrate\n"
+    "assert scipy.integrate.quad(math.exp, 0.0, 1.0, epsabs=0.0, epsrel=1e-12)[0] == val\n"
+    "assert type(sys.modules['scipy.optimize']) is types.ModuleType\n"
+    "assert sf._quadpack() is scipy.integrate._quadpack is sys.modules[QP]\n"
+    "assert scipy.integrate._quadpack_py._quadpack is sys.modules[QP]",
+], ids=["integrate_first", "quadpack_first"])
+def test_quadpack_shares_the_extension_with_scipy_integrate(code):
+    env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
+    head = "import math, sys, types\nQP = 'scipy.integrate._quadpack'\n"
+    proc = subprocess.run([sys.executable, "-c", head + code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

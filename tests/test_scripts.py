@@ -39,9 +39,13 @@ def test_bench_presets_records_the_digest_that_irislab_run_prints(tmp_path):
     change = entry["sides"]["change"]
     assert (change["trials"], change["rows"], change["failures"]) == (1000, 9, 0)
     assert set(change["series_wall_s"]) == {"analytical"}
-    for key in ("wall_s", "process_s"):
+    for key in ("wall_s", "process_s", "peak_rss_mb"):
         assert change[key]["q1"] <= change[key]["median"] <= change[key]["q3"]
     assert change["wall_s"]["median"] < change["process_s"]["median"]
+    # each run's own high-water mark: at least the interpreter with numpy, far below a GB
+    [run] = change["runs"]
+    assert run["peak_rss_mb"] == change["peak_rss_mb"]["median"]
+    assert 10.0 < run["peak_rss_mb"] < 1000.0
     assert entry["pairs"]["same_csv"] and len(entry["pairs"]["change_s"]) == 1
     assert entry["pairs"]["process_s"]["change_s"] == [change["process_s"]["median"]]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
