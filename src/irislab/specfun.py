@@ -48,7 +48,9 @@ def lazy_module(name: str):
     return module
 
 
-# scipy loads only when a closed form first needs it; Monte Carlo runs never do
+# scipy loads only when a closed form first needs it; Monte Carlo runs never do.
+# ``integrate`` serves the contour's quad_vec cross-check alone; QUADPACK is
+# reached through ``quadpack`` below, without this package.
 integrate = lazy_module("scipy.integrate")
 sp = lazy_module("scipy.special")
 

@@ -425,7 +425,8 @@ _QUAD_FLAG_TEXT = {1: "The maximum number of subdivisions", 2: "The occurrence o
 
 
 def _quadpack_calls(run):
-    """(args, keywords, result) of every ``quadpack`` call that ``run()`` makes."""
+    """(args, keywords, result) of every ``quadpack`` call that ``run()`` makes,
+    and whether ``run()`` raised ``ConvergenceError``."""
     calls, real = [], sf.quadpack
 
     def recording(f, a, b, epsabs, epsrel, limit, points=None):
@@ -438,8 +439,8 @@ def _quadpack_calls(run):
         try:
             run()
         except sf.ConvergenceError:
-            pass
-    return calls
+            return calls, True
+    return calls, False
 
 
 def _assert_quads_bits(args, kw, out):
@@ -471,8 +472,8 @@ def test_quadpack_returns_the_bits_of_scipy_quad(site):
     # the entry point calls quad's own compiled routine with quad's arguments:
     # every value and error estimate is quad's to the bit, and its flag is the
     # one behind quad's message
-    calls = _quadpack_calls(_QUADPACK_SITES[site])
-    assert calls
+    calls, raised = _quadpack_calls(_QUADPACK_SITES[site])
+    assert calls and raised == (site == "op_exact_flagged")
     if site in ("op_quadrature", "ergodic_rate_quadrature"):
         assert any(kw["points"] is not None for _, kw, _ in calls)
     flags = [ier for _, _, (_, _, ier) in calls if ier]
@@ -492,7 +493,6 @@ def test_quadpack_takes_quads_limits_and_break_points(a, b, points, limit):
         return math.sqrt(abs(x - 0.3)) + math.floor(4.0 * x)
     kw = dict(epsabs=1e-12, epsrel=1e-10, limit=limit, points=points)
     _assert_quads_bits((f, a, b), kw, sf.quadpack(f, a, b, **kw))
-
 
 
 @pytest.mark.parametrize("kw,flag", [
