@@ -6,8 +6,10 @@ exact outage of the same model by Laplace inversion), diversity order, the
 Gamma approximation of the post-combining gain, ergodic rate by nested
 quadrature and by Meijer-G closed form, high-SNR slope, and the SE / power /
 EE bookkeeping.  Every quadrature runs on ``specfun.quadpack``, QUADPACK
-without the ``scipy.integrate`` package; where QUADPACK flags its own
-estimate the routine raises ``ConvergenceError`` naming itself and the config.
+without the ``scipy.integrate`` package, and every scipy function comes from
+``specfun.special_ufuncs``, without the ``scipy.special`` package; where
+QUADPACK flags its own estimate the routine raises ``ConvergenceError``
+naming itself and the config.
 
 Two conventions differ from the way the source formulas are usually printed,
 both forced by the oracles:
@@ -29,9 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import NetworkConfig, as_float
-from .specfun import ConvergenceError, hyp2f2, lazy_module, meijer_g_3123, quadpack
-
-sp = lazy_module("scipy.special")
+from .specfun import ConvergenceError, hyp2f2, meijer_g_3123, quadpack, special_ufuncs
 
 __all__ = [
     "HighSnrChannelStats",
@@ -132,7 +132,7 @@ def high_snr_cdf(x, stats: HighSnrChannelStats):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise ValueError("gain must be nonnegative")
-    out = stats.mass * sp.gammainc(stats.a, stats.rate * x)
+    out = stats.mass * special_ufuncs().gammainc(stats.a, stats.rate * x)
     return out if out.ndim else float(out)
 
 
@@ -152,7 +152,7 @@ def _ln_laplace(s, ts: float, tl: float):
     """
     beta = 2.0 * math.sqrt(ts * tl)
     z = (s - beta) / (s + beta)
-    f = sp.hyp2f1(2.0 * ts, ts - tl + 0.5, ts + tl + 0.5, z)
+    f = special_ufuncs().hyp2f1(2.0 * ts, ts - tl + 0.5, ts + tl + 0.5, z)
     if ts == tl:
         # c - a - b = 0: the 2F1 has a logarithmic singularity at z = 1, and
         # scipy, given only the rounded z, loses digits near it (inf for
@@ -177,7 +177,7 @@ def _hyp2f1_at_one(a: float, b: float, w):
     1 - z would round away the digits the logarithm needs."""
     ln_w = np.log(w)
     # term n: (a)_n (b)_n w^n / n!^2 times (2 psi(n + 1) - psi(a + n) - psi(b + n) - ln w)
-    psi = 2.0 * sp.digamma(1.0) - sp.digamma(a) - sp.digamma(b)
+    psi = 2.0 * special_ufuncs().psi(1.0) - special_ufuncs().psi(a) - special_ufuncs().psi(b)
     term = np.ones_like(w)
     total = psi - ln_w
     for n in range(200):
@@ -220,8 +220,9 @@ def product_nakagami_pdf(x, t1: float, t2: float):
         raise ValueError("product_nakagami_pdf requires x > 0")
     ts, tl = _split_ts_tl(t1, t2)
     beta = 2.0 * math.sqrt(ts * tl)
-    norm = 4.0 * (ts * tl) ** (0.5 * (ts + tl)) / (sp.gamma(ts) * sp.gamma(tl))
-    out = norm * x ** (ts + tl - 1.0) * sp.kv(tl - ts, beta * x)
+    gamma, kv = special_ufuncs().gamma, special_ufuncs().kv
+    norm = 4.0 * (ts * tl) ** (0.5 * (ts + tl)) / (gamma(ts) * gamma(tl))
+    out = norm * x ** (ts + tl - 1.0) * kv(tl - ts, beta * x)
     return out if out.ndim else float(out)
 
 
@@ -239,30 +240,34 @@ def _talbot_coefficients(nodes: int):
     return u, w * np.exp(0.4 * nodes * u) / (nodes * u)
 
 
-# more nodes lose digits to cancellation in double precision, fewer to truncation
-_TALBOT_NODES = 24
-_TALBOT_U, _TALBOT_C = _talbot_coefficients(_TALBOT_NODES)
+# more nodes lose digits to cancellation in double precision, fewer to
+# truncation; op_exact checks each value against a second count
+_TALBOT = {nodes: _talbot_coefficients(nodes) for nodes in (20, 24)}
 
 
-def product_sum_cdf(x, t1: float, t2: float, n: int):
+def product_sum_cdf(x, t1: float, t2: float, n: int, nodes: int = 24):
     """Exact CDF of the sum of ``n`` i.i.d. co-phased product gains.
 
-    Fixed-Talbot inversion of laplace_exact(s)^n / s.  Measured against
-    arbitrary precision for n <= 3, the relative error is about 1e-14 while
-    the CDF is small and the absolute error about 1e-12 where it nears one
-    (so it may exceed one by that much).  Unlike the tail model this is a
-    proper CDF, and it has no pole at t1 == t2.  A failed inversion (NaN, or
-    a value outside [-1e-9, 1 + 1e-9]) raises ``ConvergenceError``.
+    Fixed-Talbot inversion of laplace_exact(s)^n / s on ``nodes`` nodes (20
+    or 24).  Measured against arbitrary precision for n <= 3, the relative
+    error at 24 nodes is about 1e-14 while the CDF is small and the absolute
+    error about 1e-12 where it nears one (so it may exceed one by that
+    much).  Unlike the tail model this is a proper CDF, and it has no pole
+    at t1 == t2.  A failed inversion (NaN, or a value outside
+    [-1e-9, 1 + 1e-9]) raises ``ConvergenceError``; in the far tail the
+    rule's floor can lie orders above the CDF without leaving that band,
+    which ``op_exact`` catches with its second node count.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise ValueError("gain must be nonnegative")
     ts, tl = _split_ts_tl(t1, t2)
+    u, c = _TALBOT[nodes]
     pos = x > 1e-300      # the contour scale overflows below; the CDF is negligible there
-    s = (0.4 * _TALBOT_NODES / x[pos])[:, np.newaxis] * _TALBOT_U
+    s = (0.4 * nodes / x[pos])[:, np.newaxis] * u
     out = np.zeros(x.shape)
     with np.errstate(invalid="ignore", over="ignore"):
-        out[pos] = (_TALBOT_C * np.exp(n * _ln_laplace(s, ts, tl))).real.sum(axis=1)
+        out[pos] = (c * np.exp(n * _ln_laplace(s, ts, tl))).real.sum(axis=1)
     bad = ~((out >= -1e-9) & (out <= 1.0 + 1e-9))
     if bad.any():
         raise ConvergenceError(f"Talbot inversion gives CDF {float(out[bad][0])!r} at "
@@ -357,7 +362,7 @@ def op_quadrature(cfg: NetworkConfig) -> float:
     scale = 2.0 * stats.mass / (R ** 2 - r0 ** 2)
 
     def f(r):
-        return sp.gammainc(stats.a, b * r ** alpha) * r
+        return special_ufuncs().gammainc(stats.a, b * r ** alpha) * r
 
     pts = []
     r_star = (stats.a / b) ** (1.0 / alpha)
@@ -398,6 +403,13 @@ def op_asymptotic(cfg: NetworkConfig, n_max: int = 30) -> float:
     return total
 
 
+# op_exact's radial averages at 20 and 24 Talbot nodes must agree to this,
+# relative; on the AC grid (N <= 3, t = (2, 1), -10...59 dBm) they agree to
+# 1.5e-12, and where the rule's floor lies above the CDF they differ by
+# factors of thousands
+_TALBOT_AGREEMENT = 1e-8
+
+
 def op_exact(cfg: NetworkConfig) -> float:
     """Exact outage of the model over the annulus [r0, R].
 
@@ -406,31 +418,43 @@ def op_exact(cfg: NetworkConfig) -> float:
     from ``product_sum_cdf`` and the radius is averaged by adaptive
     quadrature.  ``op_closed_form`` is the high-SNR approximation of this
     value: their ratio rises to one as the transmit power grows.
+
+    The average is formed at 24 Talbot nodes and again at 20.  When the two
+    differ by more than ``_TALBOT_AGREEMENT`` of the value, or the value is
+    negative (no CDF sample on the AC grid is), the inversion's error is not
+    below the value and the call raises ``ConvergenceError``.  Each
+    disagreement counts by its weight in the average, so a far-tail CDF
+    that carries none cannot trip it.
     """
     stats, b = _tail_model(cfg)
     if b <= 0.0:
         return 0.0
     scale = b / stats.rate
 
-    def f(r):
-        return product_sum_cdf(scale * r ** cfg.alpha, stats.t_s, stats.t_l, stats.n) * r
+    def average(nodes):
+        def f(r):
+            return product_sum_cdf(scale * r ** cfg.alpha, stats.t_s, stats.t_l, stats.n,
+                                   nodes) * r
 
-    val = _quad("op_exact", cfg, f, cfg.r0, cfg.R, limit=400, epsabs=0.0, epsrel=1e-10)
-    return 2.0 * val / (cfg.R ** 2 - cfg.r0 ** 2)
+        val = _quad("op_exact", cfg, f, cfg.r0, cfg.R, limit=400, epsabs=0.0, epsrel=1e-10)
+        return 2.0 * val / (cfg.R ** 2 - cfg.r0 ** 2)
+
+    value, check = average(24), average(20)
+    if not (value >= 0.0 and abs(value - check) <= _TALBOT_AGREEMENT * value):
+        raise ConvergenceError(
+            f"op_exact: Talbot inversion gives {value!r} at 24 nodes and {check!r} at 20 "
+            f"(N={cfg.N}, t1={cfg.t1}, t2={cfg.t2}, alpha={cfg.alpha}, p_b={cfg.p_b})"
+        )
+    return value
 
 
 def op_gamma_approx(cfg: NetworkConfig) -> float:
     """Outage of the Gamma-approximated post-combining gain, by quadrature.
 
     Used for the fading-sweep figure family, where equal fading parameters
-    rule out the tail-model closed form.  The integrand calls scipy's scalar
-    ``cython_special.gammainc``, the routine the ``gammainc`` ufunc loops
-    over: the same bits without the ufunc's dispatch, which costs several
-    times the routine on one scalar.  It is imported here, at first use, as
-    a lazy import of it would load ``scipy.special`` at once; the oracle
-    ``op_quadrature`` keeps the ufunc.
+    rule out the tail-model closed form.
     """
-    from scipy.special.cython_special import gammainc
+    gammainc = special_ufuncs().gammainc
     approx = gamma_approx(cfg)
     delta = _outage_threshold(cfg) / approx.scale
 
@@ -502,14 +526,17 @@ def ergodic_rate_quadrature(approx: GammaApprox, cfg: NetworkConfig) -> float:
 
     def survival(x):
         def f(r):
-            return sp.gammaincc(a, c * x * r ** alpha) * r
+            return special_ufuncs().gammaincc(a, c * x * r ** alpha) * r
         r_star = (a / (c * x)) ** (1.0 / alpha)
         pts = [r_star] if r0 < r_star < R else None
         val = _quad("ergodic_rate_quadrature (radial)", cfg, f, r0, R, points=pts,
                     limit=200, epsabs=half_area * 1e-13, epsrel=1e-10)
         return val / half_area
 
-    x_lo = 1e-10
+    # the sliver below x_lo is at most x_lo, and the rate at least the SNR
+    # a / (c R^alpha) at the edge; below that SNR the floor follows it, so
+    # the sliver stays 1e-10 of the rate and x_lo < x_hi at any power
+    x_lo = 1e-10 * min(1.0, a / (c * R ** alpha))
     x_hi = (a + 40.0 * math.sqrt(a) + 60.0) / (c * r0 ** alpha)
 
     def integrand(u):

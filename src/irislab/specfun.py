@@ -7,10 +7,13 @@ implementations stay deliberately simple: plain power series with
 rigorous tail bounds, plus two escape hatches for the regimes where a series
 is hopeless in double precision.
 
-Every QUADPACK integral of the package, here and in ``analysis``, goes
-through ``quadpack``, which loads scipy's compiled extension alone: the
-``scipy.integrate`` package, and the ``scipy.optimize`` it imports, load
-only on the contour's rare flagged path.
+scipy loads only when a closed form first needs it, and then only two of
+its compiled extensions, each by ``_scipy_extension`` without its package:
+every QUADPACK integral of the package, here and in ``analysis``, goes
+through ``quadpack``, and every special function scipy provides comes from
+``special_ufuncs``.  The ``scipy.integrate`` package, and the
+``scipy.optimize`` it imports, load only on the contour's rare flagged path;
+the ``scipy.special`` package never does.
 """
 
 from __future__ import annotations
@@ -27,59 +30,44 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def lazy_module(name: str):
-    """Module ``name``, executed on its first attribute access.
-
-    The ``importlib.util.LazyLoader`` recipe: a missing module still fails
-    here, at import.  A module already in ``sys.modules`` (loaded, or lazy
-    from an earlier call) is returned as it is, since ``find_spec`` would
-    load a lazy one to read its ``__spec__``.  The load takes no lock, so the
-    first access must come from one thread (the trial pool runs processes).
-    """
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    if spec is None:
-        raise ModuleNotFoundError(f"No module named {name!r}", name=name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-# scipy loads only when a closed form first needs it; Monte Carlo runs never do.
-# ``integrate`` serves the contour's quad_vec cross-check alone; QUADPACK is
-# reached through ``quadpack`` below, without this package.
-integrate = lazy_module("scipy.integrate")
-sp = lazy_module("scipy.special")
-
-
 @functools.cache
-def _quadpack():
-    """scipy's compiled QUADPACK extension, ``scipy.integrate._quadpack``.
+def _scipy_extension(subpackage: str, module: str):
+    """scipy's compiled extension ``scipy.<subpackage>.<module>``, loaded alone.
 
-    Loaded from its file without running ``scipy/integrate/__init__.py``,
-    which also imports ``scipy.optimize``, ``scipy.sparse.linalg``,
-    ``scipy.fft`` and ``scipy.spatial``.  scipy's directory comes from the
-    top-level spec, since ``find_spec("scipy.integrate")`` would load the
-    lazy package above.  An extension already in ``sys.modules`` is used as
-    it is; a new one is registered there and bound on the package, as the
-    import system binds a submodule, so a later ``import scipy.integrate``
-    shares it.
+    Loaded from its file without running the package's ``__init__.py``:
+    ``scipy/special/__init__.py`` also imports the array-API layer and with it
+    ``numpy.f2py``, ``numpy.random``, ``numpy.ma`` and ``numpy.fft``, and
+    ``scipy/integrate/__init__.py`` imports ``scipy.optimize``,
+    ``scipy.sparse.linalg``, ``scipy.fft`` and ``scipy.spatial``.  scipy's
+    directory comes from the top-level spec, which loads nothing.  An
+    extension already in ``sys.modules`` is used as it is; a new one is
+    registered there, so a later import of its package shares it: scipy
+    reaches its extensions by ``from . import``, which reads ``sys.modules``
+    (the package does not bind it as an attribute, as nothing loads it anew).
     """
-    name = "scipy.integrate._quadpack"
+    name = f"scipy.{subpackage}.{module}"
     if name not in sys.modules:
         scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
         finder = importlib.machinery.FileFinder(
-            os.path.join(scipy_dir, "integrate"),
+            os.path.join(scipy_dir, subpackage),
             (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
         spec = finder.find_spec(name)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
-        integrate._quadpack = module
+        if spec is None:
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        loaded = importlib.util.module_from_spec(spec)
+        sys.modules[name] = loaded
+        spec.loader.exec_module(loaded)
     return sys.modules[name]
+
+
+def special_ufuncs():
+    """scipy.special's compiled ufuncs, ``scipy.special._special_ufuncs``.
+
+    Every ufunc the package calls comes from here: ``loggamma``, ``gamma``,
+    ``gammainc``, ``gammaincc``, ``hyp2f1``, ``psi`` (``digamma``) and
+    ``kv``, each the very object ``scipy.special`` hands out.
+    """
+    return _scipy_extension("special", "_special_ufuncs")
 
 
 def quadpack(f, a, b, epsabs, epsrel, limit, points=None):
@@ -97,12 +85,13 @@ def quadpack(f, a, b, epsabs, epsrel, limit, points=None):
     if b < a:
         val, err, ier = quadpack(f, b, a, epsabs, epsrel, limit, points)
         return -val, err, ier
+    ext = _scipy_extension("integrate", "_quadpack")
     if points is None:
-        return _quadpack()._qagse(f, a, b, (), 0, epsabs, epsrel, limit)
+        return ext._qagse(f, a, b, (), 0, epsabs, epsrel, limit)
     # as quad does: sorted, without repeats, strictly inside, two trailing zeros
     pts = np.unique(points)
     pts = np.concatenate((pts[(a < pts) & (pts < b)], (0.0, 0.0)))
-    return _quadpack()._qagpe(f, a, b, pts, (), 0, epsabs, epsrel, limit)
+    return ext._qagpe(f, a, b, pts, (), 0, epsabs, epsrel, limit)
 
 
 __all__ = [
@@ -112,6 +101,7 @@ __all__ = [
     "hyp2f2",
     "meijer_g_3123",
     "quadpack",
+    "special_ufuncs",
 ]
 
 # Alternating 2F2 series lose roughly 0.87*|z| decimal digits to cancellation,
@@ -214,7 +204,7 @@ def _hyp2f2_gamma_repr(p: float, q: float, z: float) -> EvalResult:
     and each sub-series is gamma(s, y)/y**s with y = -z.  Exact, stable for
     any y, and immune to the alternating-series cancellation.
     """
-    from scipy.special.cython_special import gammainc  # see analysis.op_gamma_approx
+    gammainc = special_ufuncs().gammainc
     y = -z
     lp = math.lgamma(p) + math.log(gammainc(p, y)) - p * math.log(y)
     lq = math.lgamma(q) + math.log(gammainc(q, y)) - q * math.log(y)
@@ -304,7 +294,7 @@ class _Line(dict):
         """
         if b3 != self.b3:
             s, ab, d, e = self.arrays()
-            h = ((ab + sp.loggamma(b3 - s)) + d) - e
+            h = ((ab + special_ufuncs().loggamma(b3 - s)) + d) - e
             self.b3, self.heads = b3, dict(zip(self, zip(h.real.tolist(), h.imag.tolist())))
         return self.heads
 
@@ -331,14 +321,15 @@ def _meijer_contour(a1, b3, z):
     line = _contour_line(a1)
     heads = line.heads_of(b3)     # every z with this (a1, b3) reuses the sums
     get, exp, cos = heads.get, math.exp, math.cos
+    loggamma = special_ufuncs().loggamma
 
     def f(t):
         head = get(t)
         if head is None:
             s = complex(c0, t)
-            terms = (complex(sp.loggamma(a1 - s) + sp.loggamma(0.0 - s)),
-                     complex(sp.loggamma(1.0 - a1 + s)), complex(sp.loggamma(a2 - s)))
-            h = ((terms[0] + sp.loggamma(b3 - s)) + terms[1]) - terms[2]
+            terms = (complex(loggamma(a1 - s) + loggamma(0.0 - s)),
+                     complex(loggamma(1.0 - a1 + s)), complex(loggamma(a2 - s)))
+            h = ((terms[0] + loggamma(b3 - s)) + terms[1]) - terms[2]
             head = (float(h.real), float(h.imag))
             if len(line) < _TABLE_NODES:
                 line[t], heads[t] = terms, head
@@ -361,8 +352,9 @@ def _meijer_contour(a1, b3, z):
         # that also covers scipy's other adaptive integrator, run on the
         # integrand scaled to 1 at t = 0, to a tolerance far inside the 1e-5
         # the rate asks of its terms.
-        ref, ref_err, info = integrate.quad_vec(lambda t: f(t) / scale, 0.0, 48.0,
-                                                epsabs=1e-12, epsrel=1e-10, full_output=True)
+        import scipy.integrate   # the package and scipy.optimize, on this path alone
+        ref, ref_err, info = scipy.integrate.quad_vec(
+            lambda t: f(t) / scale, 0.0, 48.0, epsabs=1e-12, epsrel=1e-10, full_output=True)
         if not info.success:
             raise ConvergenceError(
                 f"contour integral unresolved ({info.message}): bs={bs}, a1={a1}, a2={a2}, z={z}"
@@ -379,14 +371,15 @@ def _meijer_slater(bs, a1, a2, z):
     caller's arithmetic on it cannot raise numpy overflow warnings; ``None``
     means the terms cancelled past eight digits and the sum is not trusted.
     """
+    gamma = special_ufuncs().gamma
     total = 0.0
     max_term = 0.0
     terms_used = 0
     for h in range(3):
         bh = bs[h]
         others = [bs[j] for j in range(3) if j != h]
-        coeff = (sp.gamma(others[0] - bh) * sp.gamma(others[1] - bh)
-                 * sp.gamma(1.0 + bh - a1) / sp.gamma(a2 - bh))
+        coeff = (gamma(others[0] - bh) * gamma(others[1] - bh)
+                 * gamma(1.0 + bh - a1) / gamma(a2 - bh))
         f = hyp2f2(1.0 + bh - a1, 1.0 + bh - a2,
                    1.0 + bh - others[0], 1.0 + bh - others[1], z)
         term = coeff * z ** bh * f.value

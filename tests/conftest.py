@@ -15,13 +15,12 @@ class ContourTraffic:
     """
 
     def __init__(self, monkeypatch):
-        from scipy import special
-
         from irislab import specfun as sf
+        special = sf.special_ufuncs()
         self.loggamma, self.contours = [], []
         contour, record = sf._meijer_contour, self.loggamma
 
-        class _Special:
+        class _Ufuncs:
             def __getattr__(self, name):
                 return getattr(special, name)
 
@@ -32,7 +31,8 @@ class ContourTraffic:
         def spy(a1, b3, z):
             self.contours.append((a1, b3, z))
             return contour(a1, b3, z)
-        monkeypatch.setattr(sf, "sp", _Special())
+        ufuncs = _Ufuncs()
+        monkeypatch.setattr(sf, "special_ufuncs", lambda: ufuncs)
         monkeypatch.setattr(sf, "_meijer_contour", spy)
 
     def clear(self):

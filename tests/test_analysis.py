@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -513,6 +514,37 @@ def test_op_exact_raises_where_quadpack_flags_its_estimate(kw, flag):
             in msg)
 
 
+@pytest.mark.parametrize("cfg,match", [
+    # returned 6.3e-79 where the true outage is 1.76e-100
+    (geo.NetworkConfig(N=16, t1=1.7, t2=4.46, alpha=3.58, p_b=1e-3 * 10 ** (19.3 / 10.0)),
+     r"gives 6\.277\d*e-79 at 24 nodes and 1\.26\d*e-75 at 20"),
+    # returned -2.2e-38 (true outage 2.2e-56)
+    (geo.NetworkConfig(N=16, t1=1.7, t2=4.46, alpha=3.58, p_b=1e-3 * 10 ** (11.2 / 10.0)),
+     r"gives -2\.211\d*e-38 at 24 nodes and 9\.89\d*e-34 at 20"),
+    # returned -1.68e-15 (true outage 9.6e-73); the 20-node pass meets a CDF
+    # sample below the band first
+    (geo.NetworkConfig(N=64, t1=2.0, t2=1.0, p_b=1e-4), r"Talbot inversion gives CDF -2\.8"),
+], ids=["N16-19.3dBm", "N16-11.2dBm", "N64-m10dBm"])
+def test_op_exact_raises_where_two_node_counts_disagree(cfg, match):
+    with pytest.raises(sf.ConvergenceError, match=match):
+        an.op_exact(cfg)
+
+
+def test_op_exact_returns_the_24_node_average_where_20_nodes_agree():
+    # the check changes no value it lets through
+    cfg = _pb_dbm(3, 30.0)
+    stats, b = an._tail_model(cfg)
+    calls, raised = _quadpack_calls(lambda: an.op_exact(cfg))
+    assert not raised and len(calls) == 2
+    (f24, r0, r1), _, (v24, _, _) = calls[0]
+    (f20, *_), _, (v20, _, _) = calls[1]
+    x = b / stats.rate * 50.0 ** cfg.alpha
+    assert f24(50.0) == an.product_sum_cdf(x, 2.0, 1.0, 3) * 50.0
+    assert f20(50.0) == an.product_sum_cdf(x, 2.0, 1.0, 3, nodes=20) * 50.0
+    assert an.op_exact(cfg) == 2.0 * v24 / (cfg.R ** 2 - cfg.r0 ** 2)
+    assert 0.0 < abs(v24 - v20) <= 1e-8 * v24
+
+
 def test_op_exact_single_element_against_swapped_integral():
     # N = 1: OP = int f(x) P(r > (x / c)^(1/alpha)) dx, no inversion involved
     for pb_dbm in (-20.0, -5.0, 10.0, 40.0):
@@ -620,6 +652,25 @@ def test_ergodic_rate_quadrature_baselines():
     hi2 = an.ergodic_rate_quadrature(ap, geo.NetworkConfig(
         **{**cfg.__dict__, "p_b": 1e11 * cfg.sigma2}))
     assert hi2 - hi1 == pytest.approx(math.log2(10.0), rel=0.02)
+
+
+def test_ergodic_rate_quadrature_falls_tenfold_per_decade_at_low_snr():
+    # a fixed floor x_lo = 1e-10 of the outer integral once gave the same
+    # log1p(1e-10) / ln 2 at all three powers, and a reversed window below them
+    cfg = geo.NetworkConfig()
+    ap = an.gamma_approx(cfg)
+    powers = (1e-21, 1e-22, 1e-24)
+    rates, windows = [], []
+    for p_b in powers:
+        calls, raised = _quadpack_calls(
+            lambda: rates.append(an.ergodic_rate_quadrature(ap, replace(cfg, p_b=p_b))))
+        assert not raised
+        windows += [(a, b) for (_, a, b), _, _ in calls]
+    assert windows and all(a < b for a, b in windows)
+    assert rates[0] / rates[1] == pytest.approx(10.0, rel=1e-6)
+    assert rates[1] / rates[2] == pytest.approx(100.0, rel=1e-6)
+    meijer = [an.ergodic_rate_meijer(ap, replace(cfg, p_b=p_b)) for p_b in powers]
+    assert rates == pytest.approx(meijer, rel=1e-6)
 
 
 def test_ergodic_rate_quadrature_vs_gamma_sampling():

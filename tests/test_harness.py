@@ -901,19 +901,25 @@ with tempfile.TemporaryDirectory() as out:
     if not outputs:
         assert cli.main(["run", experiment, "--smoke", "--out", out]) == 0
         digests["*"] = hashlib.sha256((Path(out) / f"{experiment}.csv").read_bytes()).hexdigest()
-names = ("scipy.special", "scipy.integrate", "scipy.optimize")
-loaded = [n for n in names if type(sys.modules.get(n)) is types.ModuleType]
+loaded = sorted(n for n in sys.modules
+                if n.startswith(("scipy.special", "scipy.integrate", "scipy.optimize")))
 print(json.dumps({"digests": digests, "loaded": loaded}))
 """
+
+
+# a closed form runs no module of these three packages, only the two
+# compiled extensions that specfun loads alone
+_UFUNCS = "scipy.special._special_ufuncs"
+_QUADPACK = "scipy.integrate._quadpack"
 
 
 @pytest.mark.parametrize("experiment,outputs,loaded", [
     ("relay_compare", ["irs_model", "af_optimal", "df_optimal", "df_min_of_means"], []),
     ("relay_compare", [], []),
     ("op_vs_snr", ["montecarlo_model"], []),
-    ("op_vs_snr", ["analytical"], ["scipy.special"]),
-    ("ergodic_vs_snr", ["analytical"], ["scipy.special"]),
-    ("op_fading_sweep", ["analytical"], ["scipy.special"]),
+    ("op_vs_snr", ["analytical"], [_UFUNCS]),
+    ("ergodic_vs_snr", ["analytical"], [_QUADPACK, _UFUNCS]),
+    ("op_fading_sweep", ["analytical"], [_QUADPACK, _UFUNCS]),
 ], ids=["relay_series", "relay_cli", "op_montecarlo", "op_analytical", "ergodic_analytical",
         "fading_analytical"])
 def test_scipy_loads_only_for_the_closed_forms(experiment, outputs, loaded):
@@ -928,22 +934,33 @@ def test_scipy_loads_only_for_the_closed_forms(experiment, outputs, loaded):
     assert record["digests"] == pins
 
 
+_NAMES = ("loggamma", "gamma", "gammainc", "gammaincc", "hyp2f1", "psi", "kv")
+
+
 @pytest.mark.parametrize("code", [
-    # scipy imported first: the helper hands back that module, loaded
+    # scipy.special imported first: the package calls its ufuncs
     "import scipy.special\nfrom irislab import specfun as sf\n"
-    "assert sf.lazy_module('scipy.special') is sf.sp is scipy.special\n"
-    "assert type(sf.sp) is types.ModuleType",
-    # a second call for a lazy name returns it as it is, still not loaded
-    "from irislab import analysis as an, specfun as sf\n"
-    "assert sf.lazy_module('scipy.special') is sf.sp is an.sp is sys.modules['scipy.special']\n"
-    "assert type(sf.sp) is not types.ModuleType",
-    # a missing module fails at import time, not at first use
-    "from irislab import specfun as sf\ntry:\n    sf.lazy_module('scipy.no_such_module')\n"
-    "except ModuleNotFoundError:\n    pass\nelse:\n    raise AssertionError",
-], ids=["imported_first", "second_call", "missing"])
-def test_lazy_module(code):
+    "assert sf.special_ufuncs() is sys.modules[SU]\n"
+    "assert all(getattr(sf.special_ufuncs(), n) is getattr(scipy.special, n) for n in NAMES)",
+    # closed forms first, without the package; a later import of it hands out
+    # the very ufunc objects they called, and its functions give their values
+    "from irislab import analysis as an, geometry, specfun as sf\n"
+    "cfg = geometry.NetworkConfig(N=4, t1=2.0, t2=1.0)\n"
+    "values = (an.op_gamma_approx(cfg), an.high_snr_cdf(3.0, an.high_snr_stats(2.0, 1.0, 4)),\n"
+    "          an.product_nakagami_pdf(0.7, 2.0, 1.0), sf.meijer_g_3123(0.0, 2.5, 0.3).value)\n"
+    "called = {n: getattr(sf.special_ufuncs(), n) for n in NAMES}\n"
+    "assert [n for n in sys.modules if n.startswith('scipy.special')] == [SU]\n"
+    "import scipy.special\n"
+    "assert sys.modules[SU] is sf.special_ufuncs()\n"
+    "assert all(getattr(scipy.special, n) is called[n] for n in NAMES)\n"
+    "assert scipy.special.digamma is called['psi']\n"
+    "assert an.high_snr_cdf(3.0, an.high_snr_stats(2.0, 1.0, 4)) == values[1]\n"
+    "assert an.op_gamma_approx(cfg) == values[0]",
+], ids=["special_first", "ufuncs_first"])
+def test_scipy_special_shares_the_ufuncs(code):
     env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", "import sys, types\n" + code], env=env,
+    head = f"import sys\nSU = 'scipy.special._special_ufuncs'\nNAMES = {_NAMES!r}\n"
+    proc = subprocess.run([sys.executable, "-c", head + code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
 
@@ -953,17 +970,18 @@ def test_lazy_module(code):
     "import scipy.integrate\nfrom irislab import specfun as sf\n"
     "assert sf.quadpack(math.exp, 0.0, 1.0, 0.0, 1e-12, 50)[0] == scipy.integrate.quad("
     "math.exp, 0.0, 1.0, epsabs=0.0, epsrel=1e-12)[0]\n"
-    "assert sf._quadpack() is scipy.integrate._quadpack is sys.modules[QP]",
+    "assert sf._scipy_extension('integrate', '_quadpack') is scipy.integrate._quadpack\n"
+    "assert scipy.integrate._quadpack is sys.modules[QP]",
     # the entry point first, without the package or scipy.optimize; then the
     # package loads around the same extension and its quad works
     "from irislab import specfun as sf\n"
     "val = sf.quadpack(math.exp, 0.0, 1.0, 0.0, 1e-12, 50)[0]\n"
-    "assert [n for n in ('scipy.integrate', 'scipy.optimize')\n"
-    "        if type(sys.modules.get(n)) is types.ModuleType] == []\n"
+    "assert [n for n in sys.modules if n.startswith(('scipy.integrate', 'scipy.optimize'))]"
+    " == [QP]\n"
     "import scipy.integrate\n"
     "assert scipy.integrate.quad(math.exp, 0.0, 1.0, epsabs=0.0, epsrel=1e-12)[0] == val\n"
     "assert type(sys.modules['scipy.optimize']) is types.ModuleType\n"
-    "assert sf._quadpack() is scipy.integrate._quadpack is sys.modules[QP]\n"
+    "assert sf._scipy_extension('integrate', '_quadpack') is sys.modules[QP]\n"
     "assert scipy.integrate._quadpack_py._quadpack is sys.modules[QP]",
 ], ids=["integrate_first", "quadpack_first"])
 def test_quadpack_shares_the_extension_with_scipy_integrate(code):

@@ -1,5 +1,8 @@
 import math
+import re
+import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 from scipy.special import cython_special
 
-from irislab import specfun as sf
+from irislab import analysis as an, specfun as sf
 
 # frozen with a 30-digit mpmath run; the live mpmath cross-checks below keep
 # the oracle honest without trusting these literals alone
@@ -69,15 +72,17 @@ def test_hyp2f2_switches_method_for_large_negative_z():
     assert r.value > 0.0
 
 
-# op_gamma_approx and the 2F2 gamma path call scipy's scalar gammainc in
-# place of the ufunc: the same routine, so the same bits
+# op_gamma_approx and the 2F2 gamma path call the gammainc ufunc on scalars;
+# scipy's scalar cython_special.gammainc, which they once called, runs the same
+# routine, so the ufunc keeps their bits
 _ARGS_A = st.floats(1e-3, 2e3)
 _ARGS_X = st.one_of(st.floats(0.0, 1e5), st.floats(0.0, 2.0 ** -1022, exclude_max=True))
 
 
 @given(a=_ARGS_A, x=_ARGS_X)
 def test_scalar_gammainc_equals_the_ufunc_bit_for_bit(a, x):
-    assert cython_special.gammainc(a, x).hex() == float(special.gammainc(a, x)).hex()
+    gammainc = sf.special_ufuncs().gammainc
+    assert cython_special.gammainc(a, x).hex() == float(gammainc(a, x)).hex()
 
 
 @pytest.mark.parametrize("a,x", [
@@ -86,7 +91,8 @@ def test_scalar_gammainc_equals_the_ufunc_bit_for_bit(a, x):
     (170.0, 1e5), (170.0, math.inf),
 ])
 def test_scalar_gammainc_equals_the_ufunc_at_the_edges(a, x):
-    assert cython_special.gammainc(a, x).hex() == float(special.gammainc(a, x)).hex()
+    gammainc = sf.special_ufuncs().gammainc
+    assert cython_special.gammainc(a, x).hex() == float(gammainc(a, x)).hex()
 
 
 def test_scalar_gammainc_equals_the_ufunc_on_random_pairs():
@@ -97,14 +103,33 @@ def test_scalar_gammainc_equals_the_ufunc_on_random_pairs():
     x = np.concatenate([np.exp(rng.uniform(math.log(1e-300), math.log(1e5), n)),
                         a[n:] * np.exp(rng.uniform(-1.0, 1.0, n))])     # around x = a
     got = np.array([cython_special.gammainc(*ax) for ax in zip(a.tolist(), x.tolist())])
-    assert np.array_equal(got.view(np.uint64), special.gammainc(a, x).view(np.uint64))
+    gammainc = sf.special_ufuncs().gammainc
+    assert np.array_equal(got.view(np.uint64), gammainc(a, x).view(np.uint64))
 
 
-def test_hyp2f2_gamma_repr_equals_its_ufunc_form(monkeypatch):
+def test_hyp2f2_gamma_repr_equals_its_scalar_routine_form(monkeypatch):
     cases = [(3.0, 3.6, -120.0), (1.5, 2.0 + 2.0 / 3.0, -9.0), (0.5, 0.9, -1e4), (2.0, 170.0, -8.5)]
     got = [sf._hyp2f2_gamma_repr(*case).value for case in cases]
-    monkeypatch.setattr(cython_special, "gammainc", special.gammainc)
+    monkeypatch.setattr(sf, "special_ufuncs", lambda: cython_special)
     assert [v.hex() for v in got] == [sf._hyp2f2_gamma_repr(*c).value.hex() for c in cases]
+
+
+_UFUNCS = {"loggamma", "gamma", "gammainc", "gammaincc", "hyp2f1", "psi", "kv"}
+
+
+def test_each_ufunc_the_package_calls_is_scipy_specials_own():
+    # the same objects, so every value keeps the bits of the public functions
+    source = "".join(Path(m.__file__).read_text(encoding="utf-8") for m in (sf, an))
+    assert set(re.findall(r"special_ufuncs\(\)\.(\w+)", source)) == _UFUNCS
+    for name in _UFUNCS:
+        assert getattr(sf.special_ufuncs(), name) is getattr(special, name)
+    assert sf.special_ufuncs().psi is special.digamma
+    assert sf.special_ufuncs() is sys.modules["scipy.special._special_ufuncs"]
+
+
+def test_a_missing_extension_fails_by_name():
+    with pytest.raises(ModuleNotFoundError, match="scipy.special._no_such_extension"):
+        sf._scipy_extension("special", "_no_such_extension")
 
 
 def test_hyp2f2_error_bound_is_honest():
@@ -689,6 +714,6 @@ def test_meijer_flagged_contour_without_a_second_evaluation_raises(monkeypatch):
     def unresolved(*args, **kwargs):
         return math.nan, math.nan, SimpleNamespace(success=False, message="forced")
 
-    monkeypatch.setattr(sf.integrate, "quad_vec", unresolved)
+    monkeypatch.setattr(integrate, "quad_vec", unresolved)
     with pytest.raises(sf.ConvergenceError, match=r"contour integral unresolved \(forced\)"):
         sf.meijer_g_3123(*_FLAGGED)
