@@ -934,33 +934,30 @@ def test_scipy_loads_only_for_the_closed_forms(experiment, outputs, loaded):
     assert record["digests"] == pins
 
 
-_NAMES = ("loggamma", "gamma", "gammainc", "gammaincc", "hyp2f1", "psi", "kv")
+# closed forms first, without the package; a later import of it hands out the
+# very ufunc objects they called, and its functions give their values
+_SHARED_UFUNCS = """
+import sys
+from irislab import analysis as an, geometry, specfun as sf
+SU = "scipy.special._special_ufuncs"
+NAMES = ("loggamma", "gamma", "gammainc", "gammaincc", "hyp2f1", "psi", "kv")
+cfg = geometry.NetworkConfig(N=4, t1=2.0, t2=1.0)
+stats = an.high_snr_stats(2.0, 1.0, 4)
+values = (an.op_gamma_approx(cfg), an.high_snr_cdf(3.0, stats),
+          an.product_nakagami_pdf(0.7, 2.0, 1.0), sf.meijer_g_3123(0.0, 2.5, 0.3).value)
+called = {n: getattr(sf.special_ufuncs(), n) for n in NAMES}
+assert [n for n in sys.modules if n.startswith("scipy.special")] == [SU]
+import scipy.special
+assert sys.modules[SU] is sf.special_ufuncs()
+assert all(getattr(scipy.special, n) is called[n] for n in NAMES)
+assert scipy.special.digamma is called["psi"]
+assert (an.op_gamma_approx(cfg), an.high_snr_cdf(3.0, stats)) == values[:2]
+"""
 
 
-@pytest.mark.parametrize("code", [
-    # scipy.special imported first: the package calls its ufuncs
-    "import scipy.special\nfrom irislab import specfun as sf\n"
-    "assert sf.special_ufuncs() is sys.modules[SU]\n"
-    "assert all(getattr(sf.special_ufuncs(), n) is getattr(scipy.special, n) for n in NAMES)",
-    # closed forms first, without the package; a later import of it hands out
-    # the very ufunc objects they called, and its functions give their values
-    "from irislab import analysis as an, geometry, specfun as sf\n"
-    "cfg = geometry.NetworkConfig(N=4, t1=2.0, t2=1.0)\n"
-    "values = (an.op_gamma_approx(cfg), an.high_snr_cdf(3.0, an.high_snr_stats(2.0, 1.0, 4)),\n"
-    "          an.product_nakagami_pdf(0.7, 2.0, 1.0), sf.meijer_g_3123(0.0, 2.5, 0.3).value)\n"
-    "called = {n: getattr(sf.special_ufuncs(), n) for n in NAMES}\n"
-    "assert [n for n in sys.modules if n.startswith('scipy.special')] == [SU]\n"
-    "import scipy.special\n"
-    "assert sys.modules[SU] is sf.special_ufuncs()\n"
-    "assert all(getattr(scipy.special, n) is called[n] for n in NAMES)\n"
-    "assert scipy.special.digamma is called['psi']\n"
-    "assert an.high_snr_cdf(3.0, an.high_snr_stats(2.0, 1.0, 4)) == values[1]\n"
-    "assert an.op_gamma_approx(cfg) == values[0]",
-], ids=["special_first", "ufuncs_first"])
-def test_scipy_special_shares_the_ufuncs(code):
+def test_scipy_special_shares_the_ufuncs():
     env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1])}
-    head = f"import sys\nSU = 'scipy.special._special_ufuncs'\nNAMES = {_NAMES!r}\n"
-    proc = subprocess.run([sys.executable, "-c", head + code], env=env,
+    proc = subprocess.run([sys.executable, "-c", _SHARED_UFUNCS], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
 
