@@ -6,7 +6,9 @@ reduces to its correctly rounded sum, by error-free extraction finished by
 ``math.fsum`` (``_fsum``).  Results are therefore identical for any worker
 count: workers only decide who computes which block.  The draws do not
 depend on the transmit power or the relay power split, so the engines
-evaluate a whole power axis or split grid on one draw per block.
+evaluate a whole power axis or split grid on one draw per block.  A block's
+memory is bounded: model-level gains come in sub-blocks of ``_GAIN_BUDGET``
+values, link-level trials in stacks of ``_CHUNK``, with the same values.
 
 With ``n_workers > 1`` the blocks run on one process pool per process: the
 first call with more than one block forks it, later calls reuse it, and the
@@ -61,6 +63,7 @@ __all__ = [
 ]
 
 BLOCK = 4096
+_GAIN_BUDGET = 2 ** 16      # user-side gains drawn per model-level sub-block; bounds its memory
 
 _TAG_OP_MODEL = 11
 _TAG_RATE_MODEL = 12
@@ -194,14 +197,6 @@ def _run_blocks(fn, trials: int, n_workers: int):
 # Engines (vectorized per block, one draw for a whole power axis)
 # ---------------------------------------------------------------------------
 
-def _model_draws(gen, cfg: NetworkConfig, nb: int, rows: int):
-    """Fixed draw order: distances, BS-side powers, user-side powers."""
-    r = sample_user_distance(gen, cfg.R, cfg.r0, nb)
-    h = np.sqrt(sample_nakagami_power(gen, cfg.t1, (nb, cfg.N)))
-    g = np.sqrt(sample_nakagami_power(gen, cfg.t2, (nb, rows, cfg.N)))
-    return r, h, g
-
-
 def _power_parts(cfg, base, powers, denom, outage, log2, deg=0):
     """Per power, the block aggregate of log2(1 + base * p_b / denom)."""
     parts = []
@@ -217,13 +212,23 @@ def _power_parts(cfg, base, powers, denom, outage, log2, deg=0):
 def _model_block(plan, cfg, powers, squared, outage, blk):
     """One block's draws, evaluated at every transmit power in ``powers``.
 
-    The draws do not depend on the power, so ``base = gain * pl`` is formed
-    once; ``base * p_b / (Q sigma2)`` keeps the single-power evaluation order.
+    Fixed draw order: distances, BS-side powers, then user-side powers in
+    sub-blocks of one trial or more, which the stream fills in C order as one
+    whole draw.  The draws do not depend on the power, so ``base = gain * pl``
+    is formed once; ``base * p_b / (Q sigma2)`` keeps the single-power order.
     """
     bi, lo, hi = blk
+    nb, rows, N = hi - lo, cfg.Q if squared else 1, cfg.N
     gen = stream(plan.master_seed, _TAG_RATE_MODEL if squared else _TAG_OP_MODEL, bi)
-    r, h, g = _model_draws(gen, cfg, hi - lo, cfg.Q if squared else 1)
-    s = (g * h[:, np.newaxis, :]).sum(axis=2)          # nb x rows branch sums
+    r = sample_user_distance(gen, cfg.R, cfg.r0, nb)
+    h = sample_nakagami_power(gen, cfg.t1, (nb, 1, N))
+    np.sqrt(h, out=h)
+    s = np.empty((nb, rows))                            # nb x rows branch sums
+    sub = max(1, _GAIN_BUDGET // (rows * N))
+    for a in range(0, nb, sub):
+        g = sample_nakagami_power(gen, cfg.t2, (min(sub, nb - a), rows, N))
+        np.multiply(np.sqrt(g, out=g), h[a:a + sub], out=g)
+        g.sum(axis=2, out=s[a:a + sub])
     gain = (s ** 2).sum(axis=1) if squared else s[:, 0]
     base = gain * (cfg.ref_atten_lin * (cfg.d1 * r) ** (-cfg.alpha))
     return _power_parts(cfg, base, powers, cfg.Q * cfg.sigma2, outage, np.log2)

@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
@@ -436,6 +437,14 @@ def test_power_axis_equals_per_power_calls(n_workers):
         assert est == mc.simulate_op_axis(plan, cfg, [p_b], gain="squared")[0]
 
 
+def _whole_block_draws(gen, cfg, nb, rows):
+    """A model-level block's distances, BS-side and user-side amplitudes, each in one draw."""
+    r = geo.sample_user_distance(gen, cfg.R, cfg.r0, nb)
+    h = np.sqrt(geo.sample_nakagami_power(gen, cfg.t1, (nb, cfg.N)))
+    g = np.sqrt(geo.sample_nakagami_power(gen, cfg.t2, (nb, rows, cfg.N)))
+    return r, h, g
+
+
 def test_squared_gain_outage_matches_loop_reference():
     # reference: threshold the squared combining gain of the rate engine's draws
     plan = mc.TrialPlan(trials=_ODD_TRIALS, master_seed=8)
@@ -445,7 +454,7 @@ def test_squared_gain_outage_matches_loop_reference():
         count = 0.0
         for bi, lo, hi in mc._block_ranges(plan.trials):
             gen = geo.stream(plan.master_seed, mc._TAG_RATE_MODEL, bi)
-            r, h, g = mc._model_draws(gen, cfg, hi - lo, cfg.Q)
+            r, h, g = _whole_block_draws(gen, cfg, hi - lo, cfg.Q)
             s = (g * h[:, np.newaxis, :]).sum(axis=2)
             gain = (s ** 2).sum(axis=1)
             pl = cfg.ref_atten_lin * (cfg.d1 * r) ** (-cfg.alpha)
@@ -458,6 +467,71 @@ def test_squared_gain_outage_matches_loop_reference():
         mc.simulate_op_axis(plan, cfg, _POWERS, gain="cubed")
     with pytest.raises(ValueError):        # a model-level event only
         mc.simulate_op_axis(plan, cfg, _POWERS, gain="squared", fidelity="link_level")
+
+
+def _whole_block_parts(plan, cfg, powers, squared, outage, blk):
+    """``mc._model_block``'s aggregates, from whole-block draws, as ``float.hex``."""
+    bi, lo, hi = blk
+    gen = geo.stream(plan.master_seed, mc._TAG_RATE_MODEL if squared else mc._TAG_OP_MODEL, bi)
+    r, h, g = _whole_block_draws(gen, cfg, hi - lo, cfg.Q if squared else 1)
+    s = (g * h[:, np.newaxis, :]).sum(axis=2)
+    gain = (s ** 2).sum(axis=1) if squared else s[:, 0]
+    base = gain * (cfg.ref_atten_lin * (cfg.d1 * r) ** (-cfg.alpha))
+    parts = []
+    for p_b in powers:
+        vals = np.log2(1.0 + base * p_b / (cfg.Q * cfg.sigma2))
+        if outage:
+            parts.append((float((vals < cfg.R_m).sum()).hex(), 0.0.hex()))
+        else:
+            parts.append((math.fsum(vals.tolist()).hex(), math.fsum((vals * vals).tolist()).hex()))
+    return parts
+
+
+# (value budget, M, K, N): with a budget of 60, the squared gain's rows * N
+# is 12, 60 and 75 (below, at and above it: sub-blocks of 5, 1 and 1 trials)
+# and the amplitude's 4, 20 and 25 (15, 3 and 2 trials); op_fading_sweep's
+# shape under the module's own budget takes 655 and 6553 (one pass)
+@pytest.mark.parametrize("budget, M, K, N", [
+    (60, 1, 3, 4), (60, 1, 3, 20), (60, 1, 3, 25), (mc._GAIN_BUDGET, 1, 10, 10)])
+@pytest.mark.parametrize("blk", [(0, 0, mc.BLOCK), (0, 0, 1),
+                                 mc._block_ranges(_ODD_TRIALS)[-1]])
+@pytest.mark.parametrize("squared, outage", [(False, True), (True, True), (True, False)])
+def test_sub_blocked_model_block_equals_whole_block_draws(monkeypatch, budget, M, K, N,
+                                                          blk, squared, outage):
+    monkeypatch.setattr(mc, "_GAIN_BUDGET", budget)
+    draws = []
+
+    def counting(gen, t, size):
+        draws.append(size)
+        return geo.sample_nakagami_power(gen, t, size)
+    monkeypatch.setattr(mc, "sample_nakagami_power", counting)
+    plan = mc.TrialPlan(trials=_ODD_TRIALS, master_seed=29)
+    cfg = _cfg(M=M, K=K, N=N, t1=2.5, t2=1.5)
+    got = mc._model_block(plan, cfg, _POWERS, squared, outage, blk)
+    assert [(a.hex(), b.hex()) for a, b, _ in got] == _whole_block_parts(
+        plan, cfg, _POWERS, squared, outage, blk)
+    assert all(deg == 0 for *_, deg in got)
+    nb, rows = blk[2] - blk[1], cfg.Q if squared else 1
+    sub = max(1, budget // (rows * N))
+    assert len(draws) == 1 + -(-nb // sub)      # BS side, then each sub-block
+    assert sum(math.prod(d) for d in draws[1:]) == nb * rows * N
+
+
+@pytest.mark.parametrize("N, limit_mib", [(10, 2.0), (128, 8.0)])
+def test_model_block_peak_memory_is_bounded(N, limit_mib):
+    # op_fading_sweep's shape (M=1, K=10, N=10), one full block, squared gain.
+    # Measured tracemalloc peaks: 1.66 MiB at N=10 and 5.3 MiB at N=128, where
+    # whole-block draws held 6.9 and 84 MiB
+    plan = mc.TrialPlan(trials=mc.BLOCK, master_seed=3)
+    cfg = _cfg(M=1, K=10, N=N)
+    powers = [10.0 ** (dbm / 10.0) / 1000.0 for dbm in range(-20, 15, 5)]
+    tracemalloc.start()
+    try:
+        mc._model_block(plan, cfg, powers, True, True, (0, 0, mc.BLOCK))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib * 2 ** 20
 
 
 def test_power_axis_draws_once_per_block(monkeypatch):
