@@ -14,7 +14,7 @@ def _floor(spec: str) -> tuple:
 
 
 def test_python_floor_admits_the_installed_scipy():
-    # the floor must not lie below the Python that the scipy the package runs
-    # on (its private extensions are checked on this version) declares
+    # pip cannot install the package on a Python that its scipy rejects; the
+    # private scipy extensions are checked on the installed scipy only
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert _floor(project["requires-python"]) >= _floor(metadata("scipy")["Requires-Python"])
