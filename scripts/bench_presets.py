@@ -23,7 +23,8 @@ median of the parent/change ratios and the number of pairs this checkout
 won, for ``wall_s`` and for ``process_s``.  The file also names each side's
 git commit, the host, the Python, numpy and scipy versions, and the SIMD
 target of numpy's float64 ``log2`` and ``power``, on which the digests of
-the rate rows rest.
+the rate rows rest, as the first run's JSON names it.  The script imports
+no package of the checkout.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ from importlib import metadata
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
-from irislab.cli import numpy_dispatch  # noqa: E402
 _LINE = re.compile(r"^wrote (?P<csv>.+\.csv) and \.json: (?P<rows>\d+) rows in \S+s, "
                    r"(?P<failures>\d+) per-point failures, sha256 (?P<sha>[0-9a-f]{64})$")
 
@@ -61,11 +60,13 @@ def _commit(root: Path) -> dict:
         return {"commit": None, "src_modified": None}
 
 
-def _host() -> dict:
+def _host(numpy_dispatch: dict) -> dict:
+    """The host, with the SIMD targets that a run's JSON names: the recorder
+    imports no package, so its own process stays small."""
     return {"platform": platform.platform(), "machine": platform.machine(),
             "cpus": os.cpu_count(), "python": platform.python_version(),
             "numpy": metadata.version("numpy"), "scipy": metadata.version("scipy"),
-            "numpy_dispatch": numpy_dispatch()}
+            "numpy_dispatch": numpy_dispatch}
 
 
 def run_once(root: Path, preset: str, workers: int, smoke: bool) -> dict:
@@ -96,7 +97,8 @@ def run_once(root: Path, preset: str, workers: int, smoke: bool) -> dict:
         meta = json.loads(csv.with_suffix(".json").read_text(encoding="utf-8"))["metadata"]
     return {"wall_s": meta["wall_time_s"], "process_s": round(process_s, 3),
             "peak_rss_mb": round(usage.ru_maxrss / 1024.0, 2), "series_wall_s": meta.get("series_wall_s", {}), "trials": meta["trials"],
-            "rows": int(match["rows"]), "failures": int(match["failures"]), "sha256": sha}
+            "rows": int(match["rows"]), "failures": int(match["failures"]), "sha256": sha,
+            "numpy_dispatch": meta["numpy_dispatch"]}
 
 
 def _quartiles(xs) -> dict:
@@ -147,8 +149,10 @@ def bench(presets, worker_counts, n_runs: int, smoke: bool, parent: Path | None)
                     "same_csv": entry["sides"]["parent"]["sha256"]
                     == entry["sides"]["change"]["sha256"]}
             results.append(entry)
+    first = results[0]["sides"]["change"]["runs"][0]
     return {"scale": "smoke" if smoke else "shipped", "runs_per_side": n_runs,
-            "host": _host(), "checkouts": {side: _commit(root) for side, root in sides.items()},
+            "host": _host(first["numpy_dispatch"]),
+            "checkouts": {side: _commit(root) for side, root in sides.items()},
             "results": results}
 
 

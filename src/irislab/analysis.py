@@ -6,10 +6,10 @@ exact outage of the same model by Laplace inversion), diversity order, the
 Gamma approximation of the post-combining gain, ergodic rate by nested
 quadrature and by Meijer-G closed form, high-SNR slope, and the SE / power /
 EE bookkeeping.  Every quadrature runs on ``specfun.quadpack``, QUADPACK
-without the ``scipy.integrate`` package, and every scipy function comes from
-``specfun.special_ufuncs``, without the ``scipy.special`` package; where
-QUADPACK flags its own estimate the routine raises ``ConvergenceError``
-naming itself and the config.
+without the ``scipy.integrate`` package, over an interval a < b, and every
+scipy function comes from ``specfun.special_ufuncs``, without the
+``scipy.special`` package; where QUADPACK flags its own estimate the routine
+raises ``ConvergenceError`` naming itself and the config.
 
 Two conventions differ from the way the source formulas are usually printed,
 both forced by the oracles:
@@ -26,12 +26,14 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .geometry import NetworkConfig, as_float
-from .specfun import ConvergenceError, hyp2f2, meijer_g_3123, quadpack, special_ufuncs
+from .specfun import (ConvergenceError, hyp2f2, ln_hyp2f2_offset, meijer_g_3123, quadpack,
+                      special_ufuncs)
 
 __all__ = [
     "HighSnrChannelStats",
@@ -341,12 +343,19 @@ def op_closed_form(cfg: NetworkConfig) -> float:
     ln_tau1 = _ln_phi(stats, cfg) + a * math.log(b) - math.log(a * aa2)
 
     def branch(radius: float):
-        f = hyp2f2(a, a + d, a + 1.0, a + d + 1.0, -b * radius ** alpha)
-        return ln_tau1 + aa2 * math.log(radius) + math.log(f.value)
+        z = -b * radius ** alpha
+        f = hyp2f2(a, a + d, a + 1.0, a + d + 1.0, z).value
+        # the 2F2 can underflow where its product with radius**aa2 does not
+        ln_f = math.log(f) if f >= sys.float_info.min else ln_hyp2f2_offset(a, a + d, z)
+        return ln_tau1 + aa2 * math.log(radius) + ln_f
 
     ln_hi = branch(cfg.R)
     ln_lo = branch(cfg.r0)
-    return math.exp(ln_hi) * (-math.expm1(ln_lo - ln_hi))
+    try:
+        return math.exp(ln_hi) * (-math.expm1(ln_lo - ln_hi))
+    except OverflowError:
+        raise ValueError(f"closed-form outage exp({ln_hi!r}) overflows a float: the tail "
+                         "model leaves [0, 1]") from None
 
 
 def op_quadrature(cfg: NetworkConfig) -> float:

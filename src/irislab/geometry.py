@@ -22,7 +22,6 @@ __all__ = [
     "ChannelRealization",
     "stream",
     "philox_keys",
-    "resume_stream",
     "sample_user_distance",
     "path_loss",
     "sample_nakagami_power",
@@ -175,13 +174,6 @@ def philox_keys(master_seed: int, key_prefix, counters) -> np.ndarray:
         w = w * const
         state[i] = (w ^ w >> 16).astype(np.uint64)
     return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
-
-
-def resume_stream(key, cfg: NetworkConfig) -> np.random.Generator:
-    """The stream that Philox ``key`` opens, where a key stack's draw left it."""
-    gen = np.random.Generator(np.random.Philox(key=key))
-    draw_channel(gen, cfg)
-    return gen
 
 
 def sample_user_distance(rng: np.random.Generator, R: float, r0: float,

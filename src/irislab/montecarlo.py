@@ -45,8 +45,8 @@ from multiprocessing.util import Finalize
 import numpy as np
 
 from .beamforming import RankDeficiencyError, link_gain, solve_beamforming
-from .geometry import (NetworkConfig, draw_channel, philox_keys, resume_stream,
-                       sample_nakagami_power, sample_user_distance, stream)
+from .geometry import (NetworkConfig, draw_channel, philox_keys, sample_nakagami_power,
+                       sample_user_distance, stream)
 
 __all__ = [
     "BLOCK",
@@ -241,12 +241,12 @@ def _model_block(plan, cfg, powers, squared, outage, blk):
 _CHUNK = 512          # trials stacked per linear-algebra pass; bounds peak memory
 
 
-def _link_chunk(plan, cfg, user, lo, hi):
-    """``link_gain`` of trials lo..hi-1 and the number of rank-deficient draws.
+def _link_chunk(plan, cfg, lo, hi):
+    """User 0's ``link_gain`` of trials lo..hi-1 and the number of rank-deficient draws.
 
     Every trial draws from its own stream, keyed by (seed, link tag, trial);
-    a rank-deficient trial draws again from that stream, resumed past its
-    earlier draws, so its value does not depend on the chunking.
+    a rank-deficient trial opens that stream, replays the key stack's draw
+    and draws again, so its value does not depend on the chunking.
     """
     keys = philox_keys(plan.master_seed, (_TAG_LINK,), range(lo, hi))
     real = draw_channel(keys, cfg)
@@ -254,7 +254,7 @@ def _link_chunk(plan, cfg, user, lo, hi):
     resumed = {}
     while True:
         try:
-            sol = solve_beamforming(real, cfg, users=(user,))
+            sol = solve_beamforming(real, cfg, users=(0,))
         except RankDeficiencyError as e:
             if not e.trials:
                 raise
@@ -263,11 +263,12 @@ def _link_chunk(plan, cfg, user, lo, hi):
                 if failed[i] > 64:
                     raise
                 if i not in resumed:
-                    resumed[i] = resume_stream(keys[i], cfg)
+                    resumed[i] = stream(plan.master_seed, _TAG_LINK, lo + i)
+                    draw_channel(resumed[i], cfg)
                 again = draw_channel(resumed[i], cfg)
                 real.H[i], real.G[i], real.d2[i] = again.H, again.G, again.d2
             continue
-        return link_gain(real, sol, cfg, user), sum(failed)
+        return link_gain(real, sol, cfg, 0), sum(failed)
 
 
 def _log2_each(x):
@@ -275,21 +276,21 @@ def _log2_each(x):
     return np.array([math.log2(v) for v in x.tolist()])
 
 
-def _link_block(plan, cfg, user, powers, outage, blk):
+def _link_block(plan, cfg, powers, outage, blk):
     bi, lo, hi = blk
-    chunks = [_link_chunk(plan, cfg, user, c, min(c + _CHUNK, hi))
+    chunks = [_link_chunk(plan, cfg, c, min(c + _CHUNK, hi))
               for c in range(lo, hi, _CHUNK)]
     base = np.concatenate([c[0] for c in chunks])
     deg = sum(c[1] for c in chunks)
     return _power_parts(cfg, base, powers, cfg.sigma2, outage, _log2_each, deg)
 
 
-def _axis(plan, cfg, powers, squared, outage, n_workers, user, fidelity):
+def _axis(plan, cfg, powers, squared, outage, n_workers, fidelity):
     powers = [float(p) for p in powers]
     if fidelity == "link_level":
         if not cfg.solvable:
             raise ValueError(f"link level needs N >= M*K, got N={cfg.N} M*K={cfg.M * cfg.K}")
-        fn = partial(_link_block, plan, cfg, user, powers, outage)
+        fn = partial(_link_block, plan, cfg, powers, outage)
     elif fidelity == "model_level":
         fn = partial(_model_block, plan, cfg, powers, squared, outage)
     else:
@@ -300,42 +301,39 @@ def _axis(plan, cfg, powers, squared, outage, n_workers, user, fidelity):
 
 
 def simulate_op_axis(plan: TrialPlan, cfg: NetworkConfig, powers, n_workers: int = 1,
-                     gain: str = "amplitude", user: int = 0,
-                     fidelity: str = "model_level") -> list:
+                     gain: str = "amplitude", fidelity: str = "model_level") -> list:
     """Outage at each transmit power, one ``Estimate`` per power.
 
     ``cfg.p_b`` is ignored; every power is evaluated on the same draws.  At
     ``fidelity='model_level'``, ``gain='amplitude'`` thresholds the
     co-phased sum (the tail-model event) and ``'squared'`` the squared
     combining gain on the rate engine's draws (the event the Gamma model
-    describes).  At ``'link_level'`` the detected SNR of ``user`` is
+    describes).  At ``'link_level'`` the detected SNR of user 0 is
     thresholded.
     """
     if gain not in ("amplitude", "squared"):
         raise ValueError(f"unknown gain convention {gain!r}")
     if gain == "squared" and fidelity == "link_level":
         raise ValueError("the squared gain convention is a model-level event")
-    return _axis(plan, cfg, powers, gain == "squared", True, n_workers, user, fidelity)
+    return _axis(plan, cfg, powers, gain == "squared", True, n_workers, fidelity)
 
 
 def simulate_ergodic_rate_axis(plan: TrialPlan, cfg: NetworkConfig, powers,
-                               n_workers: int = 1, user: int = 0,
-                               fidelity: str = "model_level") -> list:
+                               n_workers: int = 1, fidelity: str = "model_level") -> list:
     """Ergodic rate at each transmit power, on one set of draws."""
-    return _axis(plan, cfg, powers, True, False, n_workers, user, fidelity)
+    return _axis(plan, cfg, powers, True, False, n_workers, fidelity)
 
 
 def simulate_op(plan: TrialPlan, cfg: NetworkConfig, n_workers: int = 1,
-                user: int = 0, fidelity: str = "model_level") -> Estimate:
+                fidelity: str = "model_level") -> Estimate:
     """Outage probability estimate at ``fidelity`` (model_level | link_level)."""
-    return simulate_op_axis(plan, cfg, [cfg.p_b], n_workers, user=user, fidelity=fidelity)[0]
+    return simulate_op_axis(plan, cfg, [cfg.p_b], n_workers, fidelity=fidelity)[0]
 
 
 def simulate_ergodic_rate(plan: TrialPlan, cfg: NetworkConfig, n_workers: int = 1,
-                          user: int = 0, fidelity: str = "model_level") -> Estimate:
+                          fidelity: str = "model_level") -> Estimate:
     """Ergodic rate estimate: mean of log2(1 + SNR) with its standard error."""
-    return simulate_ergodic_rate_axis(plan, cfg, [cfg.p_b], n_workers, user=user,
-                                      fidelity=fidelity)[0]
+    return simulate_ergodic_rate_axis(plan, cfg, [cfg.p_b], n_workers, fidelity=fidelity)[0]
 
 
 # ---------------------------------------------------------------------------

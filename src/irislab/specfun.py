@@ -11,9 +11,7 @@ scipy loads only when a closed form first needs it, and then only two of
 its compiled extensions, each by ``_scipy_extension`` without its package:
 every QUADPACK integral of the package, here and in ``analysis``, goes
 through ``quadpack``, and every special function scipy provides comes from
-``special_ufuncs``.  The ``scipy.integrate`` package, and the
-``scipy.optimize`` it imports, load only on the contour's rare flagged path;
-the ``scipy.special`` package never does.
+``special_ufuncs``.  No scipy package loads on any path.
 """
 
 from __future__ import annotations
@@ -74,17 +72,14 @@ def quadpack(f, a, b, epsabs, epsrel, limit, points=None):
     """(value, error estimate, ier) of QUADPACK's integral of f over [a, b].
 
     The compiled QAGS routine, or QAGP with break ``points``, called with
-    the arguments ``scipy.integrate.quad`` passes for finite limits and no
-    weight, so every value is the one ``quad`` returns, reversed limits and
-    an empty interval included.  ``ier`` is QUADPACK's flag, 0 when it
-    trusts its estimate; where ``quad`` turns a flag into an
-    ``IntegrationWarning``, callers here act on it.
+    the arguments ``scipy.integrate.quad`` passes for finite limits
+    ``a < b`` and no weight, so every value is the one ``quad`` returns.
+    ``ier`` is QUADPACK's flag, 0 when it trusts its estimate; where
+    ``quad`` turns a flag into an ``IntegrationWarning``, callers here act
+    on it.
     """
-    if a == b:
-        return 0.0, 0.0, 0
-    if b < a:
-        val, err, ier = quadpack(f, b, a, epsabs, epsrel, limit, points)
-        return -val, err, ier
+    if not a < b:
+        raise ValueError(f"quadpack needs a < b, got a={a!r}, b={b!r}")
     ext = _scipy_extension("integrate", "_quadpack")
     if points is None:
         return ext._qagse(f, a, b, (), 0, epsabs, epsrel, limit)
@@ -99,6 +94,7 @@ __all__ = [
     "ParameterPatternError",
     "EvalResult",
     "hyp2f2",
+    "ln_hyp2f2_offset",
     "meijer_g_3123",
     "quadpack",
     "special_ufuncs",
@@ -197,6 +193,25 @@ def _gamma_product_pattern(a1, a2, b1, b2):
     return (min(p, q), max(p, q))
 
 
+def _ln_lower_gamma_over_power(s: float, y: float) -> float:
+    """ln(gamma(s, y) / y**s), gamma the lower incomplete gamma, for s, y > 0.
+
+    From the regularized ``gammainc`` while it is a normal float.  It
+    underflows only for y far below s, where Kummer's series
+    gamma(s, y) / y**s = exp(-y) sum_k y**k / (s (s+1) ... (s+k)) has term
+    ratios y / (s + k) < 1 and converges at once.
+    """
+    P = special_ufuncs().gammainc(s, y)
+    if P >= sys.float_info.min:
+        return math.lgamma(s) + math.log(P) - s * math.log(y)
+    term = total = 1.0 / s
+    for k in itertools.count(1):
+        term *= y / (s + k)
+        total += term
+        if term <= 1e-17 * total:
+            return math.log(total) - y
+
+
 def _hyp2f2_gamma_repr(p: float, q: float, z: float) -> EvalResult:
     """2F2(p, q; p+1, q+1; z) for z < 0 via incomplete-gamma reduction.
 
@@ -204,14 +219,18 @@ def _hyp2f2_gamma_repr(p: float, q: float, z: float) -> EvalResult:
     and each sub-series is gamma(s, y)/y**s with y = -z.  Exact, stable for
     any y, and immune to the alternating-series cancellation.
     """
-    gammainc = special_ufuncs().gammainc
-    y = -z
-    lp = math.lgamma(p) + math.log(gammainc(p, y)) - p * math.log(y)
-    lq = math.lgamma(q) + math.log(gammainc(q, y)) - q * math.log(y)
+    lp, lq = (_ln_lower_gamma_over_power(s, -z) for s in (p, q))
     # gamma(s,y)/y^s is strictly decreasing in s, so lq < lp and the log1p
     # form keeps full precision even when the two terms nearly cancel.
     value = (p * q / (q - p)) * math.exp(lp) * (-math.expm1(lq - lp))
     return EvalResult(value, abs(value) * 1e-12, 0, method="gamma_repr")
+
+
+def ln_hyp2f2_offset(p: float, q: float, z: float) -> float:
+    """ln 2F2(p, q; p+1, q+1; z) for 0 < p < q and z < 0, where the value
+    itself may underflow: ``_hyp2f2_gamma_repr`` in the log domain."""
+    lp, lq = (_ln_lower_gamma_over_power(s, -z) for s in (p, q))
+    return math.log(p * q / (q - p)) + lp + math.log(-math.expm1(lq - lp))
 
 
 def hyp2f2(a1: float, a2: float, b1: float, b2: float, z: float) -> EvalResult:
@@ -349,15 +368,14 @@ def _meijer_contour(a1, b3, z):
     if ier:
         # QUADPACK doubts its estimate (near the top of the double range its
         # error arithmetic saturates).  The value stands only under a bound
-        # that also covers scipy's other adaptive integrator, run on the
-        # integrand scaled to 1 at t = 0, to a tolerance far inside the 1e-5
+        # that also covers a second run on the integrand scaled to 1 at
+        # t = 0, where nothing saturates, to a tolerance far inside the 1e-5
         # the rate asks of its terms.
-        import scipy.integrate   # the package and scipy.optimize, on this path alone
-        ref, ref_err, info = scipy.integrate.quad_vec(
-            lambda t: f(t) / scale, 0.0, 48.0, epsabs=1e-12, epsrel=1e-10, full_output=True)
-        if not info.success:
+        ref, ref_err, ier = quadpack(lambda t: f(t) / scale, 0.0, 48.0, 1e-12, 1e-10, 4000)
+        if ier:
             raise ConvergenceError(
-                f"contour integral unresolved ({info.message}): bs={bs}, a1={a1}, a2={a2}, z={z}"
+                f"contour integral unresolved (QUADPACK flag {ier} at unit scale): "
+                f"bs={bs}, a1={a1}, a2={a2}, z={z}"
             )
         err = max(abs(err), abs(val - scale * ref) + scale * ref_err)
     return val / math.pi, abs(err) / math.pi

@@ -1,12 +1,13 @@
 import itertools
 import math
+import re
 import warnings
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
@@ -156,6 +157,24 @@ def test_op_closed_form_equals_quadrature():
         q = an.op_quadrature(cfg)
         if q > 1e-300:
             assert cf == pytest.approx(q, rel=1e-8)
+
+
+@pytest.mark.parametrize("kw,want", [
+    # the 2F2 at R underflows (z = -3.8e6); op_quadrature gives the value
+    (dict(N=13, t1=3.8, t2=4.5, alpha=5.9, p_b=1e-3), 4.890969768746191e-4),
+    # gammainc(2160, 614) underflows; the outage, 1.9e-1013, does too
+    (dict(N=450, t1=4.7, t2=2.4, alpha=5.7, p_b=2.0), 0.0),
+])
+def test_op_closed_form_where_its_2f2_underflows(kw, want):
+    # each once raised a bare "math domain error"
+    assert an.op_closed_form(_cfg(**kw)) == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+def test_op_closed_form_names_an_outage_past_the_float_range():
+    # the tail model gives 4.0e314 here; once a bare OverflowError
+    cfg = _cfg(N=240, t1=1.15, t2=1.17, alpha=5.3, p_b=0.2)
+    with pytest.raises(ValueError, match=r"^closed-form outage exp\(724\.38\d*\) overflows"):
+        an.op_closed_form(cfg)
 
 
 def test_op_asymptotic_leading_term():
@@ -489,11 +508,15 @@ def test_quadpack_returns_the_bits_of_scipy_quad(site):
 def test_quadpack_takes_quads_limits_and_break_points(a, b, points, limit):
     # break points sorted, without repeats (a repeat would take one of the
     # `limit` subintervals, which shows at 10) and only those strictly inside;
-    # reversed limits change the sign, an empty interval gives zero
+    # reversed limits and an empty interval are refused
     def f(x):
         return math.sqrt(abs(x - 0.3)) + math.floor(4.0 * x)
     kw = dict(epsabs=1e-12, epsrel=1e-10, limit=limit, points=points)
-    _assert_quads_bits((f, a, b), kw, sf.quadpack(f, a, b, **kw))
+    if b <= a:
+        with pytest.raises(ValueError, match=f"quadpack needs a < b, got a={a}, b={b}"):
+            sf.quadpack(f, a, b, **kw)
+    else:
+        _assert_quads_bits((f, a, b), kw, sf.quadpack(f, a, b, **kw))
 
 
 @pytest.mark.parametrize("kw,flag", [
@@ -698,6 +721,51 @@ def test_ergodic_rate_meijer_matches_quadrature():
         assert rm == pytest.approx(rq, rel=1e-5)
 
 
+def _mp_rate(cfg):
+    """The Gamma-model ergodic rate at 25 digits: the integral of S(x) / (1 + x)
+    over u = ln x, by ``mp.quad``, with S the radial average of the Gamma tail
+    in closed form, [y^d Q(a, y) + Gamma(a + d) / Gamma(a) P(a + d, y)] / d
+    between c x r0^alpha and c x R^alpha (d = 2 / alpha).  Below x_lo, S is
+    1 to O(x_lo); above x_hi the tail is below 1e-100."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(25):
+        ap = an.gamma_approx(cfg)
+        a, c = mp.mpf(ap.shape), mp.mpf(an.rate_snr_scale(ap, cfg))
+        R, r0, alpha = mp.mpf(cfg.R), mp.mpf(cfg.r0), mp.mpf(cfg.alpha)
+        d = 2 / alpha
+        ratio = mp.gamma(a + d) / mp.gamma(a)
+
+        def F(y):
+            return (y ** d * mp.gammainc(a, y, mp.inf, regularized=True)
+                    + ratio * mp.gammainc(a + d, 0, y, regularized=True))
+
+        def f(u):
+            x = mp.exp(u)
+            s = (F(c * x * R ** alpha) - F(c * x * r0 ** alpha)) / ((R ** 2 - r0 ** 2)
+                                                                    * (c * x) ** d)
+            return s * x / (1 + x)
+
+        x_lo = mp.mpf("1e-20") * min(1, a / (c * R ** alpha))
+        x_hi = 10 * (a + 40 * mp.sqrt(a) + 60) / (c * r0 ** alpha)
+        knots = [x_lo, a / (c * R ** alpha), a / (c * r0 ** alpha), x_hi]
+        return float((mp.quad(f, [mp.log(k) for k in knots]) + mp.log1p(x_lo)) / mp.log(2))
+
+
+@pytest.mark.parametrize("n,t1,p_b,oracle_gap", [
+    (64, 3.0, 1e-12, 6.5e-8), (64, 3.0, 1e-16, 7.5e-7), (64, 3.0, 1e-20, 7.5e-7),
+    (128, 2.0, 1e-20, 9e-6),
+])
+def test_ergodic_rate_meijer_at_low_snr_against_mpmath(n, t1, p_b, oracle_gap):
+    # the Meijer rate is within 2.2e-10 of the 25-digit reference down to
+    # 1e-20 W; the quadrature oracle, with its fixed epsabs, is the route
+    # that carries the gap (8.8e-6 at N = 128, inside AC-4's 1e-5)
+    cfg = _cfg(N=n, t1=t1, p_b=p_b)
+    ref = _mp_rate(cfg)
+    ap = an.gamma_approx(cfg)
+    assert an.ergodic_rate_meijer(ap, cfg) == pytest.approx(ref, rel=1e-9)
+    assert an.ergodic_rate_quadrature(ap, cfg) == pytest.approx(ref, rel=oracle_gap)
+
+
 def _cold_rate(cfg):
     sf._contour_line.cache_clear()
     return an.ergodic_rate_meijer(an.gamma_approx(cfg), cfg)
@@ -765,6 +833,50 @@ def test_high_snr_slope_is_one():
     slope = an.high_snr_slope(
         lambda c: an.ergodic_rate_quadrature(an.gamma_approx(c), c), cfg)
     assert slope == pytest.approx(1.0, abs=0.02)
+
+
+# ---------------------------------------------------------------------------
+# Every analytic route over the supported family
+# ---------------------------------------------------------------------------
+
+# route -> (function of a config, "outage" or "rate", the ValueErrors it may raise)
+_ROUTES = {
+    "op_exact": (an.op_exact, "outage", None),
+    "op_gamma_approx": (an.op_gamma_approx, "outage", None),
+    "ergodic_rate_meijer": (lambda c: an.ergodic_rate_meijer(an.gamma_approx(c), c), "rate",
+                            r"^shape .* overflows the linear-domain assembly$"),
+    # the analytical series of op_vs_snr: the closed form and its [0, 1] check
+    "op_closed_form": (lambda c: harness._outage(None, c), "outage",
+                       r"^(m_tilde requires t1 != t2|closed-form outage .*(outside \[0, 1\]"
+                       r"|overflows a float: the tail model leaves \[0, 1\]))"),
+}
+_DBM = st.floats(-40.0, 40.0)
+
+
+@settings(max_examples=40)
+@given(n=st.integers(1, 1024), t1=st.floats(0.5, 5.0), t2=st.floats(0.5, 5.0),
+       alpha=st.floats(2.0, 6.0, exclude_min=True),
+       dbm=st.lists(_DBM, min_size=3, max_size=3).map(sorted).filter(
+           lambda p: p[1] - p[0] >= 1.0 and p[2] - p[1] >= 1.0))
+def test_analytic_routes_return_in_range_or_name_their_failure(n, t1, t2, alpha, dbm):
+    # a value in range, a ConvergenceError, or a ValueError with its cause;
+    # along the power axis no outage rises and no rate falls
+    for name, (route, kind, value_errors) in _ROUTES.items():
+        values = []
+        for pb_dbm in dbm:
+            cfg = geo.NetworkConfig(N=n, t1=t1, t2=t2, alpha=alpha,
+                                    p_b=1e-3 * 10.0 ** (pb_dbm / 10.0))
+            try:
+                v = route(cfg)
+            except sf.ConvergenceError:
+                continue
+            except ValueError as e:
+                assert value_errors and re.search(value_errors, str(e)), (name, e)
+                continue
+            assert (0.0 <= v <= 1.0) if kind == "outage" else (math.isfinite(v) and v >= 0.0)
+            values.append(v)
+        rising = values if kind == "rate" else values[::-1]
+        assert all(a <= b for a, b in zip(rising, rising[1:])), (name, dbm, values)
 
 
 # ---------------------------------------------------------------------------

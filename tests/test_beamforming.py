@@ -283,3 +283,22 @@ def test_single_user_link_gain_is_the_square_of_sum_a2_over_max_a(N):
     assert gain.shape == (4096,)
     assert np.all(sol.beta_max >= 1.0)
     assert np.max(np.abs(gain / (T ** 2 * pl) - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("M,K,N", [(2, 3, 8), (2, 2, 4), (3, 3, 9), (3, 4, 12)])
+def test_users_are_exchangeable(M, K, N):
+    # swapping users 0 and m swaps the columns of H, the user axis of G and the
+    # entries of d2: the stacked system and the target only change row order,
+    # and user 0's null space is spanned by the same columns, so user 0 after
+    # the swap has user m's gain before it, to rounding (6.8e-13 at most on these draws)
+    cfg = geo.NetworkConfig(M=M, K=K, N=N)
+    real = geo.draw_channel(geo.philox_keys(808, (M, K, N), range(4096)), cfg)
+    before = bf.solve_beamforming(real, cfg)
+    for m in range(1, M):
+        order = [m if i == 0 else 0 if i == m else i for i in range(M)]
+        swapped = geo.ChannelRealization(H=real.H[..., order], G=real.G[:, order],
+                                         d2=real.d2[:, order])
+        after = bf.solve_beamforming(swapped, cfg, users=(0,))
+        want = bf.link_gain(real, before, cfg, m)
+        got = bf.link_gain(swapped, after, cfg, 0)
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-10

@@ -197,16 +197,6 @@ def test_philox_keys_reject_out_of_range_counters_and_seeds():
     assert geo.philox_keys(1, (13,), range(0)).shape == (0, 2)
 
 
-def test_resumed_stream_continues_past_the_key_stack_draw():
-    cfg = geo.NetworkConfig(M=2, K=2, N=5)
-    key = geo.philox_keys(42, (13,), [7])[0]
-    gen = geo.stream(42, 13, 7)
-    geo.draw_channel(gen, cfg)
-    resumed = geo.resume_stream(key, cfg)
-    for _ in range(2):
-        assert geo.draw_channel(resumed, cfg).H.tobytes() == geo.draw_channel(gen, cfg).H.tobytes()
-
-
 def test_draw_channel_rejects_a_generator_list():
     with pytest.raises(ValueError, match="key stack"):
         geo.draw_channel([geo.stream(1, 0)], geo.NetworkConfig())

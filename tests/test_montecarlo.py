@@ -74,8 +74,8 @@ def test_link_level_matches_manual_single_trial():
     assert est.trials_used == 1
 
 
-def _reference_trial(gen, cfg, user, redraws=0):
-    """``gain * path loss`` of one trial, computed the per-trial way.
+def _reference_trial(gen, cfg, redraws=0):
+    """User 0's ``gain * path loss`` of one trial, computed the per-trial way.
 
     Lists of matrices, one lstsq and one SVD, numpy scalars: the link-level
     pipeline before it was batched, replaying the trial's stream past
@@ -96,15 +96,15 @@ def _reference_trial(gen, cfg, user, redraws=0):
     phi_v, _, rank, _ = np.linalg.lstsq(Hbar, S.astype(complex), rcond=1e-10)
     assert rank == M * K
     phi = phi_v / max(1.0, float(np.max(np.abs(phi_v))))
-    H_eff = G[user] @ (phi[:, np.newaxis] * H)
-    h = H_eff[:, user]
+    H_eff = G[0] @ (phi[:, np.newaxis] * H)
+    h = H_eff[:, 0]
     if M == 1:
         T = np.eye(K, dtype=complex)
     else:
-        T = np.linalg.svd(np.delete(H_eff, user, axis=1), full_matrices=True)[0][:, M - 1:]
+        T = np.linalg.svd(np.delete(H_eff, 0, axis=1), full_matrices=True)[0][:, M - 1:]
     x = T.conj().T @ h
     v = T @ (x / np.linalg.norm(x))
-    pl = 10.0 ** (cfg.ref_atten_db / 10.0) * (cfg.d1 * np.asarray(d2[user])) ** (-cfg.alpha)
+    pl = 10.0 ** (cfg.ref_atten_db / 10.0) * (cfg.d1 * np.asarray(d2[0])) ** (-cfg.alpha)
     return np.abs(v.conj() @ h) ** 2 * pl
 
 
@@ -112,11 +112,10 @@ def _reference_values(bases, cfg, p_b):
     return [math.log2(1.0 + float(b * p_b / cfg.sigma2)) for b in bases]
 
 
-_LINK_CASES = [(M, K, N, user) for M, K, N in [(1, 1, 1), (2, 3, 6), (2, 2, 4), (3, 3, 9)]
-               for user in range(M)]
+_LINK_CASES = [(1, 1, 1), (2, 3, 6), (2, 2, 4), (3, 3, 9)]
 
 
-@pytest.mark.parametrize("M,K,N", sorted({c[:3] for c in _LINK_CASES}))
+@pytest.mark.parametrize("M,K,N", _LINK_CASES)
 def test_key_stack_draws_equal_per_trial_streams(M, K, N):
     cfg = _cfg(M=M, K=K, N=N)
     seed, trials = 60 + M, range(5, 205)
@@ -127,16 +126,16 @@ def test_key_stack_draws_equal_per_trial_streams(M, K, N):
             assert a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("M,K,N,user", _LINK_CASES)
-def test_link_values_equal_per_trial_reference(M, K, N, user):
+@pytest.mark.parametrize("M,K,N", _LINK_CASES)
+def test_link_values_equal_per_trial_reference(M, K, N):
     cfg = _cfg(M=M, K=K, N=N, p_b=1e-3)
-    plan = mc.TrialPlan(trials=300, master_seed=40 + M * 10 + user)
-    bases, deg = mc._link_chunk(plan, cfg, user, 0, plan.trials)
+    plan = mc.TrialPlan(trials=300, master_seed=40 + M * 10)
+    bases, deg = mc._link_chunk(plan, cfg, 0, plan.trials)
     assert deg == 0
-    want = [_reference_trial(geo.stream(plan.master_seed, mc._TAG_LINK, t), cfg, user)
+    want = [_reference_trial(geo.stream(plan.master_seed, mc._TAG_LINK, t), cfg)
             for t in range(plan.trials)]
     assert bases.tolist() == [float(w) for w in want]
-    got = mc.simulate_ergodic_rate(plan, cfg, user=user, fidelity="link_level")
+    got = mc.simulate_ergodic_rate(plan, cfg, fidelity="link_level")
     assert got.mean == math.fsum(_reference_values(want, cfg, cfg.p_b)) / plan.trials
 
 
@@ -149,7 +148,7 @@ def test_link_power_axis_across_chunks_blocks_and_workers():
     rates = {w: mc.simulate_ergodic_rate_axis(plan, cfg, powers, n_workers=w,
                                               fidelity="link_level") for w in (1, 2)}
     assert ops[1] == ops[2] and rates[1] == rates[2]
-    bases = [_reference_trial(geo.stream(plan.master_seed, mc._TAG_LINK, t), cfg, 0)
+    bases = [_reference_trial(geo.stream(plan.master_seed, mc._TAG_LINK, t), cfg)
              for t in range(plan.trials)]
     for p_b, op, rate in zip(powers, ops[1], rates[1]):
         vals = _reference_values(bases, cfg, p_b)
@@ -174,7 +173,7 @@ def test_rank_deficient_draw_is_redrawn_from_its_own_stream(monkeypatch):
     est = mc.simulate_ergodic_rate(plan, cfg, fidelity="link_level")
     assert calls == [5, 5, 5]
     assert est.degenerate_draws == 2
-    bases = [_reference_trial(geo.stream(plan.master_seed, mc._TAG_LINK, t), cfg, 0,
+    bases = [_reference_trial(geo.stream(plan.master_seed, mc._TAG_LINK, t), cfg,
                               redraws=2 if t == 3 else 0) for t in range(plan.trials)]
     assert est.mean == math.fsum(_reference_values(bases, cfg, cfg.p_b)) / plan.trials
 
@@ -188,7 +187,8 @@ def test_rank_deficiency_beyond_64_redraws_raises(monkeypatch):
     plan = mc.TrialPlan(trials=3, master_seed=5)
     with pytest.raises(bf.RankDeficiencyError):
         mc.simulate_op(plan, _cfg(M=1, K=2, N=3), fidelity="link_level")
-    assert len(draws) == 1 + 64 * 3       # the stack, then 64 redraws of each trial
+    # the stack, then per trial a replay of its stream's first draw and 64 redraws
+    assert len(draws) == 1 + 3 * (1 + 64)
 
 
 def test_link_level_requires_solvable_geometry():
@@ -211,15 +211,6 @@ def test_op_model_matches_closed_form_deep_window():
     est = mc.simulate_op(plan, cfg)
     want = an.op_closed_form(cfg)
     assert abs(est.mean - want) <= 3.0 * est.std_error
-
-
-def test_exchangeability_across_users():
-    cfg = _cfg(M=2, K=3, N=8, p_b=1e-4)
-    plan = mc.TrialPlan(trials=20000, master_seed=99)
-    e0 = mc.simulate_op(plan, cfg, user=0, fidelity="link_level")
-    e1 = mc.simulate_op(plan, cfg, user=1, fidelity="link_level")
-    spread = math.hypot(e0.std_error, e1.std_error)
-    assert abs(e0.mean - e1.mean) <= 4.0 * spread
 
 
 def test_rate_model_vs_gamma_quadrature_with_band():

@@ -1,9 +1,10 @@
 import math
+import os
 import re
+import subprocess
 import sys
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -70,6 +71,20 @@ def test_hyp2f2_switches_method_for_large_negative_z():
     r = sf.hyp2f2(3.0, 3.6, 4.0, 4.6, -120.0)
     assert r.method == "gamma_repr"
     assert r.value > 0.0
+
+
+@pytest.mark.parametrize("p,q,z", [
+    (98.8, 98.8 + 2.0 / 5.9, -3.8e6),     # exp(lp) underflows
+    (2160.0, 2160.35, -614.0),            # gammainc(p, -z) underflows: Kummer's series
+    (2.0, 2.5, -30.0),                    # both normal
+])
+def test_ln_hyp2f2_offset_against_mpmath(p, q, z):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    ref = float(mp.log(mp.hyp2f2(p, q, p + 1, q + 1, z)))
+    assert sf.ln_hyp2f2_offset(p, q, z) == pytest.approx(ref, rel=1e-12)
+    value = sf.hyp2f2(p, q, p + 1.0, q + 1.0, z).value
+    assert value == (0.0 if ref < -745.2 else pytest.approx(math.exp(ref), rel=1e-12))
 
 
 # op_gamma_approx and the 2F2 gamma path call the gammainc ufunc on scalars;
@@ -711,9 +726,31 @@ def test_meijer_flagged_contour_keeps_its_value_under_a_covering_bound():
 
 
 def test_meijer_flagged_contour_without_a_second_evaluation_raises(monkeypatch):
-    def unresolved(*args, **kwargs):
-        return math.nan, math.nan, SimpleNamespace(success=False, message="forced")
+    # the run at unit scale flags too: nothing covers the first estimate
+    calls, real = [], sf.quadpack
 
-    monkeypatch.setattr(integrate, "quad_vec", unresolved)
-    with pytest.raises(sf.ConvergenceError, match=r"contour integral unresolved \(forced\)"):
+    def flag_the_scaled_run(f, a, b, epsabs, epsrel, limit, points=None):
+        calls.append(epsabs)
+        val, err, ier = real(f, a, b, epsabs, epsrel, limit, points)
+        return val, err, ier if len(calls) == 1 else 2
+
+    monkeypatch.setattr(sf, "quadpack", flag_the_scaled_run)
+    with pytest.raises(sf.ConvergenceError,
+                       match=r"contour integral unresolved \(QUADPACK flag 2 at unit scale\)"):
         sf.meijer_g_3123(*_FLAGGED)
+    assert len(calls) == 2 and calls[1] == 1e-12
+
+
+def test_meijer_flagged_contour_loads_no_scipy_package():
+    # the second run is QUADPACK's compiled routine again: the flagged term
+    # loads the two extensions and no module of scipy.integrate's package or
+    # of the scipy.optimize that package imports
+    code = ("import sys\nfrom irislab import specfun as sf\n"
+            f"assert sf.meijer_g_3123(*{_FLAGGED!r}).method == 'contour'\n"
+            "print(*sorted(n for n in sys.modules if n.startswith('scipy.')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(sf.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = [n for n in proc.stdout.split() if n.startswith(("scipy.integrate", "scipy.optimize"))]
+    assert loaded == ["scipy.integrate._quadpack"]
