@@ -3,7 +3,7 @@
 Layout mirrors the derivation chain: high-SNR channel statistics, outage
 probability (closed form, quadrature reference, asymptotic series, and the
 exact outage of the same model by Laplace inversion), diversity order, the
-Gamma approximation of the post-combining gain, ergodic rate by nested
+Gamma approximation of the post-combining gain, ergodic rate by one-level
 quadrature and by Meijer-G closed form, high-SNR slope, and the SE / power /
 EE bookkeeping.  Every quadrature runs on ``specfun.quadpack``, QUADPACK
 without the ``scipy.integrate`` package, over an interval a < b, and every
@@ -104,7 +104,11 @@ class HighSnrChannelStats:
     @property
     def mass(self) -> float:
         """Total mass of the tail model; saturates the CDF below one."""
-        return (self.m_tilde * (4.0 * self.t_s * self.t_l) ** (-self.t_s)) ** self.n
+        try:
+            return (self.m_tilde * (4.0 * self.t_s * self.t_l) ** (-self.t_s)) ** self.n
+        except OverflowError:
+            raise ValueError(f"tail-model mass overflows a float (N={self.n}, t_s={self.t_s}, "
+                             f"t_l={self.t_l}): the tail model leaves [0, 1]") from None
 
 
 def high_snr_stats(t1: float, t2: float, n: int) -> HighSnrChannelStats:
@@ -373,12 +377,9 @@ def op_quadrature(cfg: NetworkConfig) -> float:
     def f(r):
         return special_ufuncs().gammainc(stats.a, b * r ** alpha) * r
 
-    pts = []
     r_star = (stats.a / b) ** (1.0 / alpha)
-    if r0 < r_star < R:
-        pts.append(r_star)
-    val = _quad("op_quadrature", cfg, f, r0, R, points=pts or None, limit=400,
-                epsabs=0.0, epsrel=1e-11)
+    val = _quad("op_quadrature", cfg, f, r0, R, points=[r_star] if r0 < r_star < R else None,
+                limit=400, epsabs=0.0, epsrel=1e-11)
     return scale * val
 
 
@@ -522,26 +523,17 @@ def rate_snr_scale(approx: GammaApprox, cfg: NetworkConfig) -> float:
 
 
 def ergodic_rate_quadrature(approx: GammaApprox, cfg: NetworkConfig) -> float:
-    """Reference ergodic rate: nested adaptive quadrature.
-
-    Outer integral of the SNR survival function against 1/(1+x), inner
-    radial average of the Gamma tail.  This is the oracle for the Meijer-G
-    closed form and is kept free of any shared special-function machinery.
+    """Reference ergodic rate: one quadrature over u = ln x of the SNR survival
+    S(x) against 1/(1+x).  S, the radial average of the Gamma tail, is in closed
+    form by parts (DLMF ch. 8): with y = c x r^alpha, d = 2/alpha, [r^2 Q(a, y) +
+    (c x)^-d Gamma(a+d)/Gamma(a) P(a+d, y)] from r0 to R, over R^2 - r0^2.  The
+    oracle of the Meijer-G rate, it is kept free of Meijer-G and 2F2.
     """
     a = approx.shape
     c = rate_snr_scale(approx, cfg)
     R, r0, alpha = cfg.R, cfg.r0, cfg.alpha
-    half_area = 0.5 * (R ** 2 - r0 ** 2)
-
-    def survival(x):
-        def f(r):
-            return special_ufuncs().gammaincc(a, c * x * r ** alpha) * r
-        r_star = (a / (c * x)) ** (1.0 / alpha)
-        pts = [r_star] if r0 < r_star < R else None
-        val = _quad("ergodic_rate_quadrature (radial)", cfg, f, r0, R, points=pts,
-                    limit=200, epsabs=half_area * 1e-13, epsrel=1e-10)
-        return val / half_area
-
+    d = 2.0 / alpha
+    ratio = math.exp(math.lgamma(a + d) - math.lgamma(a))
     # the sliver below x_lo is at most x_lo, and the rate at least the SNR
     # a / (c R^alpha) at the edge; below that SNR the floor follows it, so
     # the sliver stays 1e-10 of the rate and x_lo < x_hi at any power
@@ -550,13 +542,21 @@ def ergodic_rate_quadrature(approx: GammaApprox, cfg: NetworkConfig) -> float:
 
     def integrand(u):
         x = math.exp(u)
-        return survival(x) * x / (1.0 + x)
+        y_lo, y_hi = c * x * r0 ** alpha, c * x * R ** alpha
+        # the P(a + d, .) difference, from Q where P(a + d, y_lo) > 1/2
+        q_lo = special_ufuncs().gammaincc(a + d, y_lo)
+        p_diff = (q_lo - special_ufuncs().gammaincc(a + d, y_hi) if q_lo < 0.5 else
+                  special_ufuncs().gammainc(a + d, y_hi) - special_ufuncs().gammainc(a + d, y_lo))
+        survival = (R ** 2 * special_ufuncs().gammaincc(a, y_hi)
+                    - r0 ** 2 * special_ufuncs().gammaincc(a, y_lo)
+                    + (c * x) ** -d * ratio * p_diff) / (R ** 2 - r0 ** 2)
+        return survival * x / (1.0 + x)
 
     u_lo, u_hi = math.log(x_lo), math.log(x_hi)
     pts = sorted(u for u in (math.log(a / (c * R ** alpha)), math.log(a / (c * r0 ** alpha)))
                  if u_lo < u < u_hi)
     val = _quad("ergodic_rate_quadrature", cfg, integrand, u_lo, u_hi, points=pts or None,
-                limit=400, epsabs=1e-6 * math.log(2.0) / 10.0, epsrel=1e-9)
+                limit=400, epsabs=0.0, epsrel=1e-10)
     # below x_lo the survival function is 1 to O(x_lo); add that sliver back
     return (val + math.log1p(x_lo)) / math.log(2.0)
 

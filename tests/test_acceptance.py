@@ -121,7 +121,7 @@ def test_criterion_03_montecarlo_matches_closed_form():
 
 
 def test_criterion_04_rate_dual_path():
-    """Meijer-G closed form vs nested quadrature across the rate family."""
+    """Meijer-G closed form vs the quadrature oracle across the rate family."""
     t0 = time.monotonic()
     worst, n_cfg = 0.0, 0
     for t1 in (2.0, 3.0, 5.0):

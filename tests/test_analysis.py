@@ -177,6 +177,22 @@ def test_op_closed_form_names_an_outage_past_the_float_range():
         an.op_closed_form(cfg)
 
 
+def test_tail_model_mass_past_the_float_range_raises_by_name():
+    # the same config: op_quadrature and high_snr_cdf once raised a bare
+    # OverflowError (34, 'Numerical result out of range') from the mass
+    cfg = _cfg(N=240, t1=1.15, t2=1.17, alpha=5.3, p_b=0.2)
+    stats = an.high_snr_stats(cfg.t1, cfg.t2, cfg.N)
+    for route in (lambda: an.op_quadrature(cfg), lambda: an.high_snr_cdf(3.0, stats)):
+        with pytest.raises(ValueError, match=r"^tail-model mass overflows a float \(N=240, "
+                                             r"t_s=1\.15, t_l=1\.17\): the tail model leaves "
+                                             r"\[0, 1\]$"):
+            route()
+    # a finite mass keeps its linear-domain bits
+    want = (an.m_tilde(1.15, 1.17) * (4.0 * 1.15 * 1.17) ** -1.15) ** 200
+    assert 1e280 < want < math.inf
+    assert an.high_snr_stats(1.15, 1.17, 200).mass.hex() == want.hex()
+
+
 def test_op_asymptotic_leading_term():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
@@ -751,19 +767,27 @@ def _mp_rate(cfg):
         return float((mp.quad(f, [mp.log(k) for k in knots]) + mp.log1p(x_lo)) / mp.log(2))
 
 
-@pytest.mark.parametrize("n,t1,p_b,oracle_gap", [
-    (64, 3.0, 1e-12, 6.5e-8), (64, 3.0, 1e-16, 7.5e-7), (64, 3.0, 1e-20, 7.5e-7),
-    (128, 2.0, 1e-20, 9e-6),
-])
-def test_ergodic_rate_meijer_at_low_snr_against_mpmath(n, t1, p_b, oracle_gap):
-    # the Meijer rate is within 2.2e-10 of the 25-digit reference down to
-    # 1e-20 W; the quadrature oracle, with its fixed epsabs, is the route
-    # that carries the gap (8.8e-6 at N = 128, inside AC-4's 1e-5)
-    cfg = _cfg(N=n, t1=t1, p_b=p_b)
+@pytest.mark.parametrize("kw,meijer", [
+    (dict(N=64, t1=3.0, p_b=1e-12), True), (dict(N=64, t1=3.0, p_b=1e-16), True),
+    (dict(N=64, t1=3.0, p_b=1e-20), True), (dict(N=128, t1=2.0, p_b=1e-20), True),
+    # the oracle alone: 5.6e-5 off when its radial average was a second
+    # QUADPACK level with fixed absolute floors
+    (dict(N=256, p_b=1e-9), False),
+    # the Meijer rate is 1.3e-6 and 2.3e-7 off at the first and last, beyond
+    # the error bound its bracket reports
+    (dict(N=4, t1=1.0, alpha=4.0, p_b=1e-3), False),
+    (dict(N=2, t1=1.0, alpha=4.0, p_b=1e-5), False),
+    (dict(N=100, t1=1.0, alpha=4.0, p_b=1e-3), False),
+], ids=lambda v: "-".join(f"{k}={x}" for k, x in v.items()) if isinstance(v, dict) else None)
+def test_ergodic_rate_meijer_at_low_snr_against_mpmath(kw, meijer):
+    # the quadrature oracle is within 1.1e-13 of the 25-digit reference at
+    # every point; the Meijer rate within 2.2e-10 down to 1e-20 W
+    cfg = _cfg(**kw)
     ref = _mp_rate(cfg)
     ap = an.gamma_approx(cfg)
-    assert an.ergodic_rate_meijer(ap, cfg) == pytest.approx(ref, rel=1e-9)
-    assert an.ergodic_rate_quadrature(ap, cfg) == pytest.approx(ref, rel=oracle_gap)
+    assert an.ergodic_rate_quadrature(ap, cfg) == pytest.approx(ref, rel=1e-12)
+    if meijer:
+        assert an.ergodic_rate_meijer(ap, cfg) == pytest.approx(ref, rel=1e-9)
 
 
 def _cold_rate(cfg):
@@ -839,8 +863,19 @@ def test_high_snr_slope_is_one():
 # Every analytic route over the supported family
 # ---------------------------------------------------------------------------
 
+def _rate_oracle_in_one_quadpack_call(cfg):
+    rates = []
+    calls, raised = _quadpack_calls(
+        lambda: rates.append(an.ergodic_rate_quadrature(an.gamma_approx(cfg), cfg)))
+    assert len(calls) == 1, cfg
+    if raised:
+        raise sf.ConvergenceError(f"QUADPACK flag {calls[0][2][2]}")
+    return rates[0]
+
+
 # route -> (function of a config, "outage" or "rate", the ValueErrors it may raise)
 _ROUTES = {
+    "ergodic_rate_quadrature": (_rate_oracle_in_one_quadpack_call, "rate", None),
     "op_exact": (an.op_exact, "outage", None),
     "op_gamma_approx": (an.op_gamma_approx, "outage", None),
     "ergodic_rate_meijer": (lambda c: an.ergodic_rate_meijer(an.gamma_approx(c), c), "rate",

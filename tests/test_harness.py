@@ -721,10 +721,13 @@ def test_ergodic_analytical_near_the_cap_fails_with_its_error_bound():
 
 
 # SHA-256 of each preset's closed-form series at its shipped grid, recorded
-# before the contour's node table existed: the table must not move a byte
+# before the contour's node table existed: the table must not move a byte.
+# The rate oracle's entry was recorded with its radial average in closed form.
 _SHIPPED_SHA256 = {
     ("ergodic_vs_snr", ("analytical",)):
         "7c169fac4b9e8c156ea8f261905329c22d1ef9095b3da4c6ce56e17a1732a39d",
+    ("ergodic_vs_snr", ("quadrature",)):
+        "6377b101e531c10273b6e74aca00911efe9a48c95be48ec220eb6e0491c76e8a",
     ("throughput_surface", ("analytical",)):
         "006a018bac00215891f64a0edbbbe3ce77e93fb784ab97bdb1e3bdc406457723",
     ("ee_sweep", ("se_analytical", "power_w", "ee")):
@@ -766,7 +769,7 @@ _CSV_SHA256 = {
     ("ergodic_vs_snr", "analytical"):
         "f825ccf34765edad3daea74736cceb03fd7f5c8d5ee7fd0c89b551d53a6777dd",
     ("ergodic_vs_snr", "quadrature"):
-        "9a3ecf95f5da00b062694a7681682ae841c9a0ceca2343110a9fee01fe61e409",
+        "f9ffd6a0b602d12dd4d9803b878d6f589d0f4d18c8d3dd8c37064595330a53e1",
     ("ergodic_vs_snr", "montecarlo_model"):
         "c8eb709e3cbcc20db4ea76679908ae91f1ad1c6b69a83185c8f3a9cd0e378760",
     ("ergodic_vs_snr", "montecarlo_link"):
