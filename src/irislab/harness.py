@@ -402,12 +402,15 @@ def _sum_se(run, cfg) -> float:
     return cfg.M * rate
 
 
-def _outage(run, cfg) -> float:
-    """The closed-form outage; its tail model can leave [0, 1], which fails the point."""
-    p = an.op_closed_form(cfg)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"closed-form outage {p!r} is outside [0, 1]")
-    return p
+def _tail_outage(route, engine):
+    """The outage ``an.<engine>(cfg)`` at each point; its tail model can leave
+    [0, 1], which fails the point with a message naming ``route``."""
+    def value(run, cfg):
+        p = getattr(an, engine)(cfg)
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"{route} outage {p!r} is outside [0, 1]")
+        return p
+    return _closed(value)
 
 
 def _power(run, cfg) -> float:
@@ -416,8 +419,8 @@ def _power(run, cfg) -> float:
 
 _SERIES = {
     "op_vs_snr": {
-        "analytical": _closed(_outage),
-        "asymptotic": _closed(lambda run, c: an.op_asymptotic(c)),
+        "analytical": _tail_outage("closed-form", "op_closed_form"),
+        "asymptotic": _tail_outage("asymptotic", "op_asymptotic"),
         "montecarlo_model": _axis("simulate_op_axis"),
         "montecarlo_link": _axis("simulate_op_axis", fidelity="link_level"),
     },

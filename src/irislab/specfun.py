@@ -5,7 +5,11 @@ test suite checks each routine against an independent oracle (arbitrary
 precision series or quadrature of an integral representation), so the
 implementations stay deliberately simple: plain power series with
 rigorous tail bounds, plus two escape hatches for the regimes where a series
-is hopeless in double precision.
+is hopeless in double precision.  ``hyp2f2`` serves the one 2F2 family the
+outage closed form needs, (p, q; p+1, q+1), and takes the exact
+incomplete-gamma form where its series would cancel; ``meijer_g_3123``
+takes a Mellin-Barnes contour where its Slater expansion, whose three
+general 2F2 terms sum the bare series, does not hold.
 
 scipy loads only when a closed form first needs it, and then only two of
 its compiled extensions, each by ``_scipy_extension`` without its package:
@@ -137,9 +141,9 @@ class EvalResult:
 
 
 def _hyp_series(num, den, z, rtol, max_terms):
-    """2F2 power series (``hyp2f2`` is its one caller) with compensated
-    summation; ``num`` and ``den`` are the two numerator and the two
-    denominator parameters.
+    """2F2 power series, for ``hyp2f2`` and Slater's ``_hyp2f2_series``, with
+    compensated summation; ``num`` and ``den`` are the two numerator and the
+    two denominator parameters.
 
     Returns (sum, tail_bound, terms, max_partial).  The tail bound comes from
     a geometric majorant of the term ratio once the ratio is provably < 3/4
@@ -177,20 +181,6 @@ def _hyp_series(num, den, z, rtol, max_terms):
     raise ConvergenceError(
         f"hypergeometric series exceeded {max_terms} terms (z={z})"
     )
-
-
-def _gamma_product_pattern(a1, a2, b1, b2):
-    """Detect the 2F2(p, q; p+1, q+1; z) offset pattern, return (p, q) or None."""
-    tol = 1e-12
-    if abs(b1 - a1 - 1.0) < tol and abs(b2 - a2 - 1.0) < tol:
-        p, q = a1, a2
-    elif abs(b1 - a2 - 1.0) < tol and abs(b2 - a1 - 1.0) < tol:
-        p, q = a2, a1
-    else:
-        return None
-    if p <= 0.0 or q <= 0.0 or abs(q - p) < 1e-9:
-        return None
-    return (min(p, q), max(p, q))
 
 
 def _ln_lower_gamma_over_power(s: float, y: float) -> float:
@@ -233,27 +223,30 @@ def ln_hyp2f2_offset(p: float, q: float, z: float) -> float:
     return math.log(p * q / (q - p)) + lp + math.log(-math.expm1(lq - lp))
 
 
-def hyp2f2(a1: float, a2: float, b1: float, b2: float, z: float) -> EvalResult:
-    """Generalized hypergeometric 2F2(a1, a2; b1, b2; z).
+def hyp2f2(p: float, q: float, z: float) -> EvalResult:
+    """2F2(p, q; p+1, q+1; z) for 0 < p < q, the family of the outage
+    closed form.
 
-    Power series with a rigorous tail bound.  For strongly negative z the
-    alternating series is abandoned: when the parameters match the
-    (p, q; p+1, q+1) family that all the outage expressions use, the exact
-    incomplete-gamma representation of the host integral is evaluated
-    instead and flagged in ``method``.
+    Power series with a rigorous tail bound for z >= -8.  Below that, or
+    where the alternating series cancels, the exact incomplete-gamma
+    representation of the host integral takes over, flagged in ``method``.
+    Any other p and q raise ``ValueError``.
     """
-    for b in (b1, b2):
-        if b <= 0.0 and float(b).is_integer():
-            raise ValueError(f"denominator parameter {b} is a nonpositive integer")
-    if z == 0.0:
-        return EvalResult(1.0, 0.0, 0)
-    pattern = _gamma_product_pattern(a1, a2, b1, b2)
-    if z < -_SERIES_NEG_LIMIT and pattern is not None:
-        return _hyp2f2_gamma_repr(*pattern, z)
-    total, tail, terms, max_partial = _hyp_series((a1, a2), (b1, b2), z, 1e-12, 10 ** 6)
+    if not 0.0 < p < q:
+        raise ValueError(f"hyp2f2 needs 0 < p < q, got p={p!r}, q={q!r}")
+    if z < -_SERIES_NEG_LIMIT:
+        return _hyp2f2_gamma_repr(p, q, z)
+    total, tail, terms, max_partial = _hyp_series((p, q), (p + 1.0, q + 1.0), z, 1e-12, 10 ** 6)
+    if abs(total) * _CANCEL_GUARD < max_partial:    # only z < 0 cancels
+        return _hyp2f2_gamma_repr(p, q, z)
+    return EvalResult(total, tail, terms)
+
+
+def _hyp2f2_series(num, den, z) -> EvalResult:
+    """2F2(num; den; z) for general parameters by the power series alone, for
+    Slater's terms; ``ConvergenceError`` where the partial sums cancel."""
+    total, tail, terms, max_partial = _hyp_series(num, den, z, 1e-12, 10 ** 6)
     if abs(total) * _CANCEL_GUARD < max_partial:
-        if z < 0.0 and pattern is not None:
-            return _hyp2f2_gamma_repr(*pattern, z)
         raise ConvergenceError(
             f"2F2 series cancellation: partial sums reached {max_partial:.3e} "
             f"against result {total:.3e}"
@@ -398,8 +391,8 @@ def _meijer_slater(bs, a1, a2, z):
         others = [bs[j] for j in range(3) if j != h]
         coeff = (gamma(others[0] - bh) * gamma(others[1] - bh)
                  * gamma(1.0 + bh - a1) / gamma(a2 - bh))
-        f = hyp2f2(1.0 + bh - a1, 1.0 + bh - a2,
-                   1.0 + bh - others[0], 1.0 + bh - others[1], z)
+        f = _hyp2f2_series((1.0 + bh - a1, 1.0 + bh - a2),
+                           (1.0 + bh - others[0], 1.0 + bh - others[1]), z)
         term = coeff * z ** bh * f.value
         terms_used += f.terms_used
         total += term

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import re
 import warnings
 from dataclasses import replace
@@ -156,7 +157,73 @@ def test_op_closed_form_equals_quadrature():
         cf = an.op_closed_form(cfg)
         q = an.op_quadrature(cfg)
         if q > 1e-300:
-            assert cf == pytest.approx(q, rel=1e-8)
+            assert cf == pytest.approx(q, rel=1e-8, abs=0.0)
+
+
+# the oracle's linear-domain assembly leaves the float range at some tiny
+# outages where the closed form, in the log domain, does not
+_ORACLE_RANGE = (r"^(tail-model mass overflows a float .*|op_quadrature: the integrand "
+                 r"underflows a float on the whole annulus .*)$")
+
+
+def test_op_closed_form_equals_quadrature_at_hundreds_of_elements():
+    # on r with a break point at the step of the regularized gamma, the
+    # oracle missed 1e-6 on 155 of these configs (worst 2.1e-5) with no flag
+    rng = random.Random(11)
+    agreed = out_of_range = 0
+    while agreed + out_of_range < 500:
+        n, t1, t2 = rng.randint(1, 300), rng.uniform(0.5, 5.0), rng.uniform(0.5, 5.0)
+        alpha, p_b = rng.uniform(2.1, 6.0), 10.0 ** rng.uniform(-12.0, 3.0)
+        if abs(t1 - t2) < 1e-3:
+            continue
+        cfg = _cfg(N=n, t1=t1, t2=t2, alpha=alpha, p_b=p_b)
+        try:
+            cf = an.op_closed_form(cfg)
+        except ValueError:
+            continue
+        if not 1e-280 < cf <= 1.0:
+            continue
+        try:
+            q = an.op_quadrature(cfg)
+        except (sf.ConvergenceError, ValueError) as e:
+            assert re.search(_ORACLE_RANGE, str(e)), (cfg, e)
+            out_of_range += 1
+            continue
+        assert q == pytest.approx(cf, rel=1e-8, abs=0.0), cfg
+        agreed += 1
+    assert out_of_range <= 2
+
+
+def _mp_outage(cfg):
+    """The tail-model outage at 40 digits: m_tilde from t1 and t2, and the
+    regularized gamma averaged over the annulus by ``mp.quad`` on 60 equal
+    panels; a and b are the float ones the routes read."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        stats, b = an._tail_model(cfg)
+        ts, tl = mp.mpf(stats.t_s), mp.mpf(stats.t_l)
+        m_tilde = (2 * mp.gamma(tl - ts) * (ts * tl) ** ts * mp.gamma(2 * ts)
+                   / (mp.gamma(ts) * mp.gamma(tl)))
+        mass = (m_tilde * (4 * ts * tl) ** -ts) ** stats.n
+        a, b, alpha = mp.mpf(stats.a), mp.mpf(b), mp.mpf(cfg.alpha)
+        R, r0 = mp.mpf(cfg.R), mp.mpf(cfg.r0)
+        val = mp.quad(lambda r: mp.gammainc(a, 0, b * r ** alpha, regularized=True) * r,
+                      mp.linspace(r0, R, 61))
+        return float(2 * mass * val / (R ** 2 - r0 ** 2))
+
+
+@pytest.mark.parametrize("kw", [
+    # the r oracle was 1.0e-5 and 2.0e-6 off here, its QAGP estimate 1.4e-8
+    dict(N=101, t1=1.2201038050578306, t2=2.484807869853997, alpha=4.635456547177558,
+         p_b=1.9300673526950857e-9),
+    dict(N=58, t1=2.1730701000303823, t2=4.4080045603929285, alpha=3.5849558764745844,
+         p_b=3.3854471045214494e-11),
+], ids=["N=101", "N=58"])
+def test_op_closed_form_and_quadrature_against_mpmath(kw):
+    cfg = _cfg(**kw)
+    ref = _mp_outage(cfg)
+    assert an.op_quadrature(cfg) == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert an.op_closed_form(cfg) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("kw,want", [
@@ -510,8 +577,10 @@ def test_quadpack_returns_the_bits_of_scipy_quad(site):
     # one behind quad's message
     calls, raised = _quadpack_calls(_QUADPACK_SITES[site])
     assert calls and raised == (site == "op_exact_flagged")
-    if site in ("op_quadrature", "ergodic_rate_quadrature"):
+    if site == "ergodic_rate_quadrature":
         assert any(kw["points"] is not None for _, kw, _ in calls)
+    if site == "op_quadrature":     # one call over ln r, without break points
+        assert [kw["points"] for _, kw, _ in calls] == [None]
     flags = [ier for _, _, (_, _, ier) in calls if ier]
     assert flags == ([1] if site == "op_exact_flagged" else [])
     for args, kw, out in calls:
@@ -873,6 +942,16 @@ def _rate_oracle_in_one_quadpack_call(cfg):
     return rates[0]
 
 
+def _op_vs_snr_series(name):
+    """The ``op_vs_snr`` series ``name`` at one config: its value, or its failure raised."""
+    def route(cfg):
+        (payload,) = harness._SERIES["op_vs_snr"][name](None, [cfg])
+        if isinstance(payload, Exception):
+            raise payload
+        return payload[0]
+    return route
+
+
 # route -> (function of a config, "outage" or "rate", the ValueErrors it may raise)
 _ROUTES = {
     "ergodic_rate_quadrature": (_rate_oracle_in_one_quadpack_call, "rate", None),
@@ -880,10 +959,13 @@ _ROUTES = {
     "op_gamma_approx": (an.op_gamma_approx, "outage", None),
     "ergodic_rate_meijer": (lambda c: an.ergodic_rate_meijer(an.gamma_approx(c), c), "rate",
                             r"^shape .* overflows the linear-domain assembly$"),
-    # the analytical series of op_vs_snr: the closed form and its [0, 1] check
-    "op_closed_form": (lambda c: harness._outage(None, c), "outage",
+    # the tail-model series of op_vs_snr: each route and its [0, 1] check
+    "op_closed_form": (_op_vs_snr_series("analytical"), "outage",
                        r"^(m_tilde requires t1 != t2|closed-form outage .*(outside \[0, 1\]"
                        r"|overflows a float: the tail model leaves \[0, 1\]))"),
+    "op_asymptotic": (_op_vs_snr_series("asymptotic"), "outage",
+                      r"^(m_tilde requires t1 != t2|asymptotic series requires b R\^alpha < 1"
+                      r"|asymptotic outage .* is outside \[0, 1\])"),
 }
 _DBM = st.floats(-40.0, 40.0)
 

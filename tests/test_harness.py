@@ -579,6 +579,27 @@ def test_op_closed_form_outside_the_unit_interval_fails_its_point():
         ((-40.0,), "analytical", f"ValueError: closed-form outage {raw!r} is outside [0, 1]")]
 
 
+def test_asymptotic_outside_the_unit_interval_fails_its_point():
+    # near-equal fading parameters: the series once wrote 5.2e9 and 1.0e8 to the CSV
+    spec = harness.spec_from_dict({
+        "experiment": "op_vs_snr",
+        "sweep": {"pb_dbm": [-8.6, -7.6]},
+        "base": {"N": 13, "t1": 0.684, "t2": 0.687, "alpha": 2.555},
+        "plan": {"master_seed": 1},
+        "outputs": ["analytical", "asymptotic"],
+    })
+    points, cfgs = spec.groups[0]
+    assert all(an.op_asymptotic(cfg) > 1.0 for cfg in cfgs)
+    result = harness.run_experiment(spec)
+    assert result.rows == []
+    assert result.failures == [
+        failure for point, cfg in zip(points, cfgs) for failure in (
+            (point, "analytical",
+             f"ValueError: closed-form outage {an.op_closed_form(cfg)!r} is outside [0, 1]"),
+            (point, "asymptotic",
+             f"ValueError: asymptotic outage {an.op_asymptotic(cfg)!r} is outside [0, 1]"))]
+
+
 def test_cli_series_subset(tmp_path):
     cfg = {
         "experiment": "op_vs_snr",
