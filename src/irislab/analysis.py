@@ -312,10 +312,13 @@ _QUADPACK_FLAGS = {
 }
 
 
-def _quad(routine: str, cfg: NetworkConfig, f, a, b, *, epsabs, epsrel, limit, points=None):
-    """QUADPACK's integral of f over [a, b], or ``ConvergenceError`` naming
-    ``routine`` and the config when QUADPACK flags its own estimate."""
-    val, err, ier = quadpack(f, a, b, epsabs, epsrel, limit, points)
+_QUAD_EPSABS, _QUAD_LIMIT = 0.0, 400     # relative accuracy alone, 400 subintervals
+
+
+def _quad(routine: str, cfg: NetworkConfig, f, a, b, epsrel: float):
+    """QUADPACK's integral of f over [a, b] to ``epsrel``, or ``ConvergenceError``
+    naming ``routine`` and the config when QUADPACK flags its own estimate."""
+    val, err, ier = quadpack(f, a, b, _QUAD_EPSABS, epsrel, _QUAD_LIMIT)
     if ier:
         raise ConvergenceError(
             f"{routine}: QUADPACK flag {ier}, {_QUADPACK_FLAGS.get(ier, 'unknown')} "
@@ -367,11 +370,10 @@ def op_quadrature(cfg: NetworkConfig) -> float:
 
     Kept numerically independent of the hypergeometric path on purpose; this
     is the oracle the closed form is tested against.  One QUADPACK call
-    (QAGS) over u = ln r, with r dr = exp(2u) du, within 1.2e-13 of a
-    40-digit reference at N = 101; QAGP on r, with a break point at the
-    regularized gamma's step, misjudges its error there (1.0e-5 off, no
-    flag).  Where the integrand underflows on the whole annulus it raises
-    ``ConvergenceError``; the closed form, in the log domain, reaches there.
+    over u = ln r, with r dr = exp(2u) du, within 1.2e-13 of a 40-digit
+    reference at N = 101.  Where the integrand underflows on the whole
+    annulus it raises ``ConvergenceError``; the closed form, in the log
+    domain, reaches there.
     """
     stats, b = _tail_model(cfg)
     if b <= 0.0:
@@ -387,8 +389,7 @@ def op_quadrature(cfg: NetworkConfig) -> float:
     def f(u):
         return special_ufuncs().gammainc(stats.a, b * math.exp(alpha * u)) * math.exp(2.0 * u)
 
-    val = _quad("op_quadrature", cfg, f, math.log(r0), math.log(R),
-                limit=400, epsabs=0.0, epsrel=1e-11)
+    val = _quad("op_quadrature", cfg, f, math.log(r0), math.log(R), 1e-11)
     return scale * val
 
 
@@ -455,7 +456,7 @@ def op_exact(cfg: NetworkConfig) -> float:
             return product_sum_cdf(scale * r ** cfg.alpha, stats.t_s, stats.t_l, stats.n,
                                    nodes) * r
 
-        val = _quad("op_exact", cfg, f, cfg.r0, cfg.R, limit=400, epsabs=0.0, epsrel=1e-10)
+        val = _quad("op_exact", cfg, f, cfg.r0, cfg.R, 1e-10)
         return 2.0 * val / (cfg.R ** 2 - cfg.r0 ** 2)
 
     value, check = average(24), average(20)
@@ -480,7 +481,7 @@ def op_gamma_approx(cfg: NetworkConfig) -> float:
     def f(r):
         return gammainc(approx.shape, delta * (cfg.d1 * r) ** cfg.alpha) * r
 
-    val = _quad("op_gamma_approx", cfg, f, cfg.r0, cfg.R, limit=400, epsabs=0.0, epsrel=1e-10)
+    val = _quad("op_gamma_approx", cfg, f, cfg.r0, cfg.R, 1e-10)
     return 2.0 * val / (cfg.R ** 2 - cfg.r0 ** 2)
 
 
@@ -531,18 +532,32 @@ def rate_snr_scale(approx: GammaApprox, cfg: NetworkConfig) -> float:
             / (approx.scale * cfg.p_b * cfg.ref_atten_lin))
 
 
+# B_2k / (2k (2k - 1)), k = 1..6: Stirling's series of ln Gamma(z) beyond
+# (z - 1/2) ln z - z + ln(2 pi)/2; the next term is below 1e-15 at z >= 10
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
+
+
+def _gamma_ratio(a: float, d: float) -> float:
+    """Gamma(a + d) / Gamma(a) for 0 < d < 1; for a >= 10 by Stirling's series
+    of the difference, free of lgamma(a)'s absolute rounding of eps ln a."""
+    if a < 10.0:
+        return math.exp(math.lgamma(a + d) - math.lgamma(a))
+    tail = sum(b * ((a + d) ** (1 - 2 * k) - a ** (1 - 2 * k)) for k, b in enumerate(_STIRLING, 1))
+    return math.exp((a - 0.5) * math.log1p(d / a) + d * math.log(a + d) - d + tail)
+
+
 def ergodic_rate_quadrature(approx: GammaApprox, cfg: NetworkConfig) -> float:
     """Reference ergodic rate: one quadrature over u = ln x of the SNR survival
     S(x) against 1/(1+x).  S, the radial average of the Gamma tail, is in closed
     form by parts (DLMF ch. 8): with y = c x r^alpha, d = 2/alpha, [r^2 Q(a, y) +
     (c x)^-d Gamma(a+d)/Gamma(a) P(a+d, y)] from r0 to R, over R^2 - r0^2.  The
-    oracle of the Meijer-G rate, it is kept free of Meijer-G and 2F2.
+    oracle of the Meijer-G rate, it is kept free of Meijer-G and 2F2.  QAGS runs
+    to 1e-12: at 1e-11 it once reported 9.7e-12 where it was 2.3e-10 off.
     """
-    a = approx.shape
-    c = rate_snr_scale(approx, cfg)
+    a, c = approx.shape, rate_snr_scale(approx, cfg)
     R, r0, alpha = cfg.R, cfg.r0, cfg.alpha
     d = 2.0 / alpha
-    ratio = math.exp(math.lgamma(a + d) - math.lgamma(a))
+    ratio = _gamma_ratio(a, d)
     # the sliver below x_lo is at most x_lo, and the rate at least the SNR
     # a / (c R^alpha) at the edge; below that SNR the floor follows it, so
     # the sliver stays 1e-10 of the rate and x_lo < x_hi at any power
@@ -561,11 +576,7 @@ def ergodic_rate_quadrature(approx: GammaApprox, cfg: NetworkConfig) -> float:
                     + (c * x) ** -d * ratio * p_diff) / (R ** 2 - r0 ** 2)
         return survival * x / (1.0 + x)
 
-    u_lo, u_hi = math.log(x_lo), math.log(x_hi)
-    pts = sorted(u for u in (math.log(a / (c * R ** alpha)), math.log(a / (c * r0 ** alpha)))
-                 if u_lo < u < u_hi)
-    val = _quad("ergodic_rate_quadrature", cfg, integrand, u_lo, u_hi, points=pts or None,
-                limit=400, epsabs=0.0, epsrel=1e-10)
+    val = _quad("ergodic_rate_quadrature", cfg, integrand, math.log(x_lo), math.log(x_hi), 1e-12)
     # below x_lo the survival function is 1 to O(x_lo); add that sliver back
     return (val + math.log1p(x_lo)) / math.log(2.0)
 

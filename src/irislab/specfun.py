@@ -15,7 +15,10 @@ scipy loads only when a closed form first needs it, and then only two of
 its compiled extensions, each by ``_scipy_extension`` without its package:
 every QUADPACK integral of the package, here and in ``analysis``, goes
 through ``quadpack``, and every special function scipy provides comes from
-``special_ufuncs``.  No scipy package loads on any path.
+``special_ufuncs``.  No ``__init__`` of a scipy subpackage runs on any
+path.  The first ``quadpack`` call runs scipy's top-level ``__init__`` and
+``scipy._lib``: the QUADPACK extension imports ``scipy._lib._ccallback`` to
+call a Python integrand.
 """
 
 from __future__ import annotations
@@ -72,30 +75,21 @@ def special_ufuncs():
     return _scipy_extension("special", "_special_ufuncs")
 
 
-def quadpack(f, a, b, epsabs, epsrel, limit, points=None):
-    """(value, error estimate, ier) of QUADPACK's integral of f over [a, b].
-
-    The compiled QAGS routine, or QAGP with break ``points``, called with
-    the arguments ``scipy.integrate.quad`` passes for finite limits
-    ``a < b`` and no weight, so every value is the one ``quad`` returns.
-    ``ier`` is QUADPACK's flag, 0 when it trusts its estimate; where
-    ``quad`` turns a flag into an ``IntegrationWarning``, callers here act
-    on it.
+def quadpack(f, a, b, epsabs, epsrel, limit):
+    """(value, error estimate, ier) of QUADPACK's QAGS integral of f over
+    [a, b], called with the arguments ``scipy.integrate.quad`` passes for
+    finite limits ``a < b``, no weight and no break points, so every value is
+    the one ``quad`` returns.  ``ier`` is QUADPACK's flag, 0 when it trusts
+    its estimate; where ``quad`` turns a flag into an ``IntegrationWarning``,
+    callers here act on it.
     """
     if not a < b:
         raise ValueError(f"quadpack needs a < b, got a={a!r}, b={b!r}")
-    ext = _scipy_extension("integrate", "_quadpack")
-    if points is None:
-        return ext._qagse(f, a, b, (), 0, epsabs, epsrel, limit)
-    # as quad does: sorted, without repeats, strictly inside, two trailing zeros
-    pts = np.unique(points)
-    pts = np.concatenate((pts[(a < pts) & (pts < b)], (0.0, 0.0)))
-    return ext._qagpe(f, a, b, pts, (), 0, epsabs, epsrel, limit)
+    return _scipy_extension("integrate", "_quadpack")._qagse(f, a, b, (), 0, epsabs, epsrel, limit)
 
 
 __all__ = [
     "ConvergenceError",
-    "ParameterPatternError",
     "EvalResult",
     "hyp2f2",
     "ln_hyp2f2_offset",
@@ -113,10 +107,6 @@ _CANCEL_GUARD = 1e6
 
 class ConvergenceError(RuntimeError):
     """Series or quadrature failed to reach the requested tolerance."""
-
-
-class ParameterPatternError(ValueError):
-    """Meijer-G parameters outside the supported family."""
 
 
 @dataclass(frozen=True)
@@ -421,9 +411,7 @@ def meijer_g_3123(a1: float, b3: float, z: float) -> EvalResult:
     Mellin-Barnes contour quadrature; ``method`` on the result names the path.
     """
     if a1 < 0.0 or a1 >= 1.0 or b3 <= a1:
-        raise ParameterPatternError(
-            f"unsupported Meijer-G parameters: a1={a1}, b3={b3}"
-        )
+        raise ValueError(f"unsupported Meijer-G parameters: a1={a1}, b3={b3}")
     if z <= 0.0:
         raise ValueError(f"meijer_g_3123 requires z > 0, got {z}")
     bs, a2 = (a1, 0.0, b3), 1.0

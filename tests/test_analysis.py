@@ -271,7 +271,7 @@ def test_op_asymptotic_leading_term():
     aa2 = cfg.alpha * s.a + 2
     lead = phi * mp.mpf(b) ** s.a / (s.a * aa2) * (
         mp.mpf(cfg.R) ** aa2 - mp.mpf(cfg.r0) ** aa2)
-    assert got == pytest.approx(float(lead), rel=1e-12)
+    assert got == pytest.approx(float(lead), rel=1e-12, abs=0.0)   # lead is 3.3e-20
 
 
 def test_op_asymptotic_converges_to_closed_form():
@@ -532,10 +532,9 @@ def _quadpack_calls(run):
     and whether ``run()`` raised ``ConvergenceError``."""
     calls, real = [], sf.quadpack
 
-    def recording(f, a, b, epsabs, epsrel, limit, points=None):
-        out = real(f, a, b, epsabs, epsrel, limit, points)
-        calls.append(((f, a, b), dict(epsabs=epsabs, epsrel=epsrel, limit=limit, points=points),
-                      out))
+    def recording(f, a, b, epsabs, epsrel, limit):
+        out = real(f, a, b, epsabs, epsrel, limit)
+        calls.append(((f, a, b), dict(epsabs=epsabs, epsrel=epsrel, limit=limit), out))
         return out
     with mock.patch.object(sf, "quadpack", recording), \
             mock.patch.object(an, "quadpack", recording):
@@ -577,10 +576,8 @@ def test_quadpack_returns_the_bits_of_scipy_quad(site):
     # one behind quad's message
     calls, raised = _quadpack_calls(_QUADPACK_SITES[site])
     assert calls and raised == (site == "op_exact_flagged")
-    if site == "ergodic_rate_quadrature":
-        assert any(kw["points"] is not None for _, kw, _ in calls)
-    if site == "op_quadrature":     # one call over ln r, without break points
-        assert [kw["points"] for _, kw, _ in calls] == [None]
+    if site in ("op_quadrature", "ergodic_rate_quadrature"):    # one QAGS call, over ln r or ln x
+        assert len(calls) == 1
     flags = [ier for _, _, (_, _, ier) in calls if ier]
     assert flags == ([1] if site == "op_exact_flagged" else [])
     for args, kw, out in calls:
@@ -588,15 +585,13 @@ def test_quadpack_returns_the_bits_of_scipy_quad(site):
 
 
 @pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 0.0), (0.5, 0.5)])
-@pytest.mark.parametrize("points", [None, [0.7, 0.3, 0.7, -1.0, 2.0, 0.0, 1.0, 0.5]])
 @pytest.mark.parametrize("limit", [50, 10])
-def test_quadpack_takes_quads_limits_and_break_points(a, b, points, limit):
-    # break points sorted, without repeats (a repeat would take one of the
-    # `limit` subintervals, which shows at 10) and only those strictly inside;
-    # reversed limits and an empty interval are refused
+def test_quadpack_takes_quads_limits(a, b, limit):
+    # quad's value under either subdivision limit; reversed limits and an
+    # empty interval are refused
     def f(x):
         return math.sqrt(abs(x - 0.3)) + math.floor(4.0 * x)
-    kw = dict(epsabs=1e-12, epsrel=1e-10, limit=limit, points=points)
+    kw = dict(epsabs=1e-12, epsrel=1e-10, limit=limit)
     if b <= a:
         with pytest.raises(ValueError, match=f"quadpack needs a < b, got a={a}, b={b}"):
             sf.quadpack(f, a, b, **kw)
@@ -778,7 +773,7 @@ def test_ergodic_rate_quadrature_falls_tenfold_per_decade_at_low_snr():
     assert rates[0] / rates[1] == pytest.approx(10.0, rel=1e-6)
     assert rates[1] / rates[2] == pytest.approx(100.0, rel=1e-6)
     meijer = [an.ergodic_rate_meijer(ap, replace(cfg, p_b=p_b)) for p_b in powers]
-    assert rates == pytest.approx(meijer, rel=1e-6)
+    assert rates == pytest.approx(meijer, rel=1e-6, abs=0.0)
 
 
 def test_ergodic_rate_quadrature_vs_gamma_sampling():
@@ -847,16 +842,22 @@ def _mp_rate(cfg):
     (dict(N=4, t1=1.0, alpha=4.0, p_b=1e-3), False),
     (dict(N=2, t1=1.0, alpha=4.0, p_b=1e-5), False),
     (dict(N=100, t1=1.0, alpha=4.0, p_b=1e-3), False),
+    # the oracle alone at Gamma shape 910: 1.0e-12 off when its Gamma ratio
+    # was an lgamma difference, which keeps lgamma(910)'s absolute rounding
+    (dict(N=512, t1=4.0, t2=4.0, alpha=6.0, p_b=1e-7), False),
+    # the oracle alone: 2.3e-10 off at epsrel 1e-10 and 1e-11, where QAGS
+    # reported 3.8e-11 and 9.7e-12
+    (dict(N=5, t1=2.2593, t2=4.4214, alpha=2.4143, p_b=6.909e-4), False),
 ], ids=lambda v: "-".join(f"{k}={x}" for k, x in v.items()) if isinstance(v, dict) else None)
 def test_ergodic_rate_meijer_at_low_snr_against_mpmath(kw, meijer):
-    # the quadrature oracle is within 1.1e-13 of the 25-digit reference at
+    # the quadrature oracle is within 1.1e-14 of the 25-digit reference at
     # every point; the Meijer rate within 2.2e-10 down to 1e-20 W
     cfg = _cfg(**kw)
     ref = _mp_rate(cfg)
     ap = an.gamma_approx(cfg)
-    assert an.ergodic_rate_quadrature(ap, cfg) == pytest.approx(ref, rel=1e-12)
+    assert an.ergodic_rate_quadrature(ap, cfg) == pytest.approx(ref, rel=1e-12, abs=0.0)
     if meijer:
-        assert an.ergodic_rate_meijer(ap, cfg) == pytest.approx(ref, rel=1e-9)
+        assert an.ergodic_rate_meijer(ap, cfg) == pytest.approx(ref, rel=1e-9, abs=0.0)
 
 
 def _cold_rate(cfg):
@@ -942,10 +943,11 @@ def _rate_oracle_in_one_quadpack_call(cfg):
     return rates[0]
 
 
-def _op_vs_snr_series(name):
-    """The ``op_vs_snr`` series ``name`` at one config: its value, or its failure raised."""
+def _series_route(series):
+    """The harness series function ``series`` at one config: its value, or its
+    failure raised."""
     def route(cfg):
-        (payload,) = harness._SERIES["op_vs_snr"][name](None, [cfg])
+        (payload,) = series(None, [cfg])
         if isinstance(payload, Exception):
             raise payload
         return payload[0]
@@ -960,12 +962,16 @@ _ROUTES = {
     "ergodic_rate_meijer": (lambda c: an.ergodic_rate_meijer(an.gamma_approx(c), c), "rate",
                             r"^shape .* overflows the linear-domain assembly$"),
     # the tail-model series of op_vs_snr: each route and its [0, 1] check
-    "op_closed_form": (_op_vs_snr_series("analytical"), "outage",
+    "op_closed_form": (_series_route(harness._SERIES["op_vs_snr"]["analytical"]), "outage",
                        r"^(m_tilde requires t1 != t2|closed-form outage .*(outside \[0, 1\]"
                        r"|overflows a float: the tail model leaves \[0, 1\]))"),
-    "op_asymptotic": (_op_vs_snr_series("asymptotic"), "outage",
+    "op_asymptotic": (_series_route(harness._SERIES["op_vs_snr"]["asymptotic"]), "outage",
                       r"^(m_tilde requires t1 != t2|asymptotic series requires b R\^alpha < 1"
                       r"|asymptotic outage .* is outside \[0, 1\])"),
+    # the closed form's oracle, under the same [0, 1] check
+    "op_quadrature": (_series_route(harness._tail_outage("quadrature", "op_quadrature")),
+                      "outage", r"^(m_tilde requires t1 != t2|tail-model mass overflows a float"
+                      r"|quadrature outage .* is outside \[0, 1\])"),
 }
 _DBM = st.floats(-40.0, 40.0)
 
