@@ -585,13 +585,15 @@ def test_quadpack_returns_the_bits_of_scipy_quad(site):
 
 
 @pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 0.0), (0.5, 0.5)])
+@pytest.mark.parametrize("epsabs,epsrel", [(1e-12, 1e-10), (0.0, 1e-12)])
 @pytest.mark.parametrize("limit", [50, 10])
-def test_quadpack_takes_quads_limits(a, b, limit):
-    # quad's value under either subdivision limit; reversed limits and an
-    # empty interval are refused
+def test_quadpack_takes_quads_limits(a, b, epsabs, epsrel, limit):
+    # quad's value under either subdivision limit, both with an absolute
+    # floor and relative-only as the analysis call sites ask; reversed limits
+    # and an empty interval are refused
     def f(x):
         return math.sqrt(abs(x - 0.3)) + math.floor(4.0 * x)
-    kw = dict(epsabs=1e-12, epsrel=1e-10, limit=limit)
+    kw = dict(epsabs=epsabs, epsrel=epsrel, limit=limit)
     if b <= a:
         with pytest.raises(ValueError, match=f"quadpack needs a < b, got a={a}, b={b}"):
             sf.quadpack(f, a, b, **kw)

@@ -79,14 +79,18 @@ def test_hyp2f2_switches_method_for_large_negative_z():
     assert r.value > 0.0
 
 
-@pytest.mark.parametrize("p,q,z,value_rel", [
+_LN_HYP2F2_CASES = [
     (98.8, 98.8 + 2.0 / 5.9, -3.8e6, 1e-12),     # exp(lp) underflows
     # gammainc(p, -z) underflows: Kummer's series.  The value, 4.3e-267, is
     # 1.9e-10 off: -expm1(lq - lp) takes the difference of two logarithms
     # that each carry about 1e-12 absolute rounding at p near 2000
     (2160.0, 2160.35, -614.0, 2e-10),
     (2.0, 2.5, -30.0, 1e-12),                    # both normal
-])
+]
+
+
+@pytest.mark.parametrize("p,q,z,value_rel", _LN_HYP2F2_CASES,
+                         ids=[f"{p}-{q}-{z}" for p, q, z, _ in _LN_HYP2F2_CASES])
 def test_ln_hyp2f2_offset_against_mpmath(p, q, z, value_rel):
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
