@@ -9,7 +9,7 @@ is hopeless in double precision.  ``hyp2f2`` serves the one 2F2 family the
 outage closed form needs, (p, q; p+1, q+1), and takes the exact
 incomplete-gamma form where its series would cancel; ``meijer_g_3123``
 takes a Mellin-Barnes contour where its Slater expansion, whose three
-general 2F2 terms sum the bare series, does not hold.
+2F2 terms sum the bare series, does not hold or loses digits.
 
 scipy loads only when a closed form first needs it, and then only two of
 its compiled extensions, each by ``_scipy_extension`` without its package:
@@ -131,9 +131,10 @@ class EvalResult:
 
 
 def _hyp_series(num, den, z, rtol, max_terms):
-    """2F2 power series, for ``hyp2f2`` and Slater's ``_hyp2f2_series``, with
-    compensated summation; ``num`` and ``den`` are the two numerator and the
-    two denominator parameters.
+    """2F2 power series, for ``hyp2f2`` and the three terms of
+    ``_meijer_slater``, with compensated summation; ``num`` and ``den`` are
+    the two numerator and the two denominator parameters.  Each caller judges
+    cancellation itself from ``max_partial``.
 
     Returns (sum, tail_bound, terms, max_partial).  The tail bound comes from
     a geometric majorant of the term ratio once the ratio is provably < 3/4
@@ -229,18 +230,6 @@ def hyp2f2(p: float, q: float, z: float) -> EvalResult:
     total, tail, terms, max_partial = _hyp_series((p, q), (p + 1.0, q + 1.0), z, 1e-12, 10 ** 6)
     if abs(total) * _CANCEL_GUARD < max_partial:    # only z < 0 cancels
         return _hyp2f2_gamma_repr(p, q, z)
-    return EvalResult(total, tail, terms)
-
-
-def _hyp2f2_series(num, den, z) -> EvalResult:
-    """2F2(num; den; z) for general parameters by the power series alone, for
-    Slater's terms; ``ConvergenceError`` where the partial sums cancel."""
-    total, tail, terms, max_partial = _hyp_series(num, den, z, 1e-12, 10 ** 6)
-    if abs(total) * _CANCEL_GUARD < max_partial:
-        raise ConvergenceError(
-            f"2F2 series cancellation: partial sums reached {max_partial:.3e} "
-            f"against result {total:.3e}"
-        )
     return EvalResult(total, tail, terms)
 
 
@@ -364,14 +353,15 @@ def _meijer_contour(a1, b3, z):
     return val / math.pi, abs(err) / math.pi
 
 
-def _meijer_slater(bs, a1, a2, z):
-    """Slater expansion over simple poles: three 2F2 terms.
-
-    Only valid when the b parameters are pairwise separated by non-integers;
-    callers check that first.  The sum comes back as a Python float, so the
-    caller's arithmetic on it cannot raise numpy overflow warnings; ``None``
-    means the terms cancelled past eight digits and the sum is not trusted.
+def _meijer_slater(a1, b3, z):
+    """Slater expansion of G(z | a1, 1; a1, 0, b3) over simple poles, which
+    the caller checks: three 2F2 terms, each summed by ``_hyp_series``.  The
+    sum comes back as a Python float, so the caller's arithmetic on it cannot
+    raise numpy overflow warnings.  ``None`` means digits were lost, in a
+    term whose partial sums cancel or in the sum of the three terms, and the
+    contour takes over.
     """
+    bs, a2 = (a1, 0.0, b3), 1.0
     gamma = special_ufuncs().gamma
     total = 0.0
     max_term = 0.0
@@ -381,26 +371,18 @@ def _meijer_slater(bs, a1, a2, z):
         others = [bs[j] for j in range(3) if j != h]
         coeff = (gamma(others[0] - bh) * gamma(others[1] - bh)
                  * gamma(1.0 + bh - a1) / gamma(a2 - bh))
-        f = _hyp2f2_series((1.0 + bh - a1, 1.0 + bh - a2),
-                           (1.0 + bh - others[0], 1.0 + bh - others[1]), z)
-        term = coeff * z ** bh * f.value
-        terms_used += f.terms_used
+        f, _, terms, max_partial = _hyp_series((1.0 + bh - a1, 1.0 + bh - a2),
+                                               (1.0 + bh - others[0], 1.0 + bh - others[1]),
+                                               z, 1e-12, 10 ** 6)
+        if abs(f) * _CANCEL_GUARD < max_partial:
+            return None
+        term = coeff * z ** bh * f
+        terms_used += terms
         total += term
         max_term = max(max_term, abs(term))
     if abs(total) < max_term * 1e-8:
         return None
     return float(total), float(max_term) * 1e-13, terms_used
-
-
-def _slater_applicable(bs, z):
-    if z > 30.0:  # positive-argument 2F2 growth would start cancelling
-        return False
-    for i in range(3):
-        for j in range(i + 1, 3):
-            d = abs(bs[i] - bs[j])
-            if abs(d - round(d)) < 1e-6:
-                return False
-    return True
 
 
 def meijer_g_3123(a1: float, b3: float, z: float) -> EvalResult:
@@ -414,9 +396,11 @@ def meijer_g_3123(a1: float, b3: float, z: float) -> EvalResult:
         raise ValueError(f"unsupported Meijer-G parameters: a1={a1}, b3={b3}")
     if z <= 0.0:
         raise ValueError(f"meijer_g_3123 requires z > 0, got {z}")
-    bs, a2 = (a1, 0.0, b3), 1.0
-    slater = _meijer_slater(bs, a1, a2, z) if _slater_applicable(bs, z) else None
-    if slater is not None:
-        return EvalResult(*slater, method="slater")
+    # past z = 30 positive-argument 2F2 growth would start cancelling; the
+    # poles are simple where a1, b3 - a1 and b3, their distances, are not integers
+    if z <= 30.0 and all(abs(d - round(d)) >= 1e-6 for d in (a1, b3 - a1, b3)):
+        slater = _meijer_slater(a1, b3, z)
+        if slater is not None:
+            return EvalResult(*slater, method="slater")
     value, err = _meijer_contour(a1, b3, z)
     return EvalResult(value, err, 0, method="contour")

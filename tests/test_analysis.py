@@ -415,7 +415,7 @@ def test_product_sum_cdf_single_product_against_density():
         for x in (1e-3, 0.05, 0.5, 1.0, 3.0):
             ref, _ = integrate.quad(lambda v: an.product_nakagami_pdf(v, t1, t2), 0.0, x,
                                     limit=200, epsabs=0.0, epsrel=1e-13)
-            assert an.product_sum_cdf(x, t1, t2, 1) == pytest.approx(ref, rel=1e-10)
+            assert an.product_sum_cdf(x, t1, t2, 1) == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
 def _mp_laplace(mp, t1, t2):
@@ -668,7 +668,7 @@ def test_op_exact_single_element_against_swapped_integral():
                                 limit=400, epsabs=0.0, epsrel=1e-12)
         ref /= R ** 2 - r0 ** 2
         assert 1e-9 < ref < 1.0
-        assert an.op_exact(cfg) == pytest.approx(ref, rel=1e-9)
+        assert an.op_exact(cfg) == pytest.approx(ref, rel=1e-9, abs=0.0)
 
 
 def test_op_exact_ratio_to_closed_form_rises_to_one():

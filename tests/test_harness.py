@@ -25,7 +25,7 @@ def test_parse_power():
     assert harness.parse_power("30dBm") == pytest.approx(1.0, rel=1e-12)
     assert harness.parse_power("9dBW") == pytest.approx(10 ** 0.9, rel=1e-12)
     assert harness.parse_power("1.5W") == pytest.approx(1.5)
-    assert harness.parse_power("-94 dBm") == pytest.approx(1e-3 * 10 ** -9.4, rel=1e-12)
+    assert harness.parse_power("-94 dBm") == pytest.approx(1e-3 * 10 ** -9.4, rel=1e-12, abs=0.0)
     assert harness.parse_power(0.25) == 0.25
     with pytest.raises(ValueError):
         harness.parse_power("ten watts")

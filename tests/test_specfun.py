@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 from scipy.special import cython_special
@@ -22,15 +22,20 @@ HYP2F2_11_22_M1 = 0.79659959929705313428
 HYP2F2_SPEC = 0.78968480989322073816
 
 
-def test_hyp2f2_series_empty_sum():
-    r = sf._hyp2f2_series((1.3, 2.4), (3.5, 4.6), 0.0)
-    assert (r.value, r.abs_error_bound, r.terms_used) == (1.0, 0.0, 1)
+def _series(num, den, z):
+    """(sum, tail bound, terms, max partial) of ``_hyp_series`` at the
+    tolerance and term cap the Slater terms use."""
+    return sf._hyp_series(num, den, z, 1e-12, 10 ** 6)
 
 
-def test_hyp2f2_series_alternating_value():
-    r = sf._hyp2f2_series((1.0, 1.0), (2.0, 2.0), -1.0)
-    assert r.terms_used >= 8
-    assert r.value == pytest.approx(HYP2F2_11_22_M1, rel=1e-12)
+def test_hyp_series_empty_sum():
+    assert _series((1.3, 2.4), (3.5, 4.6), 0.0) == (1.0, 0.0, 1, 1.0)
+
+
+def test_hyp_series_alternating_value():
+    value, _, terms, _ = _series((1.0, 1.0), (2.0, 2.0), -1.0)
+    assert terms >= 8
+    assert value == pytest.approx(HYP2F2_11_22_M1, rel=1e-12)
 
 
 def test_hyp2f2_against_arbitrary_precision():
@@ -42,14 +47,14 @@ def test_hyp2f2_against_arbitrary_precision():
     assert sf.hyp2f2(2.0, 2.667, -6.0).value == pytest.approx(ref, rel=1e-11)
 
 
-def test_hyp2f2_series_against_arbitrary_precision():
+def test_hyp_series_against_arbitrary_precision():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30
     ref = float(mp.hyper([0.5, 1.3], [2.2, 4.4], 3.0))
-    assert sf._hyp2f2_series((0.5, 1.3), (2.2, 4.4), 3.0).value == pytest.approx(ref, rel=1e-11)
+    assert _series((0.5, 1.3), (2.2, 4.4), 3.0)[0] == pytest.approx(ref, rel=1e-11)
 
 
-def test_hyp2f2_series_collapses_to_1f1():
+def test_hyp_series_collapses_to_1f1():
     # a1 == b1 cancels, leaving the confluent series
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30
@@ -59,7 +64,7 @@ def test_hyp2f2_series_collapses_to_1f1():
         b2 = rng.uniform(0.5, 6.0)
         c = rng.uniform(0.4, 3.0)
         z = rng.uniform(-5.0, 5.0)
-        got = sf._hyp2f2_series((c, a2), (c, b2), z).value
+        got = _series((c, a2), (c, b2), z)[0]
         ref = float(mp.hyp1f1(a2, b2, z))
         assert got == pytest.approx(ref, rel=1e-10)
 
@@ -161,12 +166,12 @@ def test_a_missing_extension_fails_by_name():
         sf._scipy_extension("special", "_no_such_extension")
 
 
-def test_hyp2f2_series_error_bound_is_honest():
+def test_hyp_series_error_bound_is_honest():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30
-    r = sf._hyp2f2_series((1.2, 0.7), (2.9, 3.1), -4.0)
+    value, tail, _, _ = _series((1.2, 0.7), (2.9, 3.1), -4.0)
     ref = float(mp.hyper([1.2, 0.7], [2.9, 3.1], -4.0))
-    assert abs(r.value - ref) <= max(r.abs_error_bound, 1e-13 * abs(ref)) * 10
+    assert abs(value - ref) <= max(tail, 1e-13 * abs(ref)) * 10
 
 
 @pytest.mark.parametrize("p,q", [(0.0, 1.0), (-0.5, 1.0), (1.0, 1.0), (2.0, 1.5)])
@@ -175,10 +180,11 @@ def test_hyp2f2_rejects_parameters_outside_its_family(p, q):
         sf.hyp2f2(p, q, 0.5)
 
 
-def test_hyp2f2_series_cancellation_raises():
-    # the general series has no safe large-negative path
-    with pytest.raises(sf.ConvergenceError, match="2F2 series cancellation"):
-        sf._hyp2f2_series((1.0, 2.0), (3.0, 4.0), -60.0)
+def test_hyp_series_reports_cancellation():
+    # at z = -60 the partial sums pass the sum by more than the guard, and
+    # max_partial says so; a caller of the bare series must not trust it
+    value, _, _, max_partial = _series((1.0, 2.0), (3.0, 4.0), -60.0)
+    assert abs(value) * sf._CANCEL_GUARD < max_partial
 
 
 def test_hyp_series_term_cap_raises():
@@ -374,6 +380,72 @@ def test_meijer_slater_guard_does_not_overflow():
             assert (got.method, got.value) == ("slater", value)
             contour, _ = sf._meijer_contour(d2, 169.5 + d2, z)
             assert got.value == pytest.approx(contour, rel=1e-12)
+
+
+def test_meijer_slater_term_that_cancels_yields_the_contour(monkeypatch):
+    # at b3 - a1 = 1.5, z = 0.5 the first term's partial sums reach 3.6 times
+    # its sum and the other two terms' never pass theirs: a guard of 2 makes
+    # that one term report lost digits, and the contour takes the point
+    d2, a, z = 2.0 / 3.0, 1.5, 0.5
+    assert sf.meijer_g_3123(d2, a + d2, z).method == "slater"
+    monkeypatch.setattr(sf, "_CANCEL_GUARD", 2.0)
+    got = sf.meijer_g_3123(d2, a + d2, z)
+    assert got.method == "contour"
+    assert got.value == sf._meijer_contour(d2, a + d2, z)[0]
+
+
+def _pairwise_slater_rule(bs, z):
+    """Slater's rule over the pairwise distances of the b parameters
+    ``bs = (a1, 0, b3)``: the reference for ``meijer_g_3123``'s check of
+    a1, b3 - a1 and b3."""
+    if z > 30.0:  # positive-argument 2F2 growth would start cancelling
+        return False
+    for i in range(3):
+        for j in range(i + 1, 3):
+            d = abs(bs[i] - bs[j])
+            if abs(d - round(d)) < 1e-6:
+                return False
+    return True
+
+
+def _near_integers(lo):
+    """Floats within 2e-6 of an integer in [lo, 200], on both sides of the
+    rule's 1e-6."""
+    return st.builds(lambda n, eps: n + eps, st.integers(lo, 200), st.floats(-2e-6, 2e-6))
+
+
+@st.composite
+def _rate_family(draw):
+    """(a1, b3) with a1 in {0} or [0, 1) and b3 > a1, where a1, b3 - a1 and
+    b3 each often lie near an integer."""
+    if draw(st.booleans()):
+        a1 = draw(st.floats(0.0, 1.0, exclude_max=True))
+    else:
+        a1 = draw(st.one_of(st.just(0.0), st.floats(0.0, 2e-6),
+                            st.floats(1.0 - 2e-6, 1.0, exclude_max=True)))
+    if draw(st.booleans()):
+        b3 = draw(st.floats(a1, 200.0, exclude_min=True))
+    else:
+        b3 = draw(st.one_of(_near_integers(1), _near_integers(0).map(lambda d: a1 + d)))
+    assume(b3 > a1)
+    return a1, b3
+
+
+@settings(max_examples=400)
+@example(a1_b3=(5e-7, 2.5), z=1.0)
+@example(a1_b3=(0.25, 3.25 + 5e-7), z=1.0)
+@example(a1_b3=(0.25, 4.0 - 5e-7), z=29.0)
+@example(a1_b3=(0.25, 2.5), z=30.0)
+@example(a1_b3=(0.25, 2.5), z=math.nextafter(30.0, math.inf))
+@given(a1_b3=_rate_family(),
+       z=st.one_of(st.floats(1e-6, 30.0), st.floats(30.0, 1e3),
+                   st.sampled_from([30.0, math.nextafter(30.0, math.inf)])))
+def test_simple_pole_rule_matches_the_pairwise_rule(a1_b3, z):
+    a1, b3 = a1_b3
+    with mock.patch.object(sf, "_meijer_slater", lambda a1, b3, z: (1.0, 0.0, 0)), \
+            mock.patch.object(sf, "_meijer_contour", lambda a1, b3, z: (2.0, 0.0)):
+        method = sf.meijer_g_3123(a1, b3, z).method
+    assert (method == "slater") == _pairwise_slater_rule((a1, 0.0, b3), z)
 
 
 # (a1, b3): integer and non-integer shapes of both rate patterns; all but the
