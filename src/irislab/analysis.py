@@ -119,7 +119,7 @@ def high_snr_stats(t1: float, t2: float, n: int) -> HighSnrChannelStats:
 def high_snr_pdf(x, stats: HighSnrChannelStats):
     """Tail-model density m_tilde^N x^(a-1) exp(-rate x) / Gamma(a)."""
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
+    if not np.all(x >= 0.0):
         raise ValueError("gain must be nonnegative")
     ln_norm = stats.n * math.log(stats.m_tilde) - math.lgamma(stats.a)
     at_zero = math.exp(ln_norm) if stats.a == 1.0 else 0.0   # a >= 1 always
@@ -136,7 +136,7 @@ def high_snr_pdf(x, stats: HighSnrChannelStats):
 def high_snr_cdf(x, stats: HighSnrChannelStats):
     """Tail-model CDF; saturates at ``stats.mass`` rather than one."""
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
+    if not np.all(x >= 0.0):
         raise ValueError("gain must be nonnegative")
     out = stats.mass * special_ufuncs().gammainc(stats.a, stats.rate * x)
     return out if out.ndim else float(out)
@@ -199,14 +199,14 @@ def _hyp2f1_at_one(a: float, b: float, w):
 
 def laplace_exact(s: float, t1: float, t2: float) -> float:
     """Laplace transform of one product gain, closed form."""
-    if s <= 0.0:
+    if not s > 0.0:
         raise ValueError("laplace_exact requires s > 0")
     return math.exp(_ln_laplace(s, *_split_ts_tl(t1, t2)))
 
 
 def laplace_high_snr(s: float, t1: float, t2: float) -> float:
     """Large-s asymptote m_tilde (s + rate)^(-2 ts); exact/this -> 1."""
-    if s <= 0.0:
+    if not s > 0.0:
         raise ValueError("laplace_high_snr requires s > 0")
     ts, tl = _split_ts_tl(t1, t2)
     beta = 2.0 * math.sqrt(ts * tl)
@@ -222,7 +222,7 @@ def product_nakagami_pdf(x, t1: float, t2: float):
     reflection identity built from I_nu.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
+    if not np.all(x > 0.0):
         raise ValueError("product_nakagami_pdf requires x > 0")
     ts, tl = _split_ts_tl(t1, t2)
     beta = 2.0 * math.sqrt(ts * tl)
@@ -265,7 +265,7 @@ def product_sum_cdf(x, t1: float, t2: float, n: int, nodes: int = 24):
     which ``op_exact`` catches with its second node count.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
+    if not np.all(x >= 0.0):
         raise ValueError("gain must be nonnegative")
     ts, tl = _split_ts_tl(t1, t2)
     u, c = _TALBOT[nodes]
@@ -419,7 +419,10 @@ def op_asymptotic(cfg: NetworkConfig, n_max: int = 30) -> float:
         expo = alpha * a + alpha * n + 2.0
         ln_mag = (ln_head + math.log(coef) - math.lgamma(n + 1.0) + (a + n) * ln_b
                   + expo * ln_R + math.log1p(-math.exp(expo * ln_ratio)))
-        total += (-1.0) ** n * math.exp(ln_mag)
+        try:
+            total += (-1.0) ** n * math.exp(ln_mag)
+        except OverflowError:
+            raise ValueError(f"asymptotic outage term exp({ln_mag!r}) is outside [0, 1]") from None
     return total
 
 
@@ -650,6 +653,6 @@ def power_consumption(pm: PowerModel, cfg: NetworkConfig) -> float:
 
 def energy_efficiency(se: float, pe: float) -> float:
     """EE = SE / P_e (unitless convention)."""
-    if pe <= 0.0:
+    if not pe > 0.0:
         raise ZeroDivisionError("total power must be positive")
     return se / pe

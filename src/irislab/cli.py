@@ -85,8 +85,6 @@ def _specs(args) -> list:
             outputs = [s.strip() for s in args.series.split(",") if s.strip()]
             if not outputs:
                 raise ValueError(f"--series {args.series!r} names no series")
-            if len(set(outputs)) < len(outputs):
-                raise ValueError(f"--series {args.series!r} names a series more than once")
             changes["outputs"] = outputs
         spec = (_smoke if args.smoke else replace)(spec, **changes)
         if spec.experiment in owner:

@@ -179,7 +179,7 @@ def philox_keys(master_seed: int, key_prefix, counters) -> np.ndarray:
 def sample_user_distance(rng: np.random.Generator, R: float, r0: float,
                          size: Optional[int] = None):
     """Distance of a user placed uniformly on the annulus [r0, R]."""
-    if r0 >= R:
+    if not r0 < R:
         raise ValueError(f"need r0 < R, got r0={r0} R={R}")
     return _annulus_distance(rng.random(size), R, r0)
 
@@ -196,7 +196,7 @@ def path_loss(d1: float, d2, alpha: float, ref_atten_db: float):
     values of scalar calls bit for bit; numpy's vectorized power does not.
     """
     d2 = np.asarray(d2, dtype=float)
-    if d1 <= 0.0 or np.any(d2 <= 0.0):
+    if not (d1 > 0.0 and np.all(d2 > 0.0)):
         raise ValueError("distances must be positive")
     power = [x ** -alpha for x in (d1 * d2).ravel().tolist()]
     return 10.0 ** (ref_atten_db / 10.0) * np.reshape(power, d2.shape)
@@ -205,7 +205,7 @@ def path_loss(d1: float, d2, alpha: float, ref_atten_db: float):
 def sample_nakagami_power(rng: np.random.Generator, t: float,
                           size: Optional[int] = None):
     """Unit-mean squared Nakagami gain: Gamma(shape=t, scale=1/t)."""
-    if t < 0.5:
+    if not t >= 0.5:
         raise ValueError(f"fading parameter must be >= 0.5, got {t}")
     return rng.gamma(t, 1.0 / t, size)
 

@@ -244,14 +244,12 @@ _CHUNK = 512          # trials stacked per linear-algebra pass; bounds peak memo
 def _link_chunk(plan, cfg, lo, hi):
     """User 0's ``link_gain`` of trials lo..hi-1 and the number of rank-deficient draws.
 
-    Every trial draws from its own stream, keyed by (seed, link tag, trial);
-    a rank-deficient trial opens that stream, replays the key stack's draw
-    and draws again, so its value does not depend on the chunking.
+    Trial t draws the first realization of the stream keyed by (seed, link tag, t),
+    and its k-th redraw that of (seed, link tag, k, t): no value depends on the chunking.
     """
     keys = philox_keys(plan.master_seed, (_TAG_LINK,), range(lo, hi))
     real = draw_channel(keys, cfg)
     failed = [0] * len(keys)
-    resumed = {}
     while True:
         try:
             sol = solve_beamforming(real, cfg, users=(0,))
@@ -262,11 +260,9 @@ def _link_chunk(plan, cfg, lo, hi):
                 failed[i] += 1
                 if failed[i] > 64:
                     raise
-                if i not in resumed:
-                    resumed[i] = stream(plan.master_seed, _TAG_LINK, lo + i)
-                    draw_channel(resumed[i], cfg)
-                again = draw_channel(resumed[i], cfg)
-                real.H[i], real.G[i], real.d2[i] = again.H, again.G, again.d2
+                again = draw_channel(philox_keys(plan.master_seed, (_TAG_LINK, failed[i]),
+                                                 [lo + i]), cfg)
+                real.H[i], real.G[i], real.d2[i] = again.H[0], again.G[0], again.d2[0]
             continue
         return link_gain(real, sol, cfg, 0), sum(failed)
 

@@ -295,8 +295,8 @@ _contour_line = functools.lru_cache(maxsize=2)(_Line)
 
 
 def _meijer_contour(a1, b3, z):
-    """G(z | a1, 1; a1, 0, b3) as a Mellin-Barnes integral along a vertical
-    line, evaluated by quadrature.
+    """G(z | a1, 1; a1, 0, b3) as a Mellin-Barnes integral along a1's line
+    Re s = c0 (``_Line``), evaluated by quadrature.
 
     The integrand decays like exp(-3*pi*|t|/2), so a finite window loses
     nothing, and conjugate symmetry halves the work.  With s = c0 + i t,
@@ -305,11 +305,9 @@ def _meijer_contour(a1, b3, z):
     where numpy does not rescale.  A node new to the line pays the five
     scalar loggamma terms and joins the line and its heads.
     """
-    bs, a2 = (a1, 0.0, b3), 1.0
-    c0 = 0.5 * (a1 - 1.0)
-    lnz = math.log(z)
-    c0lnz = c0 * lnz
     line = _contour_line(a1)
+    c0, lnz = line.c0, math.log(z)
+    c0lnz = c0 * lnz
     heads = line.heads_of(b3)     # every z with this (a1, b3) reuses the sums
     get, exp, cos = heads.get, math.exp, math.cos
     loggamma = special_ufuncs().loggamma
@@ -319,7 +317,7 @@ def _meijer_contour(a1, b3, z):
         if head is None:
             s = complex(c0, t)
             terms = (complex(loggamma(a1 - s) + loggamma(0.0 - s)),
-                     complex(loggamma(1.0 - a1 + s)), complex(loggamma(a2 - s)))
+                     complex(loggamma(1.0 - a1 + s)), complex(loggamma(1.0 - s)))
             h = ((terms[0] + loggamma(b3 - s)) + terms[1]) - terms[2]
             head = (float(h.real), float(h.imag))
             if len(line) < _TABLE_NODES:
@@ -334,9 +332,7 @@ def _meijer_contour(a1, b3, z):
     scale = abs(f(0.0)) + 1e-300
     val, err, ier = quadpack(f, 0.0, 48.0, scale * 1e-14, 1e-12, 4000)
     if not math.isfinite(val):
-        raise ConvergenceError(
-            f"contour integral overflows ({val!r}): bs={bs}, a1={a1}, a2={a2}, z={z}"
-        )
+        raise ConvergenceError(f"contour integral overflows ({val!r}): a1={a1}, b3={b3}, z={z}")
     if ier:
         # QUADPACK doubts its estimate (near the top of the double range its
         # error arithmetic saturates).  The value stands only under a bound
@@ -347,7 +343,7 @@ def _meijer_contour(a1, b3, z):
         if ier:
             raise ConvergenceError(
                 f"contour integral unresolved (QUADPACK flag {ier} at unit scale): "
-                f"bs={bs}, a1={a1}, a2={a2}, z={z}"
+                f"a1={a1}, b3={b3}, z={z}"
             )
         err = max(abs(err), abs(val - scale * ref) + scale * ref_err)
     return val / math.pi, abs(err) / math.pi
@@ -388,14 +384,14 @@ def _meijer_slater(a1, b3, z):
 def meijer_g_3123(a1: float, b3: float, z: float) -> EvalResult:
     """G^{3,1}_{2,3}( z | a1, 1 ; a1, 0, b3 ) for the rate-integral family.
 
-    Requires 0 <= a1 < 1, b3 > a1 and z > 0.  The Slater expansion runs when
-    the poles are simple and its terms keep their digits, otherwise the
+    Requires 0 <= a1 < 1 and finite b3 > a1 and z > 0.  Slater's expansion runs
+    where the poles are simple and its terms keep their digits, otherwise the
     Mellin-Barnes contour quadrature; ``method`` on the result names the path.
     """
-    if a1 < 0.0 or a1 >= 1.0 or b3 <= a1:
+    if not (0.0 <= a1 < 1.0 and a1 < b3 < math.inf):
         raise ValueError(f"unsupported Meijer-G parameters: a1={a1}, b3={b3}")
-    if z <= 0.0:
-        raise ValueError(f"meijer_g_3123 requires z > 0, got {z}")
+    if not 0.0 < z < math.inf:
+        raise ValueError(f"meijer_g_3123 requires finite z > 0, got {z}")
     # past z = 30 positive-argument 2F2 growth would start cancelling; the
     # poles are simple where a1, b3 - a1 and b3, their distances, are not integers
     if z <= 30.0 and all(abs(d - round(d)) >= 1e-6 for d in (a1, b3 - a1, b3)):

@@ -32,9 +32,9 @@ def _cfg(**kw):
 
 def test_m_tilde_values():
     # closed forms: for t_s = 1 the constant reduces to 2 t_l / (t_l - 1)
-    assert an.m_tilde(2.0, 1.0) == pytest.approx(4.0, rel=1e-14)
-    assert an.m_tilde(1.0, 2.0) == pytest.approx(4.0, rel=1e-14)
-    assert an.m_tilde(3.0, 1.0) == pytest.approx(3.0, rel=1e-14)
+    assert an.m_tilde(2.0, 1.0) == pytest.approx(4.0, rel=1e-14, abs=0.0)
+    assert an.m_tilde(1.0, 2.0) == pytest.approx(4.0, rel=1e-14, abs=0.0)
+    assert an.m_tilde(3.0, 1.0) == pytest.approx(3.0, rel=1e-14, abs=0.0)
     with pytest.raises(ValueError):
         an.m_tilde(2.0, 2.0)
 
@@ -70,8 +70,8 @@ def test_high_snr_pdf_cdf_shape():
     # saturation: integral of the pdf over (0, inf) is the model mass, not 1
     mass, _ = integrate.quad(lambda v: an.high_snr_pdf(v, st), 0, np.inf)
     assert mass == pytest.approx(st.mass, rel=1e-10)
-    assert an.high_snr_cdf(1e9, st) == pytest.approx(st.mass, rel=1e-12)
-    assert st.mass == pytest.approx(0.25, rel=1e-12)
+    assert an.high_snr_cdf(1e9, st) == pytest.approx(st.mass, rel=1e-12, abs=0.0)
+    assert st.mass == pytest.approx(0.25, rel=1e-12, abs=0.0)
 
 
 def test_high_snr_cdf_matches_small_quantiles():
@@ -132,6 +132,34 @@ def test_product_pdf_matches_sampled_histogram():
     model = np.interp(draws, grid, cdf)
     emp = (np.arange(n) + 0.5) / n
     assert np.max(np.abs(model - emp)) < 0.004
+
+
+_NAN = math.nan
+_STATS = an.high_snr_stats(2.0, 1.0, 2)
+
+
+@pytest.mark.parametrize("fn,args,error,match", [
+    (an.product_sum_cdf, (_NAN, 2.0, 1.0, 2), ValueError, "gain must be nonnegative"),
+    (an.product_sum_cdf, ([1.0, _NAN], 2.0, 1.0, 2), ValueError, "gain must be nonnegative"),
+    (an.high_snr_pdf, (_NAN, _STATS), ValueError, "gain must be nonnegative"),
+    (an.high_snr_cdf, (_NAN, _STATS), ValueError, "gain must be nonnegative"),
+    (an.laplace_exact, (_NAN, 2.0, 1.0), ValueError, "laplace_exact requires s > 0"),
+    (an.laplace_high_snr, (_NAN, 2.0, 1.0), ValueError, "laplace_high_snr requires s > 0"),
+    (an.product_nakagami_pdf, (_NAN, 2.0, 1.0), ValueError, "product_nakagami_pdf requires x > 0"),
+    (an.energy_efficiency, (1.0, _NAN), ZeroDivisionError, "total power must be positive"),
+    (geo.sample_nakagami_power, (geo.stream(1, 0), _NAN, 3), ValueError,
+     "fading parameter must be >= 0.5, got nan"),
+    (geo.sample_user_distance, (geo.stream(1, 0), _NAN, 1.0, 3), ValueError,
+     "need r0 < R, got r0=1.0 R=nan"),
+    (geo.path_loss, (_NAN, 2.0, 3.0, -30.0), ValueError, "distances must be positive"),
+    (geo.path_loss, (1.0, [2.0, _NAN], 3.0, -30.0), ValueError, "distances must be positive"),
+], ids=["product_sum_cdf", "product_sum_cdf_array", "high_snr_pdf", "high_snr_cdf",
+        "laplace_exact", "laplace_high_snr", "product_nakagami_pdf", "energy_efficiency",
+        "sample_nakagami_power", "sample_user_distance", "path_loss_d1", "path_loss_d2"])
+def test_nan_input_raises_the_guards_own_error(fn, args, error, match):
+    # each guard states the condition it requires, which NaN fails
+    with pytest.raises(error, match=f"^{re.escape(match)}$"):
+        fn(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +306,7 @@ def test_op_asymptotic_converges_to_closed_form():
     # pick the power so that b R^alpha is about one half
     cfg = _cfg()
     cfg = _cfg(p_b=cfg.p_b * (an._tail_model(cfg)[1] * cfg.R ** 3 / 0.5))
-    assert an._tail_model(cfg)[1] * cfg.R ** 3 == pytest.approx(0.5, rel=1e-12)
+    assert an._tail_model(cfg)[1] * cfg.R ** 3 == pytest.approx(0.5, rel=1e-12, abs=0.0)
     cf = an.op_closed_form(cfg)
     asy = an.op_asymptotic(cfg, n_max=30)
     assert asy == pytest.approx(cf, rel=1e-6)
@@ -324,6 +352,15 @@ def test_op_asymptotic_is_zero_where_the_threshold_scale_underflows():
     assert an.op_asymptotic(cfg) == an.op_closed_form(cfg) == 0.0
 
 
+def test_op_asymptotic_names_a_term_past_the_float_range():
+    # t1 and t2 one ulp apart blow m_tilde up: the leading term is about exp(724)
+    cfg = _cfg(N=22, t1=0.5, t2=0.5000000000000001, p_b=1e-3)
+    with pytest.raises(ValueError, match=r"^asymptotic outage term exp\(724\.\d+\) is outside "):
+        an.op_asymptotic(cfg)
+    (failure,) = harness._SERIES["op_vs_snr"]["asymptotic"](None, [cfg])
+    assert str(failure).startswith("asymptotic outage term exp(724.")
+
+
 def test_op_asymptotic_rejects_a_negative_term_count():
     with pytest.raises(ValueError, match="n_max"):
         an.op_asymptotic(_cfg(p_b=30.0), n_max=-1)
@@ -357,7 +394,7 @@ def test_diversity_order_values():
 
 
 def test_op_special_case():
-    assert an.op_special_case(1.0, 1, 1.0, 1.0, 3.0) == pytest.approx(0.4, rel=1e-14)
+    assert an.op_special_case(1.0, 1, 1.0, 1.0, 3.0) == pytest.approx(0.4, rel=1e-14, abs=0.0)
     # doubling N doubles the distance exponent
     v1 = an.op_special_case(0.5, 1, 2.0, 3.0, 3.0)
     v2 = an.op_special_case(0.5, 2, 2.0, 3.0, 3.0)
@@ -900,6 +937,15 @@ def test_ergodic_rate_meijer_names_the_config_behind_a_shape_past_the_cap():
     cfg = _cfg(N=400, t1=5.0)
     with pytest.raises(ValueError, match=r"^shape 285\.7 \(N=400, t1=5\.0, t2=1\.0, Q=1\) "
                                          r"overflows the linear-domain assembly$"):
+        an.ergodic_rate_meijer(an.gamma_approx(cfg), cfg)
+
+
+def test_ergodic_rate_meijer_names_a_contour_term_without_a_bound():
+    # QUADPACK's saturated first estimate has error nan (flag 3) at shape 169.26 and
+    # z = 4.0e-7; the kernel hands it on, and the rate names the bracket it spoils
+    cfg = _cfg(N=167, t1=3.0, t2=2.040927364165867, p_b=1e-3)
+    with pytest.raises(sf.ConvergenceError,
+                       match=r"^Meijer-G rate bracket 7\.3\d+e\+307 has error bound nan "):
         an.ergodic_rate_meijer(an.gamma_approx(cfg), cfg)
 
 

@@ -125,8 +125,8 @@ def test_normalize_weights():
     assert beta == 1.0 and np.array_equal(phi, phi_v)
     phi_v = np.array([2.0 * np.exp(1j * np.pi / 3)])
     phi, beta = bf.normalize_weights(phi_v)
-    assert beta == pytest.approx(2.0, rel=1e-15)
-    assert phi[0] == pytest.approx(np.exp(1j * np.pi / 3), rel=1e-15)
+    assert beta == pytest.approx(2.0, rel=1e-15, abs=0.0)
+    assert phi[0] == pytest.approx(np.exp(1j * np.pi / 3), rel=1e-15, abs=0.0)
     real, _ = _real(6)
     pv = bf.solve_passive_weights(bf.stack_interference_matrix(real), bf.target_vector(real))
     phi, beta = bf.normalize_weights(pv)

@@ -104,7 +104,7 @@ def test_path_loss_product_scaling(d1, d2, alpha, c):
 
 
 def test_path_loss_values():
-    assert geo.path_loss(1.0, 1.0, 3.0, -30.0) == pytest.approx(1e-3, rel=1e-12)
+    assert geo.path_loss(1.0, 1.0, 3.0, -30.0) == pytest.approx(1e-3, rel=1e-12, abs=0.0)
     assert geo.path_loss(0.5, 2.0, 3.7, 0.0) == pytest.approx(1.0, rel=1e-12)
     assert geo.path_loss(2.0, 5.0, 3.0, -30.0) == pytest.approx(1e-6, rel=1e-12, abs=0.0)
     with pytest.raises(ValueError):

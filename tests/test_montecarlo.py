@@ -74,12 +74,11 @@ def test_link_level_matches_manual_single_trial():
     assert est.trials_used == 1
 
 
-def _reference_trial(gen, cfg, redraws=0):
+def _reference_trial(gen, cfg):
     """User 0's ``gain * path loss`` of one trial, computed the per-trial way.
 
     Lists of matrices, one lstsq and one SVD, numpy scalars: the link-level
-    pipeline before it was batched, replaying the trial's stream past
-    ``redraws`` rejected draws.
+    pipeline before it was batched, on the first draw of ``gen``.
     """
     M, K, N = cfg.M, cfg.K, cfg.N
 
@@ -87,10 +86,9 @@ def _reference_trial(gen, cfg, redraws=0):
         power = gen.gamma(t, 1.0 / t, shape)
         return np.sqrt(power) * np.exp(1j * gen.uniform(0.0, 2.0 * np.pi, shape))
 
-    for _ in range(redraws + 1):
-        d2 = np.sqrt(cfg.r0 ** 2 + gen.random(M) * (cfg.R ** 2 - cfg.r0 ** 2))
-        H = fading(cfg.t1, (N, M))
-        G = [fading(cfg.t2, (K, N)) for _ in range(M)]
+    d2 = np.sqrt(cfg.r0 ** 2 + gen.random(M) * (cfg.R ** 2 - cfg.r0 ** 2))
+    H = fading(cfg.t1, (N, M))
+    G = [fading(cfg.t2, (K, N)) for _ in range(M)]
     Hbar = np.vstack([G[m] * H[:, m][np.newaxis, :] for m in range(M)])
     S = np.concatenate([np.abs(G[m]) @ np.abs(H[:, m]) for m in range(M)])
     phi_v, _, rank, _ = np.linalg.lstsq(Hbar, S.astype(complex), rcond=1e-10)
@@ -173,8 +171,9 @@ def test_rank_deficient_draw_is_redrawn_from_its_own_stream(monkeypatch):
     est = mc.simulate_ergodic_rate(plan, cfg, fidelity="link_level")
     assert calls == [5, 5, 5]
     assert est.degenerate_draws == 2
-    bases = [_reference_trial(geo.stream(plan.master_seed, mc._TAG_LINK, t), cfg,
-                              redraws=2 if t == 3 else 0) for t in range(plan.trials)]
+    # trial 3 keeps its second redraw: the first draw of the stream keyed by attempt 2
+    keys = [(2, t) if t == 3 else (t,) for t in range(plan.trials)]
+    bases = [_reference_trial(geo.stream(plan.master_seed, mc._TAG_LINK, *k), cfg) for k in keys]
     assert est.mean == math.fsum(_reference_values(bases, cfg, cfg.p_b)) / plan.trials
 
 
@@ -187,8 +186,36 @@ def test_rank_deficiency_beyond_64_redraws_raises(monkeypatch):
     plan = mc.TrialPlan(trials=3, master_seed=5)
     with pytest.raises(bf.RankDeficiencyError):
         mc.simulate_op(plan, _cfg(M=1, K=2, N=3), fidelity="link_level")
-    # the stack, then per trial a replay of its stream's first draw and 64 redraws
-    assert len(draws) == 1 + 3 * (1 + 64)
+    # the stack, then per trial 64 redraws, each from its own one-key stack
+    assert len(draws) == 1 + 3 * 64
+
+
+def test_redraws_come_from_key_stacks_whatever_the_chunking(monkeypatch):
+    # trial 3's draw and its first redraw are rejected; no link draw opens a stream
+    cfg = _cfg(M=2, K=3, N=6, p_b=1e-3)
+    plan = mc.TrialPlan(trials=7, master_seed=29)
+    rejected = {bf.stack_interference_matrix(
+        geo.draw_channel(geo.stream(plan.master_seed, mc._TAG_LINK, *k), cfg)).tobytes()
+        for k in ((3,), (1, 3))}
+    solve = bf.solve_passive_weights
+
+    def reject_listed_draws(Hbar, S):
+        listed = [(j,) for j in range(len(Hbar)) if Hbar[j].tobytes() in rejected]
+        if listed:
+            raise bf.RankDeficiencyError("rejected", listed)
+        return solve(Hbar, S)
+
+    def no_stream(*key):
+        raise AssertionError(f"the link engine opened stream {key}")
+
+    monkeypatch.setattr(bf, "solve_passive_weights", reject_listed_draws)
+    monkeypatch.setattr(mc, "stream", no_stream)
+    ests = []
+    for chunk in (2, 512):
+        monkeypatch.setattr(mc, "_CHUNK", chunk)
+        ests.append(mc.simulate_ergodic_rate(plan, cfg, fidelity="link_level"))
+    assert ests[0] == ests[1]
+    assert ests[0].degenerate_draws == 2
 
 
 def test_link_level_requires_solvable_geometry():
