@@ -25,7 +25,6 @@ both forced by the oracles:
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass, replace
 
@@ -641,9 +640,8 @@ class PowerModel:
 
     def __post_init__(self) -> None:
         for name, v in vars(self).items():
-            if (isinstance(v, bool) or not isinstance(v, numbers.Real)
-                    or not 0.0 <= as_float(name, v) < math.inf):
-                raise ValueError(f"{name} must be a finite nonnegative number, got {v!r}")
+            if not as_float(name, v) >= 0.0:
+                raise ValueError(f"{name} must be nonnegative, got {v!r}")
 
 
 def power_consumption(pm: PowerModel, cfg: NetworkConfig) -> float:

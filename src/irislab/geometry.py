@@ -18,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "as_float",
+    "as_int",
     "NetworkConfig",
     "ChannelRealization",
     "stream",
@@ -30,12 +31,26 @@ __all__ = [
 
 
 def as_float(name: str, value) -> float:
-    """``float(value)`` of a config number; an int too large for a float names ``name``."""
+    """``float(value)`` of config number ``name``; a bool or non-real, an int too large for a
+    float, NaN and infinity raise ``ValueError`` naming it.  Range rules stay with callers."""
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        raise ValueError(f"{name} must be a number, got {value!r}")  # float, int: ABC is slow
     try:
-        return float(value)
+        x = float(value)
     except OverflowError:
         raise ValueError(f"{name} must fit in a float, got an int of "
                          f"{value.bit_length()} bits") from None
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return x
+
+
+def as_int(name: str, value) -> int:
+    """``int(value)`` of the config integer ``name``: ``as_float``'s checks, then
+    no fractional part.  An integral float counts, so ``1e6`` gives 1000000."""
+    if not as_float(name, value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -57,14 +72,11 @@ class NetworkConfig:
     R_m: float = 1.5          # target rate (BPCU)
 
     def __post_init__(self) -> None:
-        """Value checks: finite numbers (not bools), integer M, K and N, then each bound."""
-        for name, value in vars(self).items():    # int, float first: the ABC check is slow
-            if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
+        """Value checks: finite numbers (``as_float``), integer M, K and N, then each bound."""
+        for name, value in vars(self).items():
+            as_float(name, value)
             if name in ("M", "K", "N") and not isinstance(value, (int, numbers.Integral)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            if not math.isfinite(as_float(name, value)):
-                raise ValueError(f"{name} must be finite, got {value}")
         if not (self.N >= self.K >= self.M >= 1):
             raise ValueError(f"need N >= K >= M >= 1, got N={self.N} K={self.K} M={self.M}")
         if not (self.t1 >= 0.5 and self.t2 >= 0.5):

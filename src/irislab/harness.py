@@ -11,13 +11,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
 
 from . import analysis as an
 from . import montecarlo as mc
-from .geometry import NetworkConfig, as_float
+from .geometry import NetworkConfig, as_float, as_int
 
 __all__ = [
     "ExperimentSpec",
@@ -76,10 +75,9 @@ def parse_power(value) -> float:
 
 def noise_power_watts(bandwidth_hz: float) -> float:
     """Thermal noise power: -174 + 10 log10(D) dBm."""
-    if (isinstance(bandwidth_hz, bool) or not isinstance(bandwidth_hz, numbers.Real)
-            or not 0.0 < as_float("bandwidth_hz", bandwidth_hz) < math.inf):
-        raise ValueError(f"bandwidth_hz must be a positive finite number, got {bandwidth_hz!r}")
-    return 1e-3 * 10.0 ** ((-174.0 + 10.0 * math.log10(bandwidth_hz)) / 10.0)
+    if not as_float("bandwidth_hz", bandwidth_hz) > 0.0:
+        raise ValueError(f"bandwidth_hz must be positive, got {bandwidth_hz!r}")
+    return _dbm_watts(-174.0 + 10.0 * math.log10(bandwidth_hz))
 
 
 def _watts(key: str, value) -> float:
@@ -112,8 +110,8 @@ def config_from_dict(d: dict) -> NetworkConfig:
     sigma2 = d.get("sigma2", "auto")
     d["sigma2"] = noise if sigma2 == "auto" else _watts("sigma2", sigma2)
     for key in ("M", "K", "N"):
-        if isinstance(d.get(key), float) and d[key].is_integer():
-            d[key] = int(d[key])
+        if key in d:
+            d[key] = as_int(key, d[key])
     return NetworkConfig(**d)
 
 
@@ -151,18 +149,13 @@ class ExperimentSpec:
         for name, values in self.sweep:
             if name not in _AXIS_FIELDS:
                 raise ValueError(f"unknown sweep axis {name!r}")
-            if not isinstance(values, (list, tuple)):
+            if not isinstance(values, (list, tuple)) or not values:
                 raise ValueError(f"axis {name!r} needs a list of values, got {values!r}")
-            vals = list(values)
-            if not vals or any(isinstance(v, bool) or not isinstance(v, numbers.Real)
-                               or not math.isfinite(as_float(f"axis {name!r}", v))
-                               for v in vals):
-                raise ValueError(f"axis {name!r} needs finite numbers, got {vals!r}")
-            if any(float(a) >= float(b) for a, b in zip(vals, vals[1:])):
-                raise ValueError(f"axis {name!r} values must be strictly increasing, got {vals!r}")
-            if _AXIS_FIELDS.get(name) in ("M", "K", "N") and any(
-                    not float(v).is_integer() for v in vals):
-                raise ValueError(f"axis {name!r} needs integer values")
+            number = as_int if _AXIS_FIELDS[name] in ("M", "K", "N") else as_float
+            vals = [number(f"axis {name!r}", v) for v in values]
+            if any(a >= b for a, b in zip(vals, vals[1:])):
+                raise ValueError(f"axis {name!r} values must be strictly increasing, "
+                                 f"got {list(values)!r}")
         sweep = tuple((name, tuple(values)) for name, values in self.sweep)
         names = [name for name, _ in sweep]
         repeated = sorted({n for n in names if names.count(n) > 1})
@@ -186,14 +179,6 @@ class ExperimentSpec:
         object.__setattr__(self, "groups", tuple(tuple(zip(*g)) for g in groups.values()))
 
 
-def _plan_integer(key: str, value) -> int:
-    """An integer plan entry; an integral float such as 1e6 is accepted."""
-    integral = isinstance(value, (int, float)) and as_float(f"plan.{key}", value).is_integer()
-    if isinstance(value, bool) or not integral:
-        raise ValueError(f"plan.{key} must be an integer, got {value!r}")
-    return int(value)
-
-
 def spec_from_dict(d: dict) -> ExperimentSpec:
     d = _section("top-level", d, ("experiment", "sweep", "base", "plan", "outputs",
                                   "power_model"), required=("experiment", "sweep", "base"))
@@ -204,8 +189,8 @@ def spec_from_dict(d: dict) -> ExperimentSpec:
     if "master_seed" not in plan_d:
         raise ValueError("plan.master_seed is required: runs must be reproducible")
     plan = mc.TrialPlan(
-        trials=_plan_integer("trials", plan_d.get("trials", 100000)),
-        master_seed=_plan_integer("master_seed", plan_d["master_seed"]),
+        trials=as_int("plan.trials", plan_d.get("trials", 100000)),
+        master_seed=as_int("plan.master_seed", plan_d["master_seed"]),
     )
     pm = None
     if "power_model" in d:

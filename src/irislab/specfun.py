@@ -126,7 +126,7 @@ class EvalResult:
     def __post_init__(self) -> None:
         if not math.isfinite(self.value):
             raise ConvergenceError(f"non-finite kernel value: {self.value!r}")
-        if self.abs_error_bound < 0.0:
+        if not self.abs_error_bound >= 0.0:
             raise ValueError("abs_error_bound must be nonnegative")
 
 
@@ -345,17 +345,17 @@ def _meijer_contour(a1, b3, z):
                 f"contour integral unresolved (QUADPACK flag {ier} at unit scale): "
                 f"a1={a1}, b3={b3}, z={z}"
             )
-        err = max(abs(err), abs(val - scale * ref) + scale * ref_err)
+        err = max(abs(val - scale * ref) + scale * ref_err, abs(err))  # max keeps a NaN first
     return val / math.pi, abs(err) / math.pi
 
 
 def _meijer_slater(a1, b3, z):
     """Slater expansion of G(z | a1, 1; a1, 0, b3) over simple poles, which
     the caller checks: three 2F2 terms, each summed by ``_hyp_series``.  The
-    sum comes back as a Python float, so the caller's arithmetic on it cannot
-    raise numpy overflow warnings.  ``None`` means digits were lost, in a
-    term whose partial sums cancel or in the sum of the three terms, and the
-    contour takes over.
+    gamma products are Python floats: one that overflows gives inf, which the
+    caller rejects, and no numpy warning.  ``None`` means digits were
+    lost, in a term whose partial sums cancel or in the sum of the three
+    terms, and the contour takes over.
     """
     bs, a2 = (a1, 0.0, b3), 1.0
     gamma = special_ufuncs().gamma
@@ -365,8 +365,8 @@ def _meijer_slater(a1, b3, z):
     for h in range(3):
         bh = bs[h]
         others = [bs[j] for j in range(3) if j != h]
-        coeff = (gamma(others[0] - bh) * gamma(others[1] - bh)
-                 * gamma(1.0 + bh - a1) / gamma(a2 - bh))
+        coeff = (float(gamma(others[0] - bh)) * float(gamma(others[1] - bh))
+                 * float(gamma(1.0 + bh - a1)) / gamma(a2 - bh))
         f, _, terms, max_partial = _hyp_series((1.0 + bh - a1, 1.0 + bh - a2),
                                                (1.0 + bh - others[0], 1.0 + bh - others[1]),
                                                z, 1e-12, 10 ** 6)

@@ -285,6 +285,8 @@ def test_eval_result_rejects_nonfinite():
         sf.EvalResult(float("nan"), 0.0, 1)
     with pytest.raises(sf.ConvergenceError):
         sf.EvalResult(float("inf"), 0.0, 1)
+    with pytest.raises(ValueError, match="abs_error_bound must be nonnegative"):
+        sf.EvalResult(1.0, float("nan"), 0)
 
 
 # ---------------------------------------------------------------------------
