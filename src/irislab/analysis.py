@@ -392,14 +392,12 @@ def op_quadrature(cfg: NetworkConfig) -> float:
     return scale * val
 
 
-def op_asymptotic(cfg: NetworkConfig, n_max: int = 30) -> float:
+def op_asymptotic(cfg: NetworkConfig) -> float:
     """High-SNR series expansion of the closed form, valid for b R^alpha < 1.
 
-    Sums the terms n = 0 .. ``n_max``; the logarithms no term changes are
-    taken once, before the loop.
+    Sums the terms n = 0 .. 30; the logarithms no term changes are taken
+    once, before the loop.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
     stats, b = _tail_model(cfg)
     if b <= 0.0:
         return 0.0
@@ -413,7 +411,7 @@ def op_asymptotic(cfg: NetworkConfig, n_max: int = 30) -> float:
     ln_b, ln_R = math.log(b), math.log(R)
     ln_ratio = math.log(r0) - ln_R
     total = 0.0
-    for n in range(n_max + 1):
+    for n in range(31):
         coef = a * (a + d) / ((a + n) * (a + d + n))
         expo = alpha * a + alpha * n + 2.0
         ln_mag = (ln_head + math.log(coef) - math.lgamma(n + 1.0) + (a + n) * ln_b

@@ -31,15 +31,16 @@ __all__ = [
 
 
 def as_float(name: str, value) -> float:
-    """``float(value)`` of config number ``name``; a bool or non-real, an int too large for a
+    """``float(value)`` of config number ``name``; a bool or non-real, a real too large for a
     float, NaN and infinity raise ``ValueError`` naming it.  Range rules stay with callers."""
     if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
         raise ValueError(f"{name} must be a number, got {value!r}")  # float, int: ABC is slow
     try:
         x = float(value)
     except OverflowError:
-        raise ValueError(f"{name} must fit in a float, got an int of "
-                         f"{value.bit_length()} bits") from None
+        kind = "an int" if isinstance(value, int) else f"a {type(value).__name__}"
+        raise ValueError(f"{name} must fit in a float, got {kind} of "
+                         f"{int(abs(value)).bit_length()} bits") from None
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {value}")
     return x

@@ -14,6 +14,7 @@ import math
 import time
 from dataclasses import dataclass, field, fields, replace
 
+from . import __version__
 from . import analysis as an
 from . import montecarlo as mc
 from .geometry import NetworkConfig, as_float, as_int
@@ -146,35 +147,37 @@ class ExperimentSpec:
                 isinstance(axis, (list, tuple)) and len(axis) == 2 and isinstance(axis[0], str)
                 for axis in self.sweep):
             raise ValueError(f"sweep must be a list of (axis name, values) pairs, got {self.sweep!r}")
+        sweep = []
         for name, values in self.sweep:
             if name not in _AXIS_FIELDS:
                 raise ValueError(f"unknown sweep axis {name!r}")
             if not isinstance(values, (list, tuple)) or not values:
                 raise ValueError(f"axis {name!r} needs a list of values, got {values!r}")
             number = as_int if _AXIS_FIELDS[name] in ("M", "K", "N") else as_float
-            vals = [number(f"axis {name!r}", v) for v in values]
+            vals = tuple(number(f"axis {name!r}", v) for v in values)
             if any(a >= b for a, b in zip(vals, vals[1:])):
                 raise ValueError(f"axis {name!r} values must be strictly increasing, "
                                  f"got {list(values)!r}")
-        sweep = tuple((name, tuple(values)) for name, values in self.sweep)
+            sweep.append((name, vals))
         names = [name for name, _ in sweep]
         repeated = sorted({n for n in names if names.count(n) > 1})
         if repeated:
             raise ValueError(f"sweep names axes {repeated} more than once")
         k = names.index("pb_dbm") if "pb_dbm" in names else len(names)
         groups = {}
-        for point in itertools.product(*(values for _, values in sweep)):
+        for given, point in zip(itertools.product(*(values for _, values in self.sweep)),
+                                itertools.product(*(values for _, values in sweep))):
             try:
                 cfg = _apply_axes(self.base, names, point)
             except (ValueError, OverflowError) as e:
                 detail = "p_b does not fit in a float" if isinstance(e, OverflowError) else e
-                where = ", ".join(f"{n}={v!r}" for n, v in zip(names, point))
+                where = ", ".join(f"{n}={v!r}" for n, v in zip(names, given))
                 raise ValueError(f"sweep point ({where}): {detail}") from None
             fpoint = tuple(float(v) for v in point)
             groups.setdefault(fpoint[:k] + fpoint[k + 1:], []).append((fpoint, cfg))
         if self.experiment == "ee_sweep" and self.power_model is None:
             raise ValueError("ee_sweep needs a power_model section")
-        object.__setattr__(self, "sweep", sweep)
+        object.__setattr__(self, "sweep", tuple(sweep))
         object.__setattr__(self, "outputs", outputs)
         object.__setattr__(self, "groups", tuple(tuple(zip(*g)) for g in groups.values()))
 
@@ -226,16 +229,10 @@ class ExperimentResult:
 
 
 def _apply_axes(base: NetworkConfig, names, values):
-    """New config with the axis values applied; throughput ties K to M."""
-    kw = {}
-    for name, value in zip(names, values):
-        fld = _AXIS_FIELDS[name]
-        if fld == "p_b":
-            kw["p_b"] = _dbm_watts(float(value))
-        elif fld in ("M", "K", "N"):
-            kw[fld] = int(value)
-        else:
-            kw[fld] = float(value)
+    """New config with the checked axis values applied; throughput ties K to M."""
+    kw = {_AXIS_FIELDS[name]: value for name, value in zip(names, values)}
+    if "p_b" in kw:
+        kw["p_b"] = _dbm_watts(kw["p_b"])
     if "M" in kw and "K" not in kw:
         kw["K"] = max(kw["M"], base.K)
     return replace(base, **kw)
@@ -273,16 +270,11 @@ def run_experiment(spec: ExperimentSpec, n_workers: int = 1) -> ExperimentResult
         "experiment": spec.experiment,
         "seed": spec.plan.master_seed,
         "trials": spec.plan.trials,
-        "version": _version_string(),
+        "version": f"irislab {__version__}",
         "wall_time_s": round(time.monotonic() - t0, 3),
         "series_wall_s": {series: round(t, 6) for series, t in series_wall.items()},
     }
     return ExperimentResult([name for name, _ in spec.sweep], rows, meta, failures)
-
-
-def _version_string() -> str:
-    from . import __version__
-    return f"irislab {__version__}"
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +282,9 @@ def _version_string() -> str:
 # ---------------------------------------------------------------------------
 # An evaluator takes the configs of one power group (points that differ only in
 # pb_dbm) and returns one payload per point: (value, std_error, trials) or the
-# point's exception.  Engines are looked up by name at call time, never
-# bound at import: a rebound module attribute (a tracer, a test double) is the
-# one called.
+# point's exception, which ``_attempt`` alone catches.  Engines are looked up by
+# name at call time, never bound at import: a rebound module attribute (a
+# tracer, a test double) is the one called.
 
 @dataclass
 class _Run:
@@ -303,13 +295,20 @@ class _Run:
     memo: dict = field(default_factory=dict)     # values computed once per run
 
     def once(self, key, fn, *args):
-        """``fn(*args)``, computed once per run for ``key``; an exception is kept like a value."""
+        """``fn(*args)`` once per run for ``key``; a stored failure raises anew, as ``fn`` would."""
         if key not in self.memo:
-            try:
-                self.memo[key] = fn(*args)
-            except Exception as e:                  # noqa: BLE001 - per-point report
-                self.memo[key] = e
+            self.memo[key] = _attempt(fn, *args)
+        if isinstance(self.memo[key], Exception):
+            raise self.memo[key]
         return self.memo[key]
+
+
+def _attempt(fn, *args, **kw):
+    """``fn(*args, **kw)`` or the exception it raised: where a failure becomes a point's outcome."""
+    try:
+        return fn(*args, **kw)
+    except Exception as e:                          # noqa: BLE001 - per-point report
+        return e
 
 
 def _payload(est):
@@ -320,13 +319,7 @@ def _closed(value):
     """A closed form ``value(run, cfg)`` at each point, without standard error;
     an exception becomes that point's failure."""
     def evaluate(run, cfgs):
-        out = []
-        for cfg in cfgs:
-            try:
-                out.append((value(run, cfg), 0.0, 0))
-            except Exception as e:                  # noqa: BLE001 - per-point report
-                out.append(e)
-        return out
+        return [_attempt(lambda: (value(run, cfg), 0.0, 0)) for cfg in cfgs]
     return evaluate
 
 
@@ -338,11 +331,10 @@ def _axis(engine, **kw):
     every point of the group.
     """
     def evaluate(run, cfgs):
-        try:
-            ests = getattr(mc, engine)(run.spec.plan, cfgs[0], [c.p_b for c in cfgs],
-                                       n_workers=run.n_workers, **kw)
-        except Exception as e:                      # noqa: BLE001 - per-point report
-            return [e] * len(cfgs)
+        ests = _attempt(getattr(mc, engine), run.spec.plan, cfgs[0], [c.p_b for c in cfgs],
+                        n_workers=run.n_workers, **kw)
+        if isinstance(ests, Exception):
+            return [ests] * len(cfgs)
         return [_payload(e) for e in ests]
     return evaluate
 
@@ -360,8 +352,8 @@ def _relay(scheme):
         return _payload(est)
 
     def evaluate(run, cfgs):
-        return [run.once((scheme, *(getattr(cfg, f) for f in _RELAY_FIELDS)), split, run, cfg)
-                for cfg in cfgs]
+        return [_attempt(run.once, (scheme, *(getattr(cfg, f) for f in _RELAY_FIELDS)),
+                         split, run, cfg) for cfg in cfgs]
     return evaluate
 
 
@@ -381,10 +373,7 @@ def _sum_se(run, cfg) -> float:
         return 0.0
     approx = an.gamma_approx(cfg)
     key = ("se", approx.shape, an.rate_snr_scale(approx, cfg), cfg.R, cfg.r0, cfg.alpha)
-    rate = run.once(key, an.ergodic_rate_meijer, approx, cfg)
-    if isinstance(rate, Exception):
-        raise rate
-    return cfg.M * rate
+    return cfg.M * run.once(key, an.ergodic_rate_meijer, approx, cfg)
 
 
 def _tail_outage(route, engine):

@@ -352,10 +352,10 @@ def _meijer_contour(a1, b3, z):
 def _meijer_slater(a1, b3, z):
     """Slater expansion of G(z | a1, 1; a1, 0, b3) over simple poles, which
     the caller checks: three 2F2 terms, each summed by ``_hyp_series``.  The
-    gamma products are Python floats: one that overflows gives inf, which the
-    caller rejects, and no numpy warning.  ``None`` means digits were
-    lost, in a term whose partial sums cancel or in the sum of the three
-    terms, and the contour takes over.
+    gamma values are Python floats, so no numpy warning.  ``None`` means a
+    term's gamma numerator overflows or its denominator underflows to 0, or
+    digits were lost, in a term whose partial sums cancel or in the sum of
+    the three terms, and the contour takes over.
     """
     bs, a2 = (a1, 0.0, b3), 1.0
     gamma = special_ufuncs().gamma
@@ -365,14 +365,17 @@ def _meijer_slater(a1, b3, z):
     for h in range(3):
         bh = bs[h]
         others = [bs[j] for j in range(3) if j != h]
-        coeff = (float(gamma(others[0] - bh)) * float(gamma(others[1] - bh))
-                 * float(gamma(1.0 + bh - a1)) / gamma(a2 - bh))
+        num = (float(gamma(others[0] - bh)) * float(gamma(others[1] - bh))
+               * float(gamma(1.0 + bh - a1)))
+        den = float(gamma(a2 - bh))
+        if not math.isfinite(num) or den == 0.0:
+            return None
         f, _, terms, max_partial = _hyp_series((1.0 + bh - a1, 1.0 + bh - a2),
                                                (1.0 + bh - others[0], 1.0 + bh - others[1]),
                                                z, 1e-12, 10 ** 6)
         if abs(f) * _CANCEL_GUARD < max_partial:
             return None
-        term = coeff * z ** bh * f
+        term = num / den * z ** bh * f
         terms_used += terms
         total += term
         max_term = max(max_term, abs(term))

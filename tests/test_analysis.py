@@ -291,15 +291,17 @@ def test_tail_model_mass_past_the_float_range_raises_by_name():
 def test_op_asymptotic_leading_term():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
-    cfg = _cfg(p_b=30.0)
-    got = an.op_asymptotic(cfg, n_max=0)
+    # at b R^alpha = 1e-14 the terms past the first move the sum by less than 1e-12
+    cfg = _cfg()
+    cfg = _cfg(p_b=cfg.p_b * (an._tail_model(cfg)[1] * cfg.R ** cfg.alpha / 1e-14))
+    got = an.op_asymptotic(cfg)
     s, b = an._tail_model(cfg)
     phi = (2 * mp.mpf(s.m_tilde) ** s.n * (4 * mp.mpf(s.t_s) * s.t_l) ** (-s.t_s * s.n)
            / (mp.gamma(s.a) * (mp.mpf(cfg.R) ** 2 - cfg.r0 ** 2)))
     aa2 = cfg.alpha * s.a + 2
     lead = phi * mp.mpf(b) ** s.a / (s.a * aa2) * (
         mp.mpf(cfg.R) ** aa2 - mp.mpf(cfg.r0) ** aa2)
-    assert got == pytest.approx(float(lead), rel=1e-12, abs=0.0)   # lead is 3.3e-20
+    assert got == pytest.approx(float(lead), rel=1e-12, abs=0.0)   # lead is 1.5e-59
 
 
 def test_op_asymptotic_converges_to_closed_form():
@@ -308,7 +310,7 @@ def test_op_asymptotic_converges_to_closed_form():
     cfg = _cfg(p_b=cfg.p_b * (an._tail_model(cfg)[1] * cfg.R ** 3 / 0.5))
     assert an._tail_model(cfg)[1] * cfg.R ** 3 == pytest.approx(0.5, rel=1e-12, abs=0.0)
     cf = an.op_closed_form(cfg)
-    asy = an.op_asymptotic(cfg, n_max=30)
+    asy = an.op_asymptotic(cfg)
     assert asy == pytest.approx(cf, rel=1e-6)
     with pytest.raises(ValueError):
         an.op_asymptotic(_cfg(p_b=1e-6))
@@ -334,16 +336,16 @@ def _op_asymptotic_per_term_logs(cfg, n_max):
 
 @given(N=st.integers(1, 64), ts=st.floats(0.5, 4.0), gap=st.floats(0.05, 3.0),
        swap=st.booleans(), alpha=st.floats(2.1, 4.5), R=st.floats(2.0, 500.0),
-       r0_share=st.floats(1e-3, 0.9), y=st.floats(1e-9, 0.99), n_max=st.integers(0, 40))
+       r0_share=st.floats(1e-3, 0.9), y=st.floats(1e-9, 0.99))
 def test_op_asymptotic_equals_the_per_term_logarithms_bit_for_bit(
-        N, ts, gap, swap, alpha, R, r0_share, y, n_max):
+        N, ts, gap, swap, alpha, R, r0_share, y):
     t1, t2 = (ts + gap, ts) if swap else (ts, ts + gap)
     cfg = _cfg(N=N, t1=t1, t2=t2, alpha=alpha, R=R, r0=r0_share * R)
     # b falls as 1 / p_b: choose the power that puts b R^alpha near y
     cfg = _cfg(N=N, t1=t1, t2=t2, alpha=alpha, R=R, r0=r0_share * R,
                p_b=an._tail_model(cfg)[1] * R ** alpha / y)
-    got = an.op_asymptotic(cfg, n_max)
-    assert got.hex() == _op_asymptotic_per_term_logs(cfg, n_max).hex()
+    got = an.op_asymptotic(cfg)
+    assert got.hex() == _op_asymptotic_per_term_logs(cfg, 30).hex()
 
 
 def test_op_asymptotic_is_zero_where_the_threshold_scale_underflows():
@@ -361,11 +363,6 @@ def test_op_asymptotic_names_a_term_past_the_float_range():
     assert str(failure).startswith("asymptotic outage term exp(724.")
 
 
-def test_op_asymptotic_rejects_a_negative_term_count():
-    with pytest.raises(ValueError, match="n_max"):
-        an.op_asymptotic(_cfg(p_b=30.0), n_max=-1)
-
-
 def test_op_asymptotic_slope_matches_order():
     from irislab.montecarlo import empirical_diversity_slope
     # measured on the bare-threshold convention so b R^alpha stays < 1
@@ -373,7 +370,7 @@ def test_op_asymptotic_slope_matches_order():
     for snr_db in (80.0, 90.0, 100.0):
         cfg = _cfg(ref_atten_db=0.0)
         cfg = geo.NetworkConfig(**{**cfg.__dict__, "p_b": cfg.sigma2 * 10 ** (snr_db / 10)})
-        curve.append((snr_db, an.op_asymptotic(cfg, n_max=40)))
+        curve.append((snr_db, an.op_asymptotic(cfg)))
     slope = empirical_diversity_slope(curve)
     assert slope == pytest.approx(4.0, rel=0.01)
 
@@ -1002,6 +999,16 @@ def _series_route(series):
     return route
 
 
+def _tail_cdf_at_the_edge(cfg):
+    """The tail-model CDF at the outage threshold of a user at the annulus
+    edge, under the [0, 1] check the op_vs_snr series apply."""
+    stats, b = an._tail_model(cfg)
+    p = an.high_snr_cdf(b / stats.rate * cfg.R ** cfg.alpha, stats)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"tail-model CDF {p!r} is outside [0, 1]")
+    return p
+
+
 # route -> (function of a config, "outage" or "rate", the ValueErrors it may raise)
 _ROUTES = {
     "ergodic_rate_quadrature": (_rate_oracle_in_one_quadpack_call, "rate", None),
@@ -1020,6 +1027,8 @@ _ROUTES = {
     "op_quadrature": (_series_route(harness._tail_outage("quadrature", "op_quadrature")),
                       "outage", r"^(m_tilde requires t1 != t2|tail-model mass overflows a float"
                       r"|quadrature outage .* is outside \[0, 1\])"),
+    "high_snr_cdf": (_tail_cdf_at_the_edge, "outage", r"^(m_tilde requires t1 != t2"
+                     r"|tail-model mass overflows a float|tail-model CDF .* is outside \[0, 1\])"),
 }
 _DBM = st.floats(-40.0, 40.0)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,7 +42,8 @@ def test_config_invariants():
     ("N", 2.5, "N must be an integer, got 2.5"), ("K", 1.5, "K must be an integer, got 1.5"),
     ("N", 4.0, "N must be an integer, got 4.0"), ("N", True, "N must be a number, got True"),
     ("M", False, "M must be a number, got False"), ("t1", True, "t1 must be a number, got True"),
-    ("R", "100", "R must be a number, got '100'")])
+    ("R", "100", "R must be a number, got '100'"),
+    ("R", Fraction(10 ** 400), "R must fit in a float, got a Fraction of 1329 bits")])
 def test_config_counts_are_integers_and_fields_numbers(name, value, detail):
     # a bool is not a number and a fraction of an element is not an element
     with pytest.raises(ValueError) as caught:

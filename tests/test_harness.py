@@ -300,15 +300,19 @@ def test_every_config_number_is_checked_by_as_float(section, key, name, value, d
 
 def test_integral_float_counts_run_like_integers():
     # "N": 4.0 once made every Monte Carlo point fail with a TypeError
-    def run(base):
-        d = {"experiment": "op_vs_snr", "sweep": {"pb_dbm": [0, 10]},
+    def run(base, n):
+        d = {"experiment": "op_vs_snr", "sweep": {"n_elements": [n], "pb_dbm": [0, 10]},
              "base": {"t1": 2.0, "t2": 1.0, **base}, "plan": {"trials": 500, "master_seed": 5},
              "outputs": ["analytical", "montecarlo_model"]}
         spec = harness.spec_from_dict(d)
-        return spec.base, harness.run_experiment(spec)
-    cfg, floats = run({"M": 1.0, "K": 1.0, "N": 4.0})
+        return spec, harness.run_experiment(spec)
+    spec, floats = run({"M": 1.0, "K": 1.0, "N": 4.0}, 4.0)
+    cfg = spec.base
     assert (type(cfg.M), type(cfg.K), type(cfg.N)) == (int, int, int)
-    _, ints = run({"M": 1, "K": 1, "N": 4})
+    # the spec keeps the checked sweep numbers: an int count, float axes
+    ((_, (n,)), (_, pbs)) = spec.sweep
+    assert (type(n), n, [type(p) for p in pbs]) == (int, 4, [float, float])
+    _, ints = run({"M": 1, "K": 1, "N": 4}, 4)
     assert floats.failures == ints.failures == []
     assert floats.rows == ints.rows and len(ints.rows) == 4
 

@@ -400,6 +400,18 @@ def test_meijer_slater_term_that_cancels_yields_the_contour(monkeypatch):
     assert got.value == sf._meijer_contour(d2, a + d2, z)[0]
 
 
+@pytest.mark.parametrize("b3", [171.7, 185.7, 1000.7])
+@pytest.mark.parametrize("a1", [0.3, 1.0 - 5e-6])
+def test_meijer_slater_gamma_ratio_past_the_float_range_yields_the_contour(a1, b3):
+    # past b3 = 171.6, Gamma(1 - b3) underflows to 0 and the numerator overflows:
+    # the term was once 0 * inf / 0 and numpy warned "invalid value encountered"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(sf.ConvergenceError, match=re.escape(
+                f"contour integral overflows (nan): a1={a1}, b3={b3}, z=0.5")):
+            sf.meijer_g_3123(a1, b3, 0.5)
+
+
 def _pairwise_slater_rule(bs, z):
     """Slater's rule over the pairwise distances of the b parameters
     ``bs = (a1, 0, b3)``: the reference for ``meijer_g_3123``'s check of
