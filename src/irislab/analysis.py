@@ -521,7 +521,7 @@ def gamma_approx(cfg: NetworkConfig) -> GammaApprox:
     return GammaApprox(shape=cfg.N * q / t_h, scale=t_h)
 
 
-def rate_snr_scale(approx: GammaApprox, cfg: NetworkConfig) -> float:
+def rate_snr_scale(cfg: NetworkConfig) -> float:
     """Threshold scale c in Q(shape, c x r^alpha): gain vs SNR conversion.
 
     Includes the BS-surface distance and the reference attenuation so the
@@ -529,7 +529,7 @@ def rate_snr_scale(approx: GammaApprox, cfg: NetworkConfig) -> float:
     special case d1 = 1, 0 dB.
     """
     return (cfg.Q * cfg.sigma2 * cfg.d1 ** cfg.alpha
-            / (approx.scale * cfg.p_b * cfg.ref_atten_lin))
+            / (gamma_approx(cfg).scale * cfg.p_b * cfg.ref_atten_lin))
 
 
 # B_2k / (2k (2k - 1)), k = 1..6: Stirling's series of ln Gamma(z) beyond
@@ -546,7 +546,7 @@ def _gamma_ratio(a: float, d: float) -> float:
     return math.exp((a - 0.5) * math.log1p(d / a) + d * math.log(a + d) - d + tail)
 
 
-def ergodic_rate_quadrature(approx: GammaApprox, cfg: NetworkConfig) -> float:
+def ergodic_rate_quadrature(cfg: NetworkConfig) -> float:
     """Reference ergodic rate: one quadrature over u = ln x of the SNR survival
     S(x) against 1/(1+x).  S, the radial average of the Gamma tail, is in closed
     form by parts (DLMF ch. 8): with y = c x r^alpha, d = 2/alpha, [r^2 Q(a, y) +
@@ -554,7 +554,7 @@ def ergodic_rate_quadrature(approx: GammaApprox, cfg: NetworkConfig) -> float:
     oracle of the Meijer-G rate, it is kept free of Meijer-G and 2F2.  QAGS runs
     to 1e-12: at 1e-11 it once reported 9.7e-12 where it was 2.3e-10 off.
     """
-    a, c = approx.shape, rate_snr_scale(approx, cfg)
+    a, c = gamma_approx(cfg).shape, rate_snr_scale(cfg)
     R, r0, alpha = cfg.R, cfg.r0, cfg.alpha
     d = 2.0 / alpha
     ratio = _gamma_ratio(a, d)
@@ -581,7 +581,7 @@ def ergodic_rate_quadrature(approx: GammaApprox, cfg: NetworkConfig) -> float:
     return (val + math.log1p(x_lo)) / math.log(2.0)
 
 
-def ergodic_rate_meijer(approx: GammaApprox, cfg: NetworkConfig) -> float:
+def ergodic_rate_meijer(cfg: NetworkConfig) -> float:
     """Closed-form ergodic rate: four Meijer-G terms.
 
     Must agree with ``ergodic_rate_quadrature`` to 1e-5 relative; the test
@@ -590,11 +590,11 @@ def ergodic_rate_meijer(approx: GammaApprox, cfg: NetworkConfig) -> float:
     that is not finite or whose bound exceeds 1e-5 of it raises
     ``ConvergenceError`` rather than return a rate that cannot meet that.
     """
-    a = approx.shape
+    a = gamma_approx(cfg).shape
     if a >= 170.0:
         raise ValueError(f"shape {a:.1f} (N={cfg.N}, t1={cfg.t1}, t2={cfg.t2}, Q={cfg.Q}) "
                          "overflows the linear-domain assembly")
-    c = rate_snr_scale(approx, cfg)
+    c = rate_snr_scale(cfg)
     d2 = 2.0 / cfg.alpha
     R, r0 = cfg.R, cfg.r0
     phi = 2.0 / (R ** 2 - r0 ** 2)

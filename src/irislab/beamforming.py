@@ -136,14 +136,13 @@ def detection_vector(H_eff_m: np.ndarray, m: int) -> np.ndarray:
     return (T @ x[..., np.newaxis])[..., 0]
 
 
-def solve_beamforming(real: ChannelRealization, cfg: NetworkConfig,
-                      users=None) -> BeamformingSolution:
-    """Full pipeline: stack, solve, normalize, detect (for ``users``, default all)."""
+def solve_beamforming(real: ChannelRealization, users=None) -> BeamformingSolution:
+    """Full pipeline: stack, solve, normalize, detect (for ``users``, default all M)."""
     phi_v = solve_passive_weights(stack_interference_matrix(real), target_vector(real))
     phi, beta_max = normalize_weights(phi_v)
     H_eff = effective_channel(real, phi)
     V = {m: detection_vector(H_eff[..., m, :, :], m)
-         for m in (range(cfg.M) if users is None else users)}
+         for m in (range(real.H.shape[-1]) if users is None else users)}
     return BeamformingSolution(phi_v=phi_v, beta_max=beta_max, phi=phi, V=V, H_eff=H_eff)
 
 

@@ -54,7 +54,7 @@ def as_int(name: str, value) -> int:
     return int(value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkConfig:
     """All scenario parameters, linear units (watts, meters, unitless)."""
 

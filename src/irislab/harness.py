@@ -299,7 +299,7 @@ class _Run:
         if key not in self.memo:
             self.memo[key] = _attempt(fn, *args)
         if isinstance(self.memo[key], Exception):
-            raise self.memo[key]
+            raise self.memo[key].with_traceback(None)
         return self.memo[key]
 
 
@@ -371,9 +371,8 @@ def _sum_se(run, cfg) -> float:
     only in M and K at equal Q share one rate."""
     if not cfg.solvable:
         return 0.0
-    approx = an.gamma_approx(cfg)
-    key = ("se", approx.shape, an.rate_snr_scale(approx, cfg), cfg.R, cfg.r0, cfg.alpha)
-    return cfg.M * run.once(key, an.ergodic_rate_meijer, approx, cfg)
+    key = ("se", an.gamma_approx(cfg).shape, an.rate_snr_scale(cfg), cfg.R, cfg.r0, cfg.alpha)
+    return cfg.M * run.once(key, an.ergodic_rate_meijer, cfg)
 
 
 def _tail_outage(route, engine):
@@ -404,8 +403,8 @@ _SERIES = {
         "montecarlo_model": _axis("simulate_op_axis", gain="squared"),
     },
     "ergodic_vs_snr": {
-        "analytical": _closed(lambda run, c: an.ergodic_rate_meijer(an.gamma_approx(c), c)),
-        "quadrature": _closed(lambda run, c: an.ergodic_rate_quadrature(an.gamma_approx(c), c)),
+        "analytical": _closed(lambda run, c: an.ergodic_rate_meijer(c)),
+        "quadrature": _closed(lambda run, c: an.ergodic_rate_quadrature(c)),
         "montecarlo_model": _axis("simulate_ergodic_rate_axis"),
         "montecarlo_link": _axis("simulate_ergodic_rate_axis", fidelity="link_level"),
     },

@@ -252,7 +252,7 @@ def _link_chunk(plan, cfg, lo, hi):
     failed = [0] * len(keys)
     while True:
         try:
-            sol = solve_beamforming(real, cfg, users=(0,))
+            sol = solve_beamforming(real, users=(0,))
         except RankDeficiencyError as e:
             if not e.trials:
                 raise

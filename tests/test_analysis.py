@@ -596,8 +596,7 @@ _QUADPACK_SITES = {
     "op_quadrature": lambda: an.op_quadrature(_cfg(p_b=1e-4)),
     "op_exact": lambda: an.op_exact(_cfg(p_b=1e-2)),
     "op_gamma_approx": lambda: an.op_gamma_approx(_cfg(p_b=1e-2)),
-    "ergodic_rate_quadrature": lambda: an.ergodic_rate_quadrature(an.gamma_approx(_RATE_CFG),
-                                                                  _RATE_CFG),
+    "ergodic_rate_quadrature": lambda: an.ergodic_rate_quadrature(_RATE_CFG),
     "op_exact_flagged": lambda: an.op_exact(geo.NetworkConfig(N=128, t1=1.09, t2=2.02,
                                                               alpha=3.32, p_b=1e-2)),
 }
@@ -782,13 +781,12 @@ def test_gamma_approx_ks_band():
 
 def test_ergodic_rate_quadrature_baselines():
     cfg = _cfg(N=8)
-    ap = an.gamma_approx(cfg)
-    tiny = an.ergodic_rate_quadrature(ap, geo.NetworkConfig(**{**cfg.__dict__, "p_b": 1e-12}))
+    tiny = an.ergodic_rate_quadrature(geo.NetworkConfig(**{**cfg.__dict__, "p_b": 1e-12}))
     assert tiny < 1e-3
     # slope-one law: +10 dB of power adds log2(10) bits in the high-SNR regime
-    hi1 = an.ergodic_rate_quadrature(ap, geo.NetworkConfig(
+    hi1 = an.ergodic_rate_quadrature(geo.NetworkConfig(
         **{**cfg.__dict__, "p_b": 1e10 * cfg.sigma2}))
-    hi2 = an.ergodic_rate_quadrature(ap, geo.NetworkConfig(
+    hi2 = an.ergodic_rate_quadrature(geo.NetworkConfig(
         **{**cfg.__dict__, "p_b": 1e11 * cfg.sigma2}))
     assert hi2 - hi1 == pytest.approx(math.log2(10.0), rel=0.02)
 
@@ -797,25 +795,24 @@ def test_ergodic_rate_quadrature_falls_tenfold_per_decade_at_low_snr():
     # a fixed floor x_lo = 1e-10 of the outer integral once gave the same
     # log1p(1e-10) / ln 2 at all three powers, and a reversed window below them
     cfg = geo.NetworkConfig()
-    ap = an.gamma_approx(cfg)
     powers = (1e-21, 1e-22, 1e-24)
     rates, windows = [], []
     for p_b in powers:
         calls, raised = _quadpack_calls(
-            lambda: rates.append(an.ergodic_rate_quadrature(ap, replace(cfg, p_b=p_b))))
+            lambda: rates.append(an.ergodic_rate_quadrature(replace(cfg, p_b=p_b))))
         assert not raised
         windows += [(a, b) for (_, a, b), _, _ in calls]
     assert windows and all(a < b for a, b in windows)
     assert rates[0] / rates[1] == pytest.approx(10.0, rel=1e-6)
     assert rates[1] / rates[2] == pytest.approx(100.0, rel=1e-6)
-    meijer = [an.ergodic_rate_meijer(ap, replace(cfg, p_b=p_b)) for p_b in powers]
+    meijer = [an.ergodic_rate_meijer(replace(cfg, p_b=p_b)) for p_b in powers]
     assert rates == pytest.approx(meijer, rel=1e-6, abs=0.0)
 
 
 def test_ergodic_rate_quadrature_vs_gamma_sampling():
     cfg = _cfg(N=8, p_b=1.0)
     ap = an.gamma_approx(cfg)
-    want = an.ergodic_rate_quadrature(ap, cfg)
+    want = an.ergodic_rate_quadrature(cfg)
     rng = geo.stream(321, 0)
     n = 10 ** 6
     gain = rng.gamma(ap.shape, ap.scale, n)
@@ -831,9 +828,8 @@ def test_ergodic_rate_meijer_matches_quadrature():
     # once overflowed the conditioning guard (RuntimeWarnings are errors here)
     for cfg in (_cfg(N=4), _cfg(N=8, t1=3.0), _cfg(N=4, K=2, t1=2.0),
                 _cfg(N=339, p_b=1e-6), _cfg(N=339, p_b=10 ** -4.5)):
-        ap = an.gamma_approx(cfg)
-        rq = an.ergodic_rate_quadrature(ap, cfg)
-        rm = an.ergodic_rate_meijer(ap, cfg)
+        rq = an.ergodic_rate_quadrature(cfg)
+        rm = an.ergodic_rate_meijer(cfg)
         assert rm == pytest.approx(rq, rel=1e-5)
 
 
@@ -846,7 +842,7 @@ def _mp_rate(cfg):
     mp = pytest.importorskip("mpmath")
     with mp.workdps(25):
         ap = an.gamma_approx(cfg)
-        a, c = mp.mpf(ap.shape), mp.mpf(an.rate_snr_scale(ap, cfg))
+        a, c = mp.mpf(ap.shape), mp.mpf(an.rate_snr_scale(cfg))
         R, r0, alpha = mp.mpf(cfg.R), mp.mpf(cfg.r0), mp.mpf(cfg.alpha)
         d = 2 / alpha
         ratio = mp.gamma(a + d) / mp.gamma(a)
@@ -890,15 +886,14 @@ def test_ergodic_rate_meijer_at_low_snr_against_mpmath(kw, meijer):
     # every point; the Meijer rate within 2.2e-10 down to 1e-20 W
     cfg = _cfg(**kw)
     ref = _mp_rate(cfg)
-    ap = an.gamma_approx(cfg)
-    assert an.ergodic_rate_quadrature(ap, cfg) == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert an.ergodic_rate_quadrature(cfg) == pytest.approx(ref, rel=1e-12, abs=0.0)
     if meijer:
-        assert an.ergodic_rate_meijer(ap, cfg) == pytest.approx(ref, rel=1e-9, abs=0.0)
+        assert an.ergodic_rate_meijer(cfg) == pytest.approx(ref, rel=1e-9, abs=0.0)
 
 
 def _cold_rate(cfg):
     sf._contour_line.cache_clear()
-    return an.ergodic_rate_meijer(an.gamma_approx(cfg), cfg)
+    return an.ergodic_rate_meijer(cfg)
 
 
 def test_ergodic_rate_meijer_shared_nodes_over_a_power_axis(contour_traffic):
@@ -911,7 +906,7 @@ def test_ergodic_rate_meijer_shared_nodes_over_a_power_axis(contour_traffic):
         want = [_cold_rate(cfg) for cfg in cfgs]
         sf._contour_line.cache_clear()
         contour_traffic.clear()
-        assert [an.ergodic_rate_meijer(an.gamma_approx(c), c) for c in cfgs] == want
+        assert [an.ergodic_rate_meijer(c) for c in cfgs] == want
         assert len(contour_traffic.contours) == 30
         assert contour_traffic.fills == contour_traffic.switches == fills
 
@@ -934,27 +929,26 @@ def test_ergodic_rate_meijer_names_the_config_behind_a_shape_past_the_cap():
     cfg = _cfg(N=400, t1=5.0)
     with pytest.raises(ValueError, match=r"^shape 285\.7 \(N=400, t1=5\.0, t2=1\.0, Q=1\) "
                                          r"overflows the linear-domain assembly$"):
-        an.ergodic_rate_meijer(an.gamma_approx(cfg), cfg)
+        an.ergodic_rate_meijer(cfg)
 
 
 def test_ergodic_rate_meijer_bounds_a_contour_term_by_its_unit_scale_rerun():
     # QUADPACK's saturated first estimate has error nan (flag 3) at shape 169.26 and
     # z = 4.0e-7; the bound of the unit-scale rerun, which agrees, once lost to it
     cfg = _cfg(N=167, t1=3.0, t2=2.040927364165867, p_b=1e-3)
-    approx = an.gamma_approx(cfg)
-    assert an.ergodic_rate_meijer(approx, cfg) == pytest.approx(
-        an.ergodic_rate_quadrature(approx, cfg), rel=1e-12, abs=0.0)
+    assert an.ergodic_rate_meijer(cfg) == pytest.approx(
+        an.ergodic_rate_quadrature(cfg), rel=1e-12, abs=0.0)
 
 
 def test_ergodic_rate_meijer_degenerate_annulus():
     cfg = geo.NetworkConfig(M=1, K=1, N=4, t1=2.0, t2=1.0, p_b=1.0,
                             R=50.0, r0=49.99)
     ap = an.gamma_approx(cfg)
-    rm = an.ergodic_rate_meijer(ap, cfg)
-    rq = an.ergodic_rate_quadrature(ap, cfg)
+    rm = an.ergodic_rate_meijer(cfg)
+    rq = an.ergodic_rate_quadrature(cfg)
     assert rm == pytest.approx(rq, rel=1e-4)
     # single-distance limit: E log2(1 + gain * c') at r = 50
-    c = an.rate_snr_scale(ap, cfg)
+    c = an.rate_snr_scale(cfg)
     val, _ = integrate.quad(
         lambda x: special.gammaincc(ap.shape, c * x * 50.0 ** 3) / (1 + x),
         0, np.inf, limit=400)
@@ -963,14 +957,13 @@ def test_ergodic_rate_meijer_degenerate_annulus():
 
 def test_ergodic_rate_monotone_in_elements():
     cfgs = [_cfg(N=n) for n in (2, 4, 8, 16)]
-    rates = [an.ergodic_rate_meijer(an.gamma_approx(c), c) for c in cfgs]
+    rates = [an.ergodic_rate_meijer(c) for c in cfgs]
     assert all(a < b for a, b in zip(rates, rates[1:]))
 
 
 def test_high_snr_slope_is_one():
     cfg = _cfg(N=4)
-    slope = an.high_snr_slope(
-        lambda c: an.ergodic_rate_quadrature(an.gamma_approx(c), c), cfg)
+    slope = an.high_snr_slope(an.ergodic_rate_quadrature, cfg)
     assert slope == pytest.approx(1.0, abs=0.02)
 
 
@@ -981,7 +974,7 @@ def test_high_snr_slope_is_one():
 def _rate_oracle_in_one_quadpack_call(cfg):
     rates = []
     calls, raised = _quadpack_calls(
-        lambda: rates.append(an.ergodic_rate_quadrature(an.gamma_approx(cfg), cfg)))
+        lambda: rates.append(an.ergodic_rate_quadrature(cfg)))
     assert len(calls) == 1, cfg
     if raised:
         raise sf.ConvergenceError(f"QUADPACK flag {calls[0][2][2]}")
@@ -1014,7 +1007,7 @@ _ROUTES = {
     "ergodic_rate_quadrature": (_rate_oracle_in_one_quadpack_call, "rate", None),
     "op_exact": (an.op_exact, "outage", None),
     "op_gamma_approx": (an.op_gamma_approx, "outage", None),
-    "ergodic_rate_meijer": (lambda c: an.ergodic_rate_meijer(an.gamma_approx(c), c), "rate",
+    "ergodic_rate_meijer": (an.ergodic_rate_meijer, "rate",
                             r"^shape .* overflows the linear-domain assembly$"),
     # the tail-model series of op_vs_snr: each route and its [0, 1] check
     "op_closed_form": (_series_route(harness._SERIES["op_vs_snr"]["analytical"]), "outage",

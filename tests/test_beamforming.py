@@ -210,7 +210,7 @@ def test_link_snr_hand_case_and_linearity():
     real = geo.ChannelRealization(
         H=np.array([[1.0 + 0j]]), G=np.array([[[1.0 + 0j]]]), d2=np.array([1.0]))
     cfg = geo.NetworkConfig(M=1, K=1, N=1, ref_atten_db=0.0, p_b=2.0, sigma2=0.5)
-    sol = bf.solve_beamforming(real, cfg)
+    sol = bf.solve_beamforming(real)
     assert bf.link_snr(real, sol, cfg, 0) == pytest.approx(4.0, rel=1e-12)
     cfg2 = geo.NetworkConfig(M=1, K=1, N=1, ref_atten_db=0.0, p_b=4.0, sigma2=0.5)
     assert bf.link_snr(real, sol, cfg2, 0) == pytest.approx(8.0, rel=1e-12)
@@ -228,7 +228,7 @@ def test_zero_forcing_and_cophasing_invariants():
         worst_resid = max(worst_resid, resid)
         fitted = Hbar @ phi_v
         worst_imag = max(worst_imag, np.max(np.abs(fitted.imag) / np.maximum(fitted.real, 1e-30)))
-        sol = bf.solve_beamforming(real, cfg)
+        sol = bf.solve_beamforming(real)
         for m in range(cfg.M):
             for i in range(cfg.M):
                 if i != m:
@@ -244,7 +244,7 @@ def test_zero_forcing_and_cophasing_invariants():
 def test_interference_power_negligible_after_detection():
     cfg = geo.NetworkConfig(M=3, K=4, N=14)
     real = geo.draw_channel(geo.stream(123, 0), cfg)
-    sol = bf.solve_beamforming(real, cfg)
+    sol = bf.solve_beamforming(real)
     for m in range(cfg.M):
         row = sol.V[m].conj() @ sol.H_eff[m]    # response to every stream
         signal = abs(row[m]) ** 2
@@ -258,7 +258,7 @@ def test_link_equals_model_in_scalar_network():
     # model's (|g||h|)^2 * path loss * p_b / sigma2
     cfg = geo.NetworkConfig(M=1, K=1, N=1)
     real = geo.draw_channel(geo.stream(7, 3), cfg)
-    sol = bf.solve_beamforming(real, cfg)
+    sol = bf.solve_beamforming(real)
     assert sol.beta_max == pytest.approx(1.0, rel=1e-12)
     gain = (abs(real.G[0, 0, 0]) * abs(real.H[0, 0])) ** 2
     pl = geo.path_loss(cfg.d1, real.d2[0], cfg.alpha, cfg.ref_atten_db)
@@ -275,7 +275,7 @@ def test_single_user_link_gain_is_the_square_of_sum_a2_over_max_a(N):
     # largest relative gap seen on these draws is 1.7e-15.
     cfg = geo.NetworkConfig(M=1, K=1, N=N)
     real = geo.draw_channel(geo.philox_keys(606, (N,), range(4096)), cfg)
-    sol = bf.solve_beamforming(real, cfg)
+    sol = bf.solve_beamforming(real)
     gain = bf.link_gain(real, sol, cfg, 0)
     a = np.abs(real.G[:, 0, 0, :]) * np.abs(real.H[:, :, 0])
     T = (a ** 2).sum(axis=-1) / a.max(axis=-1)
@@ -293,12 +293,12 @@ def test_users_are_exchangeable(M, K, N):
     # the swap has user m's gain before it, to rounding (6.8e-13 at most on these draws)
     cfg = geo.NetworkConfig(M=M, K=K, N=N)
     real = geo.draw_channel(geo.philox_keys(808, (M, K, N), range(4096)), cfg)
-    before = bf.solve_beamforming(real, cfg)
+    before = bf.solve_beamforming(real)
     for m in range(1, M):
         order = [m if i == 0 else 0 if i == m else i for i in range(M)]
         swapped = geo.ChannelRealization(H=real.H[..., order], G=real.G[:, order],
                                          d2=real.d2[:, order])
-        after = bf.solve_beamforming(swapped, cfg, users=(0,))
+        after = bf.solve_beamforming(swapped, users=(0,))
         want = bf.link_gain(real, before, cfg, m)
         got = bf.link_gain(swapped, after, cfg, 0)
         assert np.max(np.abs(got / want - 1.0)) <= 1e-10

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import traceback
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -404,12 +405,26 @@ def test_spec_is_frozen_and_smoke_leaves_it_unchanged():
                         ("groups", ())):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(spec, name, value)
+    # a point's config once took an assignment, and the run computed with it
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.groups[0][1][0].p_b = -1.0
     before = (spec.sweep, spec.plan, spec.outputs, spec.groups)
     smoke = cli._smoke(spec)
     assert (spec.sweep, spec.plan, spec.outputs, spec.groups) == before
     assert smoke.sweep == (("n_elements", (1, 2, 3)), ("pb_dbm", (-10, 6, 20)))
     assert smoke.plan == replace(spec.plan, trials=1000)
     assert sum(len(pts) for pts, _ in smoke.groups) == 9
+
+
+def test_a_stored_failure_keeps_a_short_traceback():
+    # re-raising the stored exception once grew its traceback by 2 frames a call
+    def fail():
+        raise RuntimeError("forced")
+
+    run = harness._Run(_mini_spec(), 1)
+    outcomes = [harness._attempt(run.once, "k", fail) for _ in range(1000)]
+    assert all(e is outcomes[0] and str(e) == "forced" for e in outcomes)
+    assert len(traceback.extract_tb(outcomes[0].__traceback__)) <= 3
 
 
 def test_run_experiment_rows_and_failures():
@@ -731,7 +746,7 @@ def test_sum_se_computed_once_per_rate_input(monkeypatch):
     calls = []
     real = an.ergodic_rate_meijer
     monkeypatch.setattr(an, "ergodic_rate_meijer",
-                        lambda *a, **k: calls.append(a[1].N) or real(*a, **k))
+                        lambda *a, **k: calls.append(a[0].N) or real(*a, **k))
     result = harness.run_experiment(cli._load("throughput_surface"))
     assert len(result.rows) == 20 and not result.failures
     assert sorted(calls) == [4, 8, 16, 32, 64]
@@ -742,10 +757,10 @@ def test_ergodic_analytical_fails_per_point(monkeypatch):
     bad_pb = 1e-3 * 10.0 ** (spec.sweep[-1][1][1] / 10.0)
     real = an.ergodic_rate_meijer
 
-    def rate(approx, cfg):
+    def rate(cfg):
         if cfg.t1 == 1.0 and cfg.N == 4 and cfg.p_b == bad_pb:
             raise RuntimeError("forced")
-        return real(approx, cfg)
+        return real(cfg)
 
     monkeypatch.setattr(an, "ergodic_rate_meijer", rate)
     result = harness.run_experiment(spec)
